@@ -11,13 +11,6 @@ cross-check of the chain.
 
 __version__ = "0.1.0"
 
-from .exact_arith import Poly, poly_add, poly_eval, poly_mul, series_truncate
+from .exact_arith import Poly
 
-__all__ = [
-    "Poly",
-    "poly_add",
-    "poly_mul",
-    "poly_eval",
-    "series_truncate",
-    "__version__",
-]
+__all__ = ["Poly", "__version__"]

@@ -15,7 +15,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import __version__
 from .correction_circuits import DEFAULT_FAULT_MODEL, FaultModel, select_step, DONE, ABORT
@@ -93,6 +93,28 @@ def _parse_fraction(text: str) -> Fraction:
         raise CliError(f"invalid rational {text!r}: {exc}") from None
 
 
+def _parse_rate(text: str, flag: str) -> Fraction:
+    """A probability given on the command line, checked against [0, 1]."""
+    value = _parse_fraction(text)
+    if not 0 <= value <= 1:
+        raise CliError(f"{flag} must lie in [0, 1], got {text}")
+    return value
+
+
+def _parse_bracket(text: str) -> Tuple[Fraction, Fraction]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise CliError(f"--bracket must be two rationals lo,hi, got {text!r}")
+    lo, hi = (_parse_fraction(p) for p in parts)
+    if not 0 <= lo < hi <= 1:
+        raise CliError(f"--bracket must satisfy 0 <= lo < hi <= 1, got {text}")
+    return lo, hi
+
+
+# Largest number of points a lo:hi:step grid may expand to.
+MAX_GRID_POINTS = 10_000
+
+
 def _parse_grid(text: str) -> List[Fraction]:
     if ":" in text:
         parts = text.split(":")
@@ -101,6 +123,13 @@ def _parse_grid(text: str) -> List[Fraction]:
         lo, hi, step = (_parse_fraction(p) for p in parts)
         if step <= 0:
             raise CliError("grid step must be positive")
+        if not (0 <= lo <= Fraction(1, 2) and 0 <= hi <= Fraction(1, 2)):
+            raise CliError("grid values must lie in [0, 0.5]")
+        count = (hi - lo) // step + 1
+        if count > MAX_GRID_POINTS:
+            raise CliError(
+                f"grid range has {count} points, more than {MAX_GRID_POINTS}"
+            )
         grid = []
         x = lo
         while x <= hi:
@@ -206,6 +235,7 @@ def cmd_series(args, config: FaultModel) -> dict:
 
 def cmd_threshold(args, config: FaultModel) -> dict:
     tol = _parse_fraction(args.tol)
+    bracket = _parse_bracket(args.bracket) if args.bracket else None
     # Reference fixtures keep the default accounting's break-even target.
     target_config = None
     if args.model == "measurement":
@@ -230,10 +260,8 @@ def cmd_threshold(args, config: FaultModel) -> dict:
         provenance = "full absorbing chain"
         target_config = config
 
-    bracket = default_bracket(condition)
-    if args.bracket:
-        lo, hi = (_parse_fraction(p) for p in args.bracket.split(","))
-        bracket = (lo, hi)
+    if bracket is None:
+        bracket = default_bracket(condition)
 
     try:
         result = solve_break_even(recursion, condition, bracket, tol, target_config)
@@ -304,8 +332,8 @@ def cmd_sweep(args, config: FaultModel) -> dict:
 
 
 def cmd_mc(args, config: FaultModel) -> dict:
-    eps = _parse_fraction(args.eps)
-    delta = _parse_fraction(args.delta) if args.delta else None
+    eps = _parse_rate(args.eps, "--eps")
+    delta = _parse_rate(args.delta, "--delta") if args.delta else None
     model = Model(args.model)
     if model is Model.IDEAL:
         numeric = ModelParams.ideal(eps)
@@ -334,7 +362,7 @@ def cmd_mc(args, config: FaultModel) -> dict:
 
 
 def cmd_concat(args, config: FaultModel) -> dict:
-    eps0 = _parse_fraction(args.eps0)
+    eps0 = _parse_rate(args.eps0, "--eps0")
     if args.levels > 10:
         raise CliError("levels must be <= 10")
     if args.model == "measurement":

@@ -29,12 +29,11 @@ assumed one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .exact_arith import Poly
 from .pauli_algebra import N_QUBITS, supports_logical
@@ -270,69 +269,27 @@ def _base_label(pattern: Pattern, model: Model) -> str:
     return f"[{m},{n}]"
 
 
-def _fail_representative(model: Model) -> Pattern:
-    status = Erasure.Z_MEASURED if model is Model.IDEAL else Erasure.FULL
-    return (status,) * N_QUBITS
-
-
-def _orbit_partition(
-    patterns: Sequence[Pattern], symmetry: Sequence[Tuple[int, ...]]
-) -> Dict[Pattern, Pattern]:
-    """Map each pattern to its orbit representative under the permutations."""
-    rep: Dict[Pattern, Pattern] = {}
-    for p in patterns:
-        orbit = {p}
-        for perm in symmetry:
-            q = [Erasure.NONE] * N_QUBITS
-            for k in range(N_QUBITS):
-                q[perm[k] - 1] = p[k]
-            orbit.add(tuple(q))
-        rep[p] = min(orbit)
-    return rep
-
-
-def build_classes(
-    model: Model,
-    symmetry: Optional[Sequence[Tuple[int, ...]]] = None,
-    merge: bool = True,
-    config=None,
-) -> ClassTable:
+def build_classes(model: Model, config=None) -> ClassTable:
     """Partition the pattern space into verified equivalence classes.
 
-    With ``merge=True`` (the default), patterns are first grouped by their
-    correction signature (weight / erasure composition) and the grouping is
-    refined until one attempt's class-level outcome distribution is
-    literally identical, as exact polynomials, for every member of every
-    class.  With ``merge=False`` only the orbit partition under ``symmetry``
-    is used (trivial symmetry then yields one class per pattern).
+    Patterns are first grouped by their correction signature (weight /
+    erasure composition) and the grouping is refined until one attempt's
+    class-level outcome distribution is literally identical, as exact
+    polynomials, for every member of every class.  The returned table is
+    therefore already sound (see ``_refine_partition``).
     """
-    from .correction_circuits import FaultModel, attempt
+    from .correction_circuits import DEFAULT_FAULT_MODEL, fail_sink
 
-    fault_model = config if config is not None else FaultModel()
+    fault_model = config if config is not None else DEFAULT_FAULT_MODEL
     params = (
         ModelParams.ideal() if model is Model.IDEAL else ModelParams.lossy()
     )
-    patterns = all_patterns(model)
-
-    # Seed partition: signature groups when merging, otherwise the orbit
-    # partition under the supplied symmetry (trivial symmetry keeps every
-    # pattern in its own class, the degenerate baseline).
-    groups: Dict[object, List[Pattern]] = {}
-    if merge:
-        for p in patterns:
-            groups.setdefault(_base_label(p, model), []).append(p)
-    else:
-        symmetry = symmetry or [tuple(range(1, N_QUBITS + 1))]
-        orbit_rep = _orbit_partition(patterns, symmetry)
-        for p in patterns:
-            groups.setdefault(orbit_rep[p], []).append(p)
-
-    partition: List[List[Pattern]] = [
-        sorted(g) for _, g in sorted(groups.items(), key=lambda kv: str(kv[0]))
-    ]
-
-    if merge:
-        partition = _refine_partition(partition, params, fault_model)
+    groups: Dict[str, List[Pattern]] = {}
+    for p in all_patterns(model):
+        groups.setdefault(_base_label(p, model), []).append(p)
+    partition = _refine_partition(
+        [sorted(g) for _, g in sorted(groups.items())], params, fault_model
+    )
 
     # Stable ordering: clean first, then by (weight, composition), fail last.
     def sort_key(group: List[Pattern]):
@@ -346,7 +303,6 @@ def build_classes(
 
     partition.sort(key=sort_key)
 
-    sink = _fail_representative(model)
     classes: List[EquivClass] = []
     index: Dict[Pattern, int] = {}
     label_counts: Dict[str, int] = {}
@@ -355,13 +311,10 @@ def build_classes(
         rep = group[0]
         label = _base_label(rep, model)
         if label == "fail":
-            if sink in group:
-                rep = sink
-                fail_id = cid
-            else:
-                # Unmerged procedure-failure orbit; it drains into the sink
-                # in one step, so it only needs a distinguishable label.
-                label = f"fail:{format_pattern(rep)}"
+            # Every procedure failure moves to the sink in one attempt, so
+            # refinement never splits the failure group.
+            rep = fail_sink(model)
+            fail_id = cid
         elif label == "clean":
             clean_id = cid
         else:
@@ -398,37 +351,39 @@ def build_classes(
     )
 
 
+def _projected_row(outcomes: Dict[Pattern, Poly], index: Dict[Pattern, int]) -> tuple:
+    """One attempt's outcome distribution summed per class, in canonical form."""
+    projected: Dict[int, Poly] = {}
+    for q, prob in outcomes.items():
+        cid = index[q]
+        projected[cid] = projected.get(cid, Poly.zero()) + prob
+    return tuple((cid, projected[cid].key()) for cid in sorted(projected))
+
+
 def _refine_partition(partition, params, fault_model):
-    """Split classes until class-projected outcome rows match exactly."""
+    """Split classes until class-projected outcome rows match exactly.
+
+    The last round computes every member's projected row and splits
+    nothing, which is exactly the check ``verify_class_soundness`` makes,
+    so the fixed point needs no second pass.  ``attempt`` uses only ring
+    operations on eps and delta, and substituting values for them commutes
+    with the per-class sums, so rows equal as polynomials stay equal under
+    every ``ModelParams`` (numeric rates or the delta = eps diagonal).
+    """
     from .correction_circuits import attempt
 
-    # Outcome distributions over raw patterns never change; cache them.
-    outcome_cache: Dict[Pattern, Dict[Pattern, Poly]] = {}
-
-    def outcomes(p: Pattern) -> Dict[Pattern, Poly]:
-        if p not in outcome_cache:
-            outcome_cache[p] = attempt(p, params, fault_model)
-        return outcome_cache[p]
-
+    # Outcome distributions over raw patterns never change; compute each once.
+    outcomes = {
+        p: attempt(p, params, fault_model) for group in partition for p in group
+    }
     while True:
-        index: Dict[Pattern, int] = {}
-        for cid, group in enumerate(partition):
-            for p in group:
-                index[p] = cid
-
+        index = {p: cid for cid, group in enumerate(partition) for p in group}
         new_partition: List[List[Pattern]] = []
         changed = False
         for group in partition:
             rows: Dict[tuple, List[Pattern]] = {}
             for p in group:
-                projected: Dict[int, Poly] = {}
-                for q, prob in outcomes(p).items():
-                    cid = index[q]
-                    projected[cid] = projected.get(cid, Poly.zero()) + prob
-                key = tuple(
-                    (cid, projected[cid].key()) for cid in sorted(projected)
-                )
-                rows.setdefault(key, []).append(p)
+                rows.setdefault(_projected_row(outcomes[p], index), []).append(p)
             if len(rows) > 1:
                 changed = True
             new_partition.extend(sorted(g) for g in rows.values())
@@ -440,20 +395,17 @@ def _refine_partition(partition, params, fault_model):
 def verify_class_soundness(table: ClassTable, params: ModelParams, config=None) -> None:
     """Exact check that every member of every class shares one projected row.
 
-    Raises ClassUnsound on the first disagreement; used by the chain builder
-    and directly by tests.
+    Raises ClassUnsound on the first disagreement.  ``build_chain`` runs it
+    on tables it is given; tables from ``build_classes`` are sound by
+    construction.
     """
-    from .correction_circuits import FaultModel, attempt
+    from .correction_circuits import DEFAULT_FAULT_MODEL, attempt
 
-    fault_model = config if config is not None else FaultModel()
+    fault_model = config if config is not None else DEFAULT_FAULT_MODEL
     for cls in table.classes:
         reference = None
         for p in cls.members:
-            projected: Dict[int, Poly] = {}
-            for q, prob in attempt(p, params, fault_model).items():
-                cid = table.index[q]
-                projected[cid] = projected.get(cid, Poly.zero()) + prob
-            row = tuple((cid, projected[cid].key()) for cid in sorted(projected))
+            row = _projected_row(attempt(p, params, fault_model), table.index)
             if reference is None:
                 reference = row
             elif row != reference:
@@ -515,16 +467,28 @@ def _pattern_probability(pattern: Pattern, marginals: Dict[Erasure, Poly]) -> Po
 def initial_distribution(
     params: ModelParams, table: ClassTable, config=None
 ) -> Dict[int, Poly]:
-    """Class-level distribution of the injected erasure pattern."""
+    """Class-level distribution of the injected erasure pattern.
+
+    A pattern's probability depends only on how many of its qubits carry
+    each status, so a class's mass is a sum over the distinct compositions
+    among its members, each weighted by how many members share it.  Each
+    composition's product of marginals is built once, from the first
+    pattern that has it; ``pattern_probability`` is the per-pattern form.
+    """
     if table.model is not params.model:
         raise ValueError("class table and params disagree on the model")
     marginals = qubit_marginals(params, config)
+    products: Dict[Tuple[int, int, int], Poly] = {}
     dist: Dict[int, Poly] = {}
-    for p in all_patterns(params.model):
-        cid = table.index[p]
-        dist[cid] = dist.get(cid, Poly.zero()) + _pattern_probability(p, marginals)
+    for cls in table.classes:
+        multiplicity: Dict[Tuple[int, int, int], int] = {}
+        for p in cls.members:
+            comp = pattern_counts(p)
+            if comp not in products:
+                products[comp] = _pattern_probability(p, marginals)
+            multiplicity[comp] = multiplicity.get(comp, 0) + 1
+        mass = Poly.zero()
+        for comp, count in multiplicity.items():
+            mass = mass + count * products[comp]
+        dist[cls.id] = mass
     return dist
-
-
-def class_table_json(table: ClassTable) -> str:
-    return json.dumps(table.to_json(), indent=2, sort_keys=True)

@@ -19,7 +19,7 @@ stored delta_degree is zero.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 Exponent = Tuple[int, int]
 
@@ -66,15 +66,6 @@ class Poly:
     @staticmethod
     def monomial(eps_deg: int, delta_deg: int, coeff: RationalLike = 1) -> "Poly":
         return Poly({(eps_deg, delta_deg): Fraction(coeff)})
-
-    @staticmethod
-    def from_coeffs(coeffs: Iterable[RationalLike], var: str = "eps") -> "Poly":
-        """Build a univariate polynomial from coefficients in degree order."""
-        terms: Dict[Exponent, Fraction] = {}
-        for deg, c in enumerate(coeffs):
-            exp = (deg, 0) if var == "eps" else (0, deg)
-            terms[exp] = Fraction(c)
-        return Poly(terms)
 
     # ------------------------------------------------------------------
     # ring operations
@@ -184,20 +175,6 @@ class Poly:
         }
         return result
 
-    def substitute_delta_with_eps(self) -> "Poly":
-        """Rewrite delta as eps, merging terms (used for the delta = eps runs)."""
-        out: Dict[Exponent, Fraction] = {}
-        for (i, j), coeff in self.terms.items():
-            exp = (i + j, 0)
-            s = out.get(exp, Fraction(0)) + coeff
-            if s == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        result = Poly.__new__(Poly)
-        result.terms = out
-        return result
-
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
@@ -249,23 +226,3 @@ def _coerce(value: "Poly | RationalLike") -> Poly:
         return value
     return Poly.constant(value)
 
-
-# Module-level aliases matching the functional naming used elsewhere.
-def poly_add(a: Poly, b: Poly) -> Poly:
-    """Exact coefficient-wise sum; zero terms dropped."""
-    return a + b
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    """Exact product; distributes over poly_add."""
-    return a * b
-
-
-def poly_eval(p: Poly, eps: RationalLike, delta: RationalLike = 0) -> Fraction:
-    """Exact evaluation at rational (eps, delta)."""
-    return p.evaluate(eps, delta)
-
-
-def series_truncate(p: Poly, order: int) -> Poly:
-    """Drop all terms of total degree > order."""
-    return p.truncate(order)

@@ -20,7 +20,6 @@ computed two ways, both exact:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -87,19 +86,20 @@ def build_chain(
     params: ModelParams,
     table: Optional[ClassTable] = None,
     config: FaultModel = DEFAULT_FAULT_MODEL,
-    verify: bool = True,
 ) -> TransitionMatrix:
     """Assemble the class-level transition matrix for one attempt.
 
-    With ``verify=True`` every member of every class is checked against its
-    representative; a mismatch raises ClassUnsound.  Absorbing rows (clean,
+    A table passed in is checked with ``verify_class_soundness`` (a
+    mismatch raises ClassUnsound).  A table built here comes from
+    ``build_classes``, whose refinement already proved it sound at symbolic
+    rates, and so at every substitution of them.  Absorbing rows (clean,
     fail) are identity rows.
     """
     if table is None:
         table = build_classes(params.model, config=config)
-    if table.model is not params.model:
+    elif table.model is not params.model:
         raise ValueError("class table and params disagree on the model")
-    if verify:
+    else:
         verify_class_soundness(table, params, config)
 
     n = len(table.classes)
@@ -137,9 +137,9 @@ def run_to_absorption(
     """Encoded failure probability from iterating or solving the chain.
 
     ``max_attempts`` iterates that many attempts exactly and reports the
-    unabsorbed residual.  Unbounded absorption requires either numeric
-    parameters (solved by exact elimination) or ``series_order`` (solved by
-    truncated iteration).
+    mass in the fail class and the unabsorbed residual.  Unbounded
+    absorption requires either numeric parameters (solved by exact
+    elimination) or ``series_order`` (solved by truncated iteration).
     """
     if initial is None:
         initial = initial_distribution(chain.params, chain.table, chain.config)
@@ -152,7 +152,7 @@ def run_to_absorption(
         dist = dict(initial)
         for _ in range(max_attempts):
             dist = _apply(dist, chain.P)
-        fail_mass = _sink_mass(dist, chain.table, fail_id)
+        fail_mass = dist.get(fail_id, Poly.zero())
         clean_mass = dist.get(clean_id, Poly.zero())
         residual = Poly.one() - clean_mass - fail_mass
         return ChainResult(
@@ -175,24 +175,6 @@ def run_to_absorption(
     raise ValueError(
         "unbounded absorption with symbolic rates needs series_order"
     )
-
-
-def _sink_mass(dist: Dict[int, Poly], table: ClassTable, fail_id: int) -> Poly:
-    """Mass in the sink plus mass parked in unmerged procedure-fail classes.
-
-    With the merged tables every failure pattern is already in the sink
-    class; unmerged baselines keep one-step antechambers whose mass is
-    committed to failing and is counted here.
-    """
-    from .erasure_model import Classification, classify
-
-    total = dist.get(fail_id, Poly.zero())
-    for cls in table.classes:
-        if cls.id in (fail_id,):
-            continue
-        if classify(cls.representative) is Classification.PROCEDURE_FAIL:
-            total = total + dist.get(cls.id, Poly.zero())
-    return total
 
 
 def _is_numeric(chain: TransitionMatrix) -> bool:
@@ -313,7 +295,6 @@ def recursion_series(
     params: ModelParams,
     order: int,
     config: FaultModel = DEFAULT_FAULT_MODEL,
-    table: Optional[ClassTable] = None,
 ) -> Poly:
     """Encoded failure rate as an exact series in eps, truncated at ``order``.
 
@@ -324,10 +305,7 @@ def recursion_series(
         raise ValueError("order must be >= 0")
     if params.model is Model.LOSSY:
         params = ModelParams(Model.LOSSY, params.eps, params.eps)
-    chain = build_chain(params, table=table, config=config)
+    chain = build_chain(params, config=config)
     result = run_to_absorption(chain, series_order=order)
     return result.encoded_failure
 
-
-def chain_json(chain: TransitionMatrix) -> str:
-    return json.dumps(chain.to_json(), indent=2, sort_keys=True)

@@ -1,91 +1,28 @@
-"""Binary-symplectic Pauli operators and the structure of the [[7,1,3]] code.
+"""Qubit supports of the [[7,1,3]] code's stabilizers and logical operators.
 
-A 7-qubit Pauli (phases dropped, they never matter for erasure
-correctability) is a pair of 7-bit masks: bit k-1 of ``x``/``z`` is set when
-qubit k carries an X/Z component.  Qubits are numbered 1..7, qubit 1 being
-the leftmost tensor factor.
-
-The six stabilizer generators, in the conventional order (X-type first):
+Qubits are numbered 1..7; bit k-1 of a mask stands for qubit k.  The code
+is the CSS code of the classical [7,4,3] Hamming code, whose parity-check
+rows give both the X-type and the Z-type generators:
 
     M1 = X X X X I I I        M4 = Z Z Z Z I I I
     M2 = X X I I X X I        M5 = Z Z I I Z Z I
     M3 = X I X I X I X        M6 = Z I Z I Z I Z
 
-The weight-4 stabilizer supports and weight-3 logical supports form
-complementary families: the 7 logical-support triples are the lines of the
-Fano plane, and the 7 stabilizer-support quadruples are their complements.
-Those two families drive everything downstream: a set of erased qubits is
-unrecoverable exactly when it covers a logical operator.
+Erasure correction needs only where operators act, not the operators
+themselves.  The weight-4 stabilizer supports and weight-3 logical supports
+form complementary families: the 7 logical-support triples are the lines
+of the Fano plane, and the 7 stabilizer-support quadruples are their
+complements.  Those two families drive everything downstream: a set of
+erased qubits is unrecoverable exactly when it covers a logical operator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import FrozenSet, Iterable, List, Literal, Tuple
+from typing import FrozenSet, Iterable, List, Tuple
 
 N_QUBITS = 7
-
-_PAULI_CHARS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
-
-
-class NoCoveringStabilizer(Exception):
-    """Raised when a 4-qubit set is not the support of any stabilizer element."""
-
-
-@dataclass(frozen=True)
-class Pauli:
-    """Phase-free n-qubit Pauli in binary-symplectic form (x mask, z mask)."""
-
-    x: int
-    z: int
-
-    def support(self) -> FrozenSet[int]:
-        mask = self.x | self.z
-        return frozenset(k + 1 for k in range(N_QUBITS) if mask >> k & 1)
-
-    def weight(self) -> int:
-        return bin(self.x | self.z).count("1")
-
-    def is_x_type(self) -> bool:
-        return self.z == 0
-
-    def is_z_type(self) -> bool:
-        return self.x == 0
-
-    def __mul__(self, other: "Pauli") -> "Pauli":
-        return Pauli(self.x ^ other.x, self.z ^ other.z)
-
-    def to_string(self) -> str:
-        chars = []
-        for k in range(N_QUBITS):
-            chars.append(_PAULI_CHARS[(self.x >> k & 1, self.z >> k & 1)])
-        return "".join(chars)
-
-    @staticmethod
-    def from_string(text: str) -> "Pauli":
-        if len(text) != N_QUBITS:
-            raise ValueError(f"expected {N_QUBITS} characters, got {len(text)!r}")
-        x = z = 0
-        for k, ch in enumerate(text.upper()):
-            if ch == "I":
-                continue
-            if ch in ("X", "Y"):
-                x |= 1 << k
-            if ch in ("Z", "Y"):
-                z |= 1 << k
-            if ch not in "IXYZ":
-                raise ValueError(f"invalid Pauli character {ch!r}")
-        return Pauli(x, z)
-
-    def __repr__(self) -> str:
-        return f"Pauli({self.to_string()})"
-
-
-def symplectic_product(p: Pauli, q: Pauli) -> int:
-    """0 iff p and q commute (parity of anticommuting single-qubit overlaps)."""
-    return (bin(p.x & q.z).count("1") + bin(p.z & q.x).count("1")) % 2
 
 
 def _mask(qubits: Iterable[int]) -> int:
@@ -93,6 +30,17 @@ def _mask(qubits: Iterable[int]) -> int:
     for q in qubits:
         m |= 1 << (q - 1)
     return m
+
+
+def _support(mask: int) -> FrozenSet[int]:
+    return frozenset(k + 1 for k in range(N_QUBITS) if mask >> k & 1)
+
+
+def _span(masks: Iterable[int]) -> List[int]:
+    vectors = [0]
+    for m in masks:
+        vectors += [v ^ m for v in vectors]
+    return vectors
 
 
 # Parity-check rows of the classical [7,4,3] Hamming code used by the
@@ -107,66 +55,21 @@ _H_ROWS = (
 _LOGICAL_MASK = _mask(range(1, N_QUBITS + 1))
 
 
-@dataclass(frozen=True)
-class StabilizerGroup:
-    """The full 64-element stabilizer group with its generating set."""
-
-    generators: Tuple[Pauli, ...]
-    elements: Tuple[Pauli, ...]
-
-    def x_type_elements(self) -> List[Pauli]:
-        return [p for p in self.elements if p.is_x_type()]
-
-    def z_type_elements(self) -> List[Pauli]:
-        return [p for p in self.elements if p.is_z_type()]
-
-
-def _span(masks: Iterable[int]) -> List[int]:
-    vectors = [0]
-    for m in masks:
-        vectors += [v ^ m for v in vectors]
-    return vectors
-
-
-@lru_cache(maxsize=1)
-def steane_stabilizers() -> StabilizerGroup:
-    """Generators M1..M6 (X-type first) and all 64 group elements."""
-    generators = tuple(
-        [Pauli(row, 0) for row in _H_ROWS] + [Pauli(0, row) for row in _H_ROWS]
-    )
-    elements = tuple(
-        Pauli(xm, zm) for xm in _span(_H_ROWS) for zm in _span(_H_ROWS)
-    )
-    return StabilizerGroup(generators=generators, elements=elements)
-
-
-def logical_coset(kind: Literal["X", "Z"]) -> List[Pauli]:
-    """All 16 single-type elements of the normalizer: stabilizer span plus
-    the logical coset.  Exactly 7 have weight 3 and one has weight 7."""
-    if kind not in ("X", "Z"):
-        raise ValueError("kind must be 'X' or 'Z'")
-    span = _span(_H_ROWS)
-    masks = span + [m ^ _LOGICAL_MASK for m in span]
-    if kind == "X":
-        return [Pauli(m, 0) for m in masks]
-    return [Pauli(0, m) for m in masks]
-
-
 @lru_cache(maxsize=1)
 def logical_supports() -> Tuple[FrozenSet[int], ...]:
-    """Supports of the 8 nontrivial logical representatives (7 triples + full)."""
-    sups = []
-    for p in logical_coset("Z"):
-        if p.weight() in (3, 7):
-            sups.append(p.support())
+    """Supports of the 8 nontrivial logical representatives (7 triples + full).
+
+    They are the stabilizer span shifted by the all-ones logical, which
+    leaves weights 3 (seven times) and 7.
+    """
+    sups = [_support(m ^ _LOGICAL_MASK) for m in _span(_H_ROWS)]
     return tuple(sorted(sups, key=sorted))
 
 
 @lru_cache(maxsize=1)
 def stabilizer_supports_weight4() -> Tuple[FrozenSet[int], ...]:
     """The 7 quadruples that are supports of weight-4 stabilizer elements."""
-    group = steane_stabilizers()
-    quads = {p.support() for p in group.x_type_elements() if p.weight() == 4}
+    quads = [_support(m) for m in _span(_H_ROWS) if m]
     return tuple(sorted(quads, key=sorted))
 
 
@@ -176,48 +79,6 @@ def supports_logical(support: Iterable[int]) -> bool:
     if not sup <= frozenset(range(1, N_QUBITS + 1)):
         raise ValueError("support must be a subset of qubits 1..7")
     return any(ls <= sup for ls in logical_supports())
-
-
-def covering_stabilizer_pair(support: Iterable[int]) -> Tuple[Pauli, Pauli]:
-    """X-type and Z-type stabilizer elements whose support equals the given
-    4-qubit set, when such a pair exists."""
-    sup = frozenset(support)
-    if len(sup) != 4:
-        raise ValueError("covering support must contain exactly 4 qubits")
-    mask = _mask(sup)
-    group = steane_stabilizers()
-    x_elem = next(
-        (p for p in group.x_type_elements() if p.x == mask), None
-    )
-    if x_elem is None:
-        raise NoCoveringStabilizer(f"{sorted(sup)} is not a stabilizer support")
-    return x_elem, Pauli(0, mask)
-
-
-@lru_cache(maxsize=1)
-def code_automorphisms() -> Tuple[Tuple[int, ...], ...]:
-    """Qubit permutations preserving the stabilizer group (168 of them).
-
-    A permutation is returned as a tuple p where p[k-1] is the image of
-    qubit k.
-    """
-    from itertools import permutations
-
-    x_masks = frozenset(_span(_H_ROWS))
-    autos = []
-    for perm in permutations(range(1, N_QUBITS + 1)):
-        ok = True
-        for row in _H_ROWS:
-            image = 0
-            for k in range(N_QUBITS):
-                if row >> k & 1:
-                    image |= 1 << (perm[k] - 1)
-            if image not in x_masks:
-                ok = False
-                break
-        if ok:
-            autos.append(perm)
-    return tuple(autos)
 
 
 def all_supports(size: int) -> List[FrozenSet[int]]:

@@ -27,7 +27,6 @@ from typing import Callable, List, Tuple
 
 from .exact_arith import Poly
 
-Rational = Fraction
 Recursion = Callable[[Fraction], Fraction]
 
 

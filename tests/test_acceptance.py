@@ -22,12 +22,12 @@ from erasurechain.erasure_model import (
     Model,
     ModelParams,
     all_patterns,
-    build_classes,
     classify,
     enumerate_patterns,
     initial_distribution,
     pattern_support,
     pattern_weight,
+    verify_class_soundness,
 )
 from erasurechain.markov_engine import (
     build_chain,
@@ -115,13 +115,13 @@ def test_acceptance_2_structural_series_facts():
     assert elapsed < 60.0
 
 
-def test_acceptance_3_reduced_chain_fidelity():
+def test_acceptance_3_reduced_chain_fidelity(ideal_singleton_table):
     t0 = time.monotonic()
     ok = False
     try:
         params = ModelParams.ideal()
         reduced = build_chain(params)
-        unreduced = build_chain(params, table=build_classes(Model.IDEAL, merge=False))
+        unreduced = build_chain(params, table=ideal_singleton_table)
         assert len(unreduced.table.classes) == 128
         for eps in (F(1, 100), F(1, 10)):
             a = encoded_failure_at(reduced, eps, F(0))
@@ -198,7 +198,7 @@ def test_acceptance_6_oracle_equivalence():
     ok = False
     lines = []
     try:
-        ideal_chain = build_chain(ModelParams.ideal(), verify=False)
+        ideal_chain = build_chain(ModelParams.ideal())
         for eps in (F(1, 100), F(1, 20), F(1, 10)):
             exact = encoded_failure_at(ideal_chain, eps, F(0))
             est = simulate(ModelParams.ideal(eps), 10**6, seed=MC_SEED)
@@ -206,7 +206,7 @@ def test_acceptance_6_oracle_equivalence():
             lines.append(f"ideal eps={float(eps)} z={rep.z:+.2f}")
             assert rep.passed, lines[-1]
 
-        lossy_chain = build_chain(ModelParams.lossy(), verify=False)
+        lossy_chain = build_chain(ModelParams.lossy())
         for eps in (F(1, 200), F(1, 100), F(89, 5000)):
             exact = encoded_failure_at(lossy_chain, eps, eps)
             est = simulate(ModelParams.lossy(eps, eps), 10**6, seed=MC_SEED)
@@ -233,13 +233,17 @@ def test_acceptance_6_oracle_equivalence():
 # ----------------------------------------------------------------------
 
 def _full_chain_root(model, config=DEFAULT_FAULT_MODEL, verify=False):
+    """Break-even root of the full chain; ``verify`` also runs the explicit
+    soundness check on its class table."""
     if model == "ideal":
         params = ModelParams.ideal()
         condition = BreakEvenCondition.IDEAL_GATE
     else:
         params = ModelParams.lossy()
         condition = BreakEvenCondition.LOSSY_GATE
-    chain = build_chain(params, config=config, verify=verify)
+    chain = build_chain(params, config=config)
+    if verify:
+        verify_class_soundness(chain.table, params, config)
     initial = initial_distribution(params, chain.table, config)
     if model == "ideal":
         rec = lambda x: encoded_failure_at(chain, x, F(0), initial)
@@ -292,7 +296,7 @@ def test_acceptance_7b_lossy_root_bracket():
     Its two modelling calls (a Z-erased register qubit voids the
     stabilizer measurement; the target's own coupling counts) are set out
     in ``correction_circuits``.  The root comes from the full exact chain
-    with every class verified.
+    with every class verified by ``verify_class_soundness``.
 
     The default per_gate accounting, with eps/2 per teleportation and
     one-sided recovery gates, gives about 0.056; criterion 7d prints it.

@@ -175,6 +175,26 @@ class TestConcat:
         assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("concat", "--model", "ideal", "--eps0", "-1", "--levels", "2"), "--eps0"),
+        (("mc", "--model", "ideal", "--eps", "2"), "--eps"),
+        (("mc", "--model", "lossy", "--eps", "1/10", "--delta", "2"), "--delta"),
+        (("threshold", "--model", "ideal", "--bracket=-1/10,1/4"), "--bracket"),
+        (("threshold", "--model", "ideal", "--bracket", "1/100"), "--bracket"),
+        # Rejected from its point count, before any point is built.
+        (("sweep", "--model", "ideal", "--grid", "0:1/2:1/1000000000"), "grid"),
+        (("sweep", "--model", "ideal", "--grid", "0:1:1/10"), "grid"),
+    ],
+)
+def test_out_of_domain_argument_rejected(args, flag):
+    proc = run_cli(*args, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert flag in json.loads(proc.stderr)["error"]
+
+
 class TestCircuitConfig:
     def test_override_changes_hash(self, tmp_path):
         cfg = tmp_path / "alt.json"

@@ -30,7 +30,7 @@ from erasurechain.erasure_model import (
     pattern_counts,
     pattern_weight,
 )
-from erasurechain.pauli_algebra import code_automorphisms, stabilizer_supports_weight4
+from erasurechain.pauli_algebra import stabilizer_supports_weight4
 
 QUADS = [frozenset(s) for s in stabilizer_supports_weight4()]
 
@@ -248,7 +248,7 @@ class TestAttempt:
 
 
 class TestPermutationEquivariance:
-    def test_class_level_outcomes_invariant_under_automorphisms(self):
+    def test_class_level_outcomes_invariant_under_automorphisms(self, line_automorphisms):
         # Relabeling by a code automorphism may change which helper set the
         # deterministic tie-break picks, but the class-level distribution
         # must be unchanged.
@@ -257,10 +257,9 @@ class TestPermutationEquivariance:
             (Model.LOSSY, ModelParams.lossy()),
         ):
             table = build_classes(model)
-            autos = code_automorphisms()
             for p in all_patterns(model)[:: 53 if model is Model.LOSSY else 7]:
                 base = _projected(attempt(p, params), table)
-                for perm in autos[::41]:
+                for perm in line_automorphisms[::41]:
                     q = [Erasure.NONE] * 7
                     for k in range(7):
                         q[perm[k] - 1] = p[k]

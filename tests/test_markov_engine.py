@@ -21,16 +21,16 @@ from erasurechain.markov_engine import (
 
 
 def ideal_chain():
-    return build_chain(ModelParams.ideal(), verify=False)
+    return build_chain(ModelParams.ideal())
 
 
 def lossy_chain():
-    return build_chain(ModelParams.lossy(), verify=False)
+    return build_chain(ModelParams.lossy())
 
 
 def per_teleportation_chain():
     config = FaultModel(construction=Construction.PER_TELEPORTATION)
-    return build_chain(ModelParams.lossy(), config=config, verify=False)
+    return build_chain(ModelParams.lossy(), config=config)
 
 
 class TestBuildChain:
@@ -83,7 +83,7 @@ class TestBuildChain:
             model=table.model, classes=classes, index=index, clean_id=0, fail_id=3
         )
         with pytest.raises(ClassUnsound):
-            build_chain(ModelParams.ideal(), table=bad, verify=True)
+            build_chain(ModelParams.ideal(), table=bad)
 
     def test_matrix_entries_probability_valued_on_grid(self):
         grid = [F(k, 40) for k in range(0, 11, 2)]
@@ -103,7 +103,7 @@ class TestAbsorption:
         assert encoded_failure_at(lchain, F(0), F(0)) == 0
 
     def test_truncated_runs_report_shrinking_residual(self):
-        chain = build_chain(ModelParams.ideal(F(1, 10)), verify=False)
+        chain = build_chain(ModelParams.ideal(F(1, 10)))
         previous = None
         for t in (1, 2, 4, 8, 16, 32, 48):
             result = run_to_absorption(chain, max_attempts=t)
@@ -117,7 +117,7 @@ class TestAbsorption:
 
     def test_truncated_fail_mass_approaches_absorbing_solve(self):
         eps = F(1, 10)
-        chain = build_chain(ModelParams.ideal(eps), verify=False)
+        chain = build_chain(ModelParams.ideal(eps))
         exact = encoded_failure_at(chain, F(0), F(0))
         late = run_to_absorption(chain, max_attempts=60)
         gap = exact - late.encoded_failure.evaluate(0, 0)
@@ -172,10 +172,10 @@ class TestSeries:
 
 
 class TestReducedVersusUnreduced:
-    def test_ideal_exact_equality(self):
+    def test_ideal_exact_equality(self, ideal_singleton_table):
         params = ModelParams.ideal()
         reduced = build_chain(params)
-        full = build_chain(params, table=build_classes(Model.IDEAL, merge=False))
+        full = build_chain(params, table=ideal_singleton_table)
         for eps in (F(1, 100), F(1, 10)):
             assert encoded_failure_at(reduced, eps, F(0)) == encoded_failure_at(
                 full, eps, F(0)

@@ -54,7 +54,7 @@ class TestAgreementWithChain:
     def test_ideal_mid_rate(self):
         eps = F(1, 20)
         est = simulate(ModelParams.ideal(eps), trials=200_000, seed=20230817)
-        chain = build_chain(ModelParams.ideal(), verify=False)
+        chain = build_chain(ModelParams.ideal())
         exact = encoded_failure_at(chain, eps, F(0))
         report = compare(exact, est)
         assert report.passed, f"z={report.z}"
@@ -68,7 +68,7 @@ class TestAgreementWithChain:
             est = simulate(
                 ModelParams.lossy(eps, eps), trials=200_000, seed=20230817, config=config
             )
-            chain = build_chain(ModelParams.lossy(), config=config, verify=False)
+            chain = build_chain(ModelParams.lossy(), config=config)
             exact = encoded_failure_at(chain, eps, eps)
             report = compare(exact, est)
             assert report.passed, f"{config.construction.value}: z={report.z}"

@@ -3,101 +3,57 @@ from itertools import combinations
 import pytest
 
 from erasurechain.pauli_algebra import (
-    NoCoveringStabilizer,
-    Pauli,
     all_supports,
-    code_automorphisms,
-    covering_stabilizer_pair,
-    logical_coset,
     logical_supports,
     stabilizer_supports_weight4,
-    steane_stabilizers,
     supports_logical,
-    symplectic_product,
 )
 
-EXPECTED_GENERATORS = [
-    "XXXXIII",
-    "XXIIXXI",
-    "XIXIXIX",
-    "ZZZZIII",
-    "ZZIIZZI",
-    "ZIZIZIZ",
+# Supports of the generators M1..M3 (X-type) and M4..M6 (Z-type) alike.
+GENERATOR_SUPPORTS = [
+    frozenset({1, 2, 3, 4}),
+    frozenset({1, 2, 5, 6}),
+    frozenset({1, 3, 5, 7}),
 ]
 
 
-class TestPauli:
-    def test_string_roundtrip(self):
-        for text in EXPECTED_GENERATORS + ["IIIIIII", "YYYYYYY", "XZYIIXZ"]:
-            assert Pauli.from_string(text).to_string() == text
-
-    def test_bad_strings(self):
-        with pytest.raises(ValueError):
-            Pauli.from_string("XXX")
-        with pytest.raises(ValueError):
-            Pauli.from_string("ABCDEFG")
-
-    def test_support_and_weight(self):
-        p = Pauli.from_string("XXXXIII")
-        assert p.support() == frozenset({1, 2, 3, 4})
-        assert p.weight() == 4
-        assert Pauli.from_string("IIIIIII").support() == frozenset()
-
-    def test_product(self):
-        m1 = Pauli.from_string("XXXXIII")
-        m2 = Pauli.from_string("XXIIXXI")
-        assert (m1 * m2).to_string() == "IIXXXXI"
-
-
 class TestSymplectic:
-    def test_anticommuting_single_qubit(self):
-        x1 = Pauli.from_string("XIIIIII")
-        z1 = Pauli.from_string("ZIIIIII")
-        assert symplectic_product(x1, z1) == 1
-
-    def test_even_overlap_commutes(self):
-        m1 = Pauli.from_string("XXXXIII")
-        m4 = Pauli.from_string("ZZZZIII")
-        assert symplectic_product(m1, m4) == 0
-
     def test_all_generator_pairs_commute(self):
-        gens = steane_stabilizers().generators
-        for p, q in combinations(gens, 2):
-            assert symplectic_product(p, q) == 0
+        # An X-type and a Z-type operator commute iff their supports share
+        # an even number of qubits.
+        for a in GENERATOR_SUPPORTS:
+            for b in GENERATOR_SUPPORTS:
+                assert len(a & b) % 2 == 0
 
 
 class TestStabilizerGroup:
     def test_generators(self):
-        group = steane_stabilizers()
-        assert [p.to_string() for p in group.generators] == EXPECTED_GENERATORS
+        quads = stabilizer_supports_weight4()
+        assert len(quads) == 7
+        for s in GENERATOR_SUPPORTS:
+            assert s in quads
 
     def test_group_order(self):
-        group = steane_stabilizers()
-        assert len(group.elements) == 64
-        assert len(set(group.elements)) == 64
-
-    def test_css_structure(self):
-        # Every element is the product of an X-type and a Z-type element.
-        group = steane_stabilizers()
-        x_parts = {p.x for p in group.x_type_elements()}
-        z_parts = {p.z for p in group.z_type_elements()}
-        assert len(x_parts) == 8 and len(z_parts) == 8
-        for elem in group.elements:
-            assert elem.x in x_parts and elem.z in z_parts
+        # The quads and the empty set are closed under products (symmetric
+        # difference): 8 X-type and 8 Z-type elements, 64 in all.
+        family = set(stabilizer_supports_weight4()) | {frozenset()}
+        assert len(family) == 8
+        for a in family:
+            for b in family:
+                assert a ^ b in family
 
     def test_all_elements_commute_pairwise(self):
-        group = steane_stabilizers()
-        for p, q in combinations(group.elements, 2):
-            assert symplectic_product(p, q) == 0
+        quads = stabilizer_supports_weight4()
+        for a, b in combinations(quads, 2):
+            assert len(a & b) == 2
 
 
 class TestLogicals:
     def test_coset_size_and_weights(self):
-        for kind in ("X", "Z"):
-            coset = logical_coset(kind)
-            assert len(coset) == 16
-            weights = sorted(p.weight() for p in coset)
-            assert weights == [0] + [3] * 7 + [4] * 7 + [7]
+        # The nontrivial logical coset: 8 supports, seven triples and the
+        # transversal all-qubit support.
+        weights = sorted(len(s) for s in logical_supports())
+        assert weights == [3] * 7 + [7]
 
     def test_seven_weight_three_logicals(self):
         triples = [s for s in logical_supports() if len(s) == 3]
@@ -110,6 +66,11 @@ class TestLogicals:
         triples = [s for s in logical_supports() if len(s) == 3]
         for a, b in combinations(triples, 2):
             assert len(a & b) == 1
+
+    def test_lines_are_quad_complements(self):
+        everything = frozenset(range(1, 8))
+        triples = {s for s in logical_supports() if len(s) == 3}
+        assert {everything - q for q in stabilizer_supports_weight4()} == triples
 
 
 class TestSupportsLogical:
@@ -139,54 +100,33 @@ class TestSupportsLogical:
 
 class TestCoveringStabilizer:
     def test_first_generator_pair(self):
-        x_elem, z_elem = covering_stabilizer_pair({1, 2, 3, 4})
-        assert x_elem.to_string() == "XXXXIII"
-        assert z_elem.to_string() == "ZZZZIII"
+        assert GENERATOR_SUPPORTS[0] in stabilizer_supports_weight4()
 
     def test_second_generator_pair(self):
-        x_elem, z_elem = covering_stabilizer_pair({1, 2, 5, 6})
-        assert x_elem.to_string() == "XXIIXXI"
-        assert z_elem.to_string() == "ZZIIZZI"
+        assert GENERATOR_SUPPORTS[1] in stabilizer_supports_weight4()
 
     def test_exactly_seven_supports_work(self):
-        good = 0
-        for s in all_supports(4):
-            try:
-                x_elem, z_elem = covering_stabilizer_pair(s)
-            except NoCoveringStabilizer:
-                continue
-            good += 1
-            assert x_elem.support() == frozenset(s)
-            assert z_elem.support() == frozenset(s)
-        assert good == 7
-        assert good == len(stabilizer_supports_weight4())
-
-    def test_wrong_size_rejected(self):
-        with pytest.raises(ValueError):
-            covering_stabilizer_pair({1, 2, 3})
-
-
-class TestCssSymmetry:
-    def test_x_and_z_support_families_match(self):
-        group = steane_stabilizers()
-        x_family = sorted(sorted(p.support()) for p in group.x_type_elements())
-        z_family = sorted(sorted(p.support()) for p in group.z_type_elements())
-        assert x_family == z_family
+        # Of the 35 four-qubit sets, exactly the 7 stabilizer supports cover
+        # no logical operator.
+        free = [s for s in all_supports(4) if not supports_logical(s)]
+        assert sorted(free, key=sorted) == list(stabilizer_supports_weight4())
 
 
 class TestAutomorphisms:
-    def test_group_order(self):
-        assert len(code_automorphisms()) == 168
+    def test_group_order(self, line_automorphisms):
+        assert len(line_automorphisms) == 168
 
-    def test_identity_present(self):
-        assert tuple(range(1, 8)) in code_automorphisms()
+    def test_identity_present(self, line_automorphisms):
+        assert tuple(range(1, 8)) in line_automorphisms
 
-    def test_lines_permuted_to_lines(self):
-        lines = {s for s in logical_supports() if len(s) == 3}
-        for perm in code_automorphisms()[:20]:
-            for line in lines:
-                image = frozenset(perm[q - 1] for q in line)
-                assert image in lines
+    def test_lines_permuted_to_lines(self, line_automorphisms):
+        # The fixture keeps the permutations that map lines to lines; their
+        # complements, the quads, then map to quads as well, so every one of
+        # them preserves the stabilizer group.
+        quads = set(stabilizer_supports_weight4())
+        for perm in line_automorphisms:
+            for quad in quads:
+                assert frozenset(perm[q - 1] for q in quad) in quads
 
 
 class TestCorrectableTriplesHaveRecoveryRoute:
