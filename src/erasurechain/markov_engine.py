@@ -11,8 +11,9 @@ starting from the distribution injected by one encoded gate.  It is
 computed two ways, both exact:
 
 * at a numeric rate, by solving the absorbing-chain linear system with
-  Fraction Gaussian elimination (this is what threshold searches use; the
-  truncated series is unreliable near the threshold);
+  one fraction-free (integer Bareiss) elimination and a single reduction
+  at the end (this is what threshold searches use; the truncated series
+  is unreliable near the threshold);
 * as a power series in eps, by iterating the transition map with all
   polynomials truncated at the requested order until the unabsorbed mass
   vanishes at that order.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .exact_arith import Poly
@@ -93,7 +95,9 @@ def build_chain(
     mismatch raises ClassUnsound).  A table built here comes from
     ``build_classes``, whose refinement already proved it sound at symbolic
     rates, and so at every substitution of them.  Absorbing rows (clean,
-    fail) are identity rows.
+    fail) are identity rows.  Every row must sum to exactly one and, at
+    numeric rates, hold no negative entry; otherwise ValueError names the
+    class.
     """
     if table is None:
         table = build_classes(params.model, config=config)
@@ -113,7 +117,14 @@ def build_chain(
                 cid = table.index[q]
                 row[cid] = row[cid] + prob
         P.append(row)
-    return TransitionMatrix(table=table, P=P, params=params, config=config)
+    chain = TransitionMatrix(table=table, P=P, params=params, config=config)
+    numeric = _is_numeric(chain)
+    for cls, row, total in zip(table.classes, P, chain.row_sums()):
+        if total != Poly.one():
+            raise ValueError(f"transition row of class {cls.label} sums to {total}, not 1")
+        if numeric and any(entry.coefficient(0, 0) < 0 for entry in row):
+            raise ValueError(f"transition row of class {cls.label} has a negative entry")
+    return chain
 
 
 def _apply(dist: Dict[int, Poly], P: List[List[Poly]]) -> Dict[int, Poly]:
@@ -228,24 +239,6 @@ def _absorb_numeric(chain: TransitionMatrix, initial: Dict[int, Poly]) -> Fracti
     return encoded_failure_at(chain, Fraction(0), Fraction(0), initial)
 
 
-def _solve_linear(A: List[List[Fraction]], b: List[Fraction]) -> List[Fraction]:
-    """Gaussian elimination with exact rationals (partial pivot on nonzero)."""
-    n = len(A)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular transient system")
-        M[col], M[pivot] = M[pivot], M[col]
-        inv = Fraction(1) / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                factor = M[r][col]
-                M[r] = [x - factor * y for x, y in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
-
-
 def encoded_failure_at(
     chain: TransitionMatrix,
     eps: Fraction,
@@ -254,41 +247,91 @@ def encoded_failure_at(
 ) -> Fraction:
     """Exact absorption probability of a symbolic chain at numeric rates.
 
-    Evaluates the symbolic matrix and initial distribution at (eps, delta)
-    and solves the absorbing system; this is the workhorse behind threshold
-    bisection (one symbolic build, many numeric solves).
+    This is the workhorse behind threshold bisection (one symbolic build,
+    many numeric solves), so it runs on integers and reduces once.  Write
+    eps = ep/eq and delta = dp/dq.  Each transient row [I - Q | r] (r is
+    the column into the fail class) and the border row [-c | c0] (the
+    injected mass on the transient classes and on the fail class) are
+    scaled to integers by ``_integer_row``.  One fraction-free Bareiss pass
+    (Bareiss 1968) over the bordered matrix M, with pivot swaps among the
+    transient rows only, leaves det(A) as its m-th pivot and det(M) as its
+    last.  By the Schur complement det(M) / det(A) = s * (c0 + c^T A^-1 r),
+    where s is the border row's scale; a swap flips the sign of both
+    determinants, so the ratio needs no correction.
     """
     if initial is None:
         initial = initial_distribution(chain.params, chain.table, chain.config)
+    eps, delta = Fraction(eps), Fraction(delta)
     clean_id, fail_id = chain.absorbing
-    n = chain.size
-    transient = [i for i in range(n) if i not in (clean_id, fail_id)]
-    pos = {cid: k for k, cid in enumerate(transient)}
+    transient = [i for i in range(chain.size) if i not in (clean_id, fail_id)]
+    columns = transient + [fail_id]
     m = len(transient)
 
-    A = [[Fraction(0)] * m for _ in range(m)]
-    b = [Fraction(0)] * m
-    for i in transient:
-        for j in range(n):
-            entry = chain.P[i][j]
-            if entry.is_zero():
-                continue
-            v = entry.evaluate(eps, delta)
-            if j == fail_id:
-                b[pos[i]] += v
-            elif j != clean_id:
-                A[pos[i]][pos[j]] -= v
-        A[pos[i]][pos[i]] += Fraction(1)
-    solution = _solve_linear(A, b)
+    zero = Poly.zero()
+    rows = [[chain.P[i][j] for j in columns] for i in transient]
+    rows.append([initial.get(j, zero) for j in columns])
+    eps_hom = _homogeneous_powers(eps)
+    delta_hom = _homogeneous_powers(delta)
+    M: List[List[int]] = []
+    scales: List[int] = []
+    for polys in rows:
+        values, scale = _integer_row(polys, eps_hom, delta_hom)
+        M.append([-x for x in values[:m]] + [values[m]])
+        scales.append(scale)
+    for k in range(m):
+        M[k][k] += scales[k]
 
-    total = Fraction(0)
-    for cid, mass in initial.items():
-        v = mass.evaluate(eps, delta)
-        if cid == fail_id:
-            total += v
-        elif cid != clean_id:
-            total += v * solution[pos[cid]]
-    return total
+    prev = 1
+    for k in range(m):
+        pivot = next((r for r in range(k, m) if M[r][k] != 0), None)
+        if pivot is None:
+            raise ValueError("singular transient system")
+        M[k], M[pivot] = M[pivot], M[k]
+        top = M[k]
+        p = top[k]
+        for r in range(k + 1, m + 1):
+            row = M[r]
+            f = row[k]
+            for j in range(k + 1, m + 1):
+                row[j] = (row[j] * p - f * top[j]) // prev
+        prev = p
+    return Fraction(M[m][m], prev * scales[m])
+
+
+def _homogeneous_powers(x: Fraction):
+    """``hom(i, d) = p^i * q^(d - i)`` for x = p/q, memoised per solve."""
+    p, q = x.numerator, x.denominator
+    cache: Dict[Tuple[int, int], int] = {}
+
+    def hom(i: int, d: int) -> int:
+        value = cache.get((i, d))
+        if value is None:
+            value = cache[(i, d)] = p**i * q ** (d - i)
+        return value
+
+    return hom
+
+
+def _integer_row(row: List[Poly], eps_hom, delta_hom) -> Tuple[List[int], int]:
+    """The row's entries at (eps, delta), times its scale, and that scale.
+
+    The scale is L * eq^I * dq^J: L is the lcm of the row's coefficient
+    denominators, I and J the row's own largest eps and delta degrees, so
+    every term c * eps^i * delta^j becomes the integer
+    c * L * ep^i * eq^(I-i) * dp^j * dq^(J-j).
+    """
+    terms = [t for entry in row for t in entry.terms.items()]
+    I = max((i for (i, _), _ in terms), default=0)
+    J = max((j for (_, j), _ in terms), default=0)
+    L = lcm(*(c.denominator for _, c in terms))
+    scaled = [
+        sum(
+            c.numerator * (L // c.denominator) * eps_hom(i, I) * delta_hom(j, J)
+            for (i, j), c in entry.terms.items()
+        )
+        for entry in row
+    ]
+    return scaled, L * eps_hom(0, I) * delta_hom(0, J)
 
 
 def recursion_series(

@@ -155,8 +155,18 @@ def _walk(pattern: Pattern, tables: _WalkTables, rng, max_steps: int) -> int:
 
 
 def compare(exact: Fraction, estimate: McEstimate, z_limit: float = 3.0) -> CompareReport:
-    """z-score of the Monte Carlo mean against the exact probability."""
-    if estimate.stderr <= 0:
-        raise ValueError("stderr must be positive for a z comparison")
+    """z-score of the Monte Carlo mean against the exact probability.
+
+    Every trial agrees when the mean is exactly 0 or 1, and the standard
+    error is then 0: the comparison passes with z = 0 if the exact value is
+    that mean, and is a ValueError otherwise.
+    """
+    if estimate.stderr == 0:
+        if estimate.mean != float(exact):
+            raise ValueError(
+                f"Monte Carlo mean {estimate.mean} with zero standard error "
+                f"differs from the exact value {float(exact)}"
+            )
+        return CompareReport(exact=exact, estimate=estimate, z=0.0, passed=True)
     z = (estimate.mean - float(exact)) / estimate.stderr
     return CompareReport(exact=exact, estimate=estimate, z=z, passed=abs(z) <= z_limit)

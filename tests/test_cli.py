@@ -1,15 +1,26 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import erasurechain
+
 RUN = [sys.executable, "-m", "erasurechain.cli"]
+# The CLI subprocess imports the same package as this test run, installed
+# or not.
+PACKAGE_ROOT = str(Path(erasurechain.__file__).resolve().parents[1])
+ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])),
+}
 
 
 def run_cli(*args, check=True):
     proc = subprocess.run(
-        RUN + list(args), capture_output=True, text=True, timeout=600
+        RUN + list(args), capture_output=True, text=True, timeout=600, env=ENV
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed: {proc.returncode}\n{proc.stderr}")
@@ -148,6 +159,17 @@ class TestMc:
         lines = proc.stdout.splitlines()
         assert lines[1] == "eps,delta,trials,mean,stderr,z_vs_exact"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("eps", ["0", "1"])
+    def test_rate_endpoint_has_zero_stderr(self, eps):
+        # Every trial ends the same way, so the mean is exact with no spread.
+        data = json.loads(
+            run_cli("mc", "--model", "ideal", "--eps", eps, "--trials", "100").stdout
+        )
+        assert data["mean"] == data["exact"] == float(eps)
+        assert data["stderr"] == 0.0
+        assert data["z_vs_exact"] == 0.0
+        assert data["passed"] is True
 
 
 class TestConcat:

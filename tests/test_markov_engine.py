@@ -1,15 +1,20 @@
+import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
+import erasurechain.markov_engine as markov_engine
 from erasurechain.correction_circuits import Construction, FaultModel
 from erasurechain.exact_arith import Poly
 from erasurechain.erasure_model import (
+    CLEAN_PATTERN,
     ClassUnsound,
     EquivClass,
     Model,
     ModelParams,
     build_classes,
+    initial_distribution,
     pattern_weight,
 )
 from erasurechain.markov_engine import (
@@ -18,6 +23,7 @@ from erasurechain.markov_engine import (
     recursion_series,
     run_to_absorption,
 )
+from erasurechain.threshold_solver import chain_recursion, concat_projection
 
 
 def ideal_chain():
@@ -84,6 +90,36 @@ class TestBuildChain:
         )
         with pytest.raises(ClassUnsound):
             build_chain(ModelParams.ideal(), table=bad)
+
+    def test_row_missing_an_outcome_rejected(self, monkeypatch):
+        real_attempt = markov_engine.attempt
+
+        def drop_one_outcome(pattern, params, config):
+            outcomes = dict(real_attempt(pattern, params, config))
+            outcomes.pop(next(iter(outcomes)))
+            return outcomes
+
+        monkeypatch.setattr(markov_engine, "attempt", drop_one_outcome)
+        table = build_classes(Model.LOSSY)
+        first = next(c for c in table.classes if c.id not in (table.clean_id, table.fail_id))
+        with pytest.raises(ValueError, match=re.escape(f"class {first.label} sums to")):
+            build_chain(ModelParams.lossy())
+
+    def test_negative_entry_at_numeric_rates_rejected(self, monkeypatch):
+        # Moving unit mass onto the clean pattern keeps each row summing to
+        # one but leaves a negative entry.
+        real_attempt = markov_engine.attempt
+
+        def move_mass(pattern, params, config):
+            outcomes = dict(real_attempt(pattern, params, config))
+            other = next(q for q in outcomes if q != CLEAN_PATTERN)
+            outcomes[other] = outcomes[other] + 1
+            outcomes[CLEAN_PATTERN] = outcomes.get(CLEAN_PATTERN, Poly.zero()) - 1
+            return outcomes
+
+        monkeypatch.setattr(markov_engine, "attempt", move_mass)
+        with pytest.raises(ValueError, match="has a negative entry"):
+            build_chain(ModelParams.ideal(F(1, 10)))
 
     def test_matrix_entries_probability_valued_on_grid(self):
         grid = [F(k, 40) for k in range(0, 11, 2)]
@@ -207,3 +243,113 @@ class TestChainExport:
         assert data["absorbing"] == [chain.table.clean_id, chain.table.fail_id]
         restored = Poly.from_json(data["matrix"][1][0])
         assert restored == chain.P[1][0]
+
+
+def fraction_oracle(chain, eps, delta):
+    """Absorption probability by Fraction Gauss-Jordan elimination.
+
+    An independent reference for the integer solve in
+    ``encoded_failure_at``: evaluate every entry as a Fraction and reduce
+    [I - Q | r] to the absorption vector.
+    """
+    clean_id, fail_id = chain.absorbing
+    transient = [i for i in range(chain.size) if i not in (clean_id, fail_id)]
+    pos = {cid: k for k, cid in enumerate(transient)}
+    n = len(transient)
+    M = [[F(0)] * (n + 1) for _ in range(n)]
+    for i in transient:
+        for j in range(chain.size):
+            v = chain.P[i][j].evaluate(eps, delta)
+            if j == fail_id:
+                M[pos[i]][n] += v
+            elif j != clean_id:
+                M[pos[i]][pos[j]] -= v
+        M[pos[i]][pos[i]] += 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular transient system")
+        M[col], M[pivot] = M[pivot], M[col]
+        inv = 1 / M[col][col]
+        M[col] = [x * inv for x in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                factor = M[r][col]
+                M[r] = [x - factor * y for x, y in zip(M[r], M[col])]
+    total = F(0)
+    initial = initial_distribution(chain.params, chain.table, chain.config)
+    for cid, mass in initial.items():
+        v = mass.evaluate(eps, delta)
+        if cid == fail_id:
+            total += v
+        elif cid != clean_id:
+            total += v * M[pos[cid]][n]
+    return total
+
+
+def random_rate(rng):
+    den = rng.choice((1, 2, 19, 1000, 10**6, rng.randint(1, 10**6)))
+    return F(rng.randint(0, den), den)
+
+
+CONFIGS = {
+    "per_gate": FaultModel(),
+    "per_teleportation": FaultModel(construction=Construction.PER_TELEPORTATION),
+}
+
+
+class TestFractionFreeSolve:
+    """The integer Bareiss solve returns the Fraction elimination's rational."""
+
+    @pytest.mark.parametrize("construction", sorted(CONFIGS))
+    def test_matches_oracle_at_random_rationals(self, construction):
+        config = CONFIGS[construction]
+        rng = random.Random(4)
+        ideal = build_chain(ModelParams.ideal(), config=config)
+        lossy = build_chain(ModelParams.lossy(), config=config)
+        for _ in range(12):
+            eps = random_rate(rng)
+            assert encoded_failure_at(ideal, eps, F(0)) == fraction_oracle(ideal, eps, F(0))
+            delta = random_rate(rng)
+            while delta == eps:
+                delta = random_rate(rng)
+            assert encoded_failure_at(lossy, eps, delta) == fraction_oracle(lossy, eps, delta)
+
+    def test_matches_oracle_on_numeric_rate_chain(self):
+        for params in (ModelParams.ideal(F(3, 17)), ModelParams.lossy(F(1, 20), F(1, 7))):
+            chain = build_chain(params)
+            expected = fraction_oracle(chain, F(0), F(0))
+            assert encoded_failure_at(chain, F(0), F(0)) == expected
+            assert run_to_absorption(chain).encoded_failure == expected
+
+    @pytest.mark.parametrize("construction", sorted(CONFIGS))
+    def test_matches_oracle_at_rate_endpoints(self, construction):
+        config = CONFIGS[construction]
+        ideal = build_chain(ModelParams.ideal(), config=config)
+        lossy = build_chain(ModelParams.lossy(), config=config)
+        for eps in (F(0), F(1)):
+            assert encoded_failure_at(ideal, eps, F(0)) == fraction_oracle(ideal, eps, F(0))
+            for delta in (F(0), F(1)):
+                if (eps, delta) == (0, 1):
+                    continue
+                assert encoded_failure_at(lossy, eps, delta) == fraction_oracle(
+                    lossy, eps, delta
+                )
+
+    @pytest.mark.parametrize("construction", sorted(CONFIGS))
+    def test_lossless_gates_with_lost_detections_is_singular(self, construction):
+        # eps = 0, delta = 1: a class holding a full erasure never leaves itself.
+        lossy = build_chain(ModelParams.lossy(), config=CONFIGS[construction])
+        with pytest.raises(ValueError, match="singular transient system"):
+            fraction_oracle(lossy, F(0), F(1))
+        with pytest.raises(ValueError, match="singular transient system"):
+            encoded_failure_at(lossy, F(0), F(1))
+
+    def test_concat_to_level_three_matches_oracle(self):
+        chain = build_chain(ModelParams.ideal())
+        x = F(1, 19)
+        expected = []
+        for _ in range(3):
+            x = fraction_oracle(chain, x, F(0))
+            expected.append(x)
+        assert concat_projection(chain_recursion("ideal"), F(1, 19), 3) == expected

@@ -94,6 +94,14 @@ class TestCompare:
         assert not report.passed
 
     def test_zero_stderr_rejected(self):
+        # Every trial recovered, yet the exact rate is not 0.
         est = McEstimate(mean=0.0, stderr=0.0, trials=100, seed=0, failures=0)
-        with pytest.raises(ValueError):
-            compare(F(0), est)
+        with pytest.raises(ValueError, match=r"mean 0\.0 .* exact value 0\.5"):
+            compare(F(1, 2), est)
+
+    @pytest.mark.parametrize("mean", [0.0, 1.0])
+    def test_zero_stderr_passes_when_mean_is_exact(self, mean):
+        est = McEstimate(mean=mean, stderr=0.0, trials=100, seed=0, failures=int(100 * mean))
+        report = compare(F(int(mean)), est)
+        assert report.z == 0.0
+        assert report.passed
