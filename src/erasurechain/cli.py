@@ -27,7 +27,6 @@ from .erasure_model import (
     enumerate_patterns,
     format_pattern,
     infer_model,
-    initial_distribution,
     parse_pattern,
     pattern_counts,
     pattern_weight,
@@ -123,8 +122,8 @@ def _parse_grid(text: str) -> List[Fraction]:
         lo, hi, step = (_parse_fraction(p) for p in parts)
         if step <= 0:
             raise CliError("grid step must be positive")
-        if not (0 <= lo <= Fraction(1, 2) and 0 <= hi <= Fraction(1, 2)):
-            raise CliError("grid values must lie in [0, 0.5]")
+        # Checked from its ends and its point count before it is expanded.
+        _check_grid_values((lo, hi))
         count = (hi - lo) // step + 1
         if count > MAX_GRID_POINTS:
             raise CliError(
@@ -136,7 +135,14 @@ def _parse_grid(text: str) -> List[Fraction]:
             grid.append(x)
             x += step
         return grid
-    return [_parse_fraction(p) for p in text.split(",") if p]
+    grid = [_parse_fraction(p) for p in text.split(",") if p]
+    _check_grid_values(grid)
+    return grid
+
+
+def _check_grid_values(values) -> None:
+    if not all(0 <= x <= Fraction(1, 2) for x in values):
+        raise CliError("grid values must lie in [0, 0.5]")
 
 
 def _model_params(model: str, eps=None, delta=None) -> ModelParams:
@@ -299,28 +305,16 @@ def cmd_threshold(args, config: FaultModel) -> dict:
 
 def cmd_sweep(args, config: FaultModel) -> dict:
     grid = _parse_grid(args.grid)
-    for x in grid:
-        if not 0 <= x <= Fraction(1, 2):
-            raise CliError("grid values must lie in [0, 0.5]")
-    model = Model(args.model)
-    params = ModelParams.ideal() if model is Model.IDEAL else ModelParams.lossy()
-    chain = build_chain(params, config=config)
-    initial = initial_distribution(params, chain.table, config)
+    recursion = chain_recursion(args.model, config=config)
 
     rows = []
     for x in grid:
-        delta = Fraction(0) if model is Model.IDEAL else x
-        exact = encoded_failure_at(chain, x, delta, initial)
         row = {
             "eps": float(x),
-            "encoded_failure_exact": float(exact),
+            "encoded_failure_exact": float(recursion(x)),
         }
         if args.trials:
-            numeric = (
-                ModelParams.ideal(x)
-                if model is Model.IDEAL
-                else ModelParams.lossy(x, delta)
-            )
+            numeric = _model_params(args.model, x)
             est = simulate(numeric, args.trials, seed=args.seed, config=config)
             row["mc_mean"] = est.mean
             row["mc_stderr"] = est.stderr
@@ -328,7 +322,7 @@ def cmd_sweep(args, config: FaultModel) -> dict:
             row["mc_mean"] = None
             row["mc_stderr"] = None
         rows.append(row)
-    return {"model": model.value, "rows": rows}
+    return {"model": args.model, "rows": rows}
 
 
 def cmd_mc(args, config: FaultModel) -> dict:

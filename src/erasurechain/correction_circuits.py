@@ -2,82 +2,82 @@
 
 The recovery strategy corrects full erasures first; once none remain it
 corrects Z erasures and Z measurements.  One attempt is one circuit
-application on a single target qubit:
+application on a single target qubit and three intact helper qubits,
+chosen so that the four together support both an X-type and a Z-type
+stabilizer element.  A circuit is a few two-qubit gates and some bare
+photon detections.  A gate is a table from the statuses it leaves on its
+two qubits to their probability; a qubit keeps the worst status any gate
+leaves on it, so a full erasure absorbs a Z mark.
 
 ZRecovery (teleported single-qubit recovery)
-    The target qubit, plus three intact helper qubits chosen so that the
-    four together support both an X-type and a Z-type stabilizer element,
-    plus a fresh |+> qubit that replaces the target.  Fault locations:
-
     * target readout, only when the target is a Z erasure (its outcome is
-      unknown and must be read out first): the photon is lost with
-      probability delta, the target becomes a full erasure and the attempt
-      is abandoned;
-    * three helper teleportations.  Ideal hardware: each fails with
-      probability eps and the helper ends Z-measured with a known outcome.
-      Lossy hardware: each loses its photon with probability delta, the
-      helper ends fully erased and the fresh control qubit picks up a
-      Z-erasure mark.
-
-    Only when every location succeeds is the target recovered; any helper
-    fault leaves the target erased (Z-measured under ideal hardware, a
-    Z erasure on the fresh qubit under lossy hardware).
+      unknown and must be read out first): ``readout_detections``
+      detections, each losing its photon with probability delta.  A loss
+      fully erases the target and the attempt is abandoned;
+    * three ``helper`` gates, each joining a helper to the fresh |+> qubit
+      that replaces the target.  The fresh qubit's status is the target's
+      new status, so the target is recovered only when no gate leaves a
+      mark.
 
 FullErasureToZ (ancilla-register stabilizer measurement)
     Measures the Z-type stabilizer covering the target and three intact
     helpers, converting a full erasure into a Z erasure when it succeeds.
-    Fault locations:
 
-    * four ancilla detectors, each losing its photon with probability
-      delta; any loss voids the measurement and the target stays fully
-      erased;
-    * four coupling gates between ancilla and data qubits, each failing
-      with probability eps; the data qubit hit picks up a Z-erasure mark
-      (back-action on the gate's data side; ancilla-side loss is already
-      accounted by the detector locations).  The mark is invisible on the
-      target, which is already erased, so only the three helper couplings
-      shape the outcome.
+    * four ``coupling`` gates, each joining one of the target and its
+      helpers to its qubit of a four-qubit register.  Marks on the helpers
+      stay; the register's four qubits count as one, since the measurement
+      needs every one of them intact;
+    * the register readout, ``ancilla_detections`` detections, each losing
+      its photon with probability delta.
 
-All location counts live in ``FaultModel`` so alternative accountings can
-be explored; outputs record the configuration hash.  Ancilla preparation
-(Bell pairs, |+>, the four-qubit register) is taken as error-free: offline
-preparation can be repeated until it succeeds.
+    The target becomes a Z erasure when the register is unmarked and no
+    detection is lost, and otherwise stays fully erased.
+
+Ancilla preparation (Bell pairs, |+>, the four-qubit register) is taken as
+error-free: offline preparation can be repeated until it succeeds.  All
+location counts live in ``FaultModel`` so alternative accountings can be
+explored; outputs record the configuration hash.
 
 Constructions of the entangling gates
 -------------------------------------
-``FaultModel.construction`` says how the two-qubit gates are built, which
-fixes how the lossy model charges their failures.
+A construction is its three gate tables, which ``gate_tables`` returns:
+``encoded`` (two data qubits), ``helper`` (helper, fresh qubit) and
+``coupling`` (data qubit, register).  Each data qubit passes through one
+encoded gate, so the injected per-qubit marginals are one side of
+``encoded``, and the lossy break-even target is that side's FULL marginal.
+Ideal hardware has a description of its own; under lossy hardware
+``FaultModel.construction`` picks one of two.
 
-per_gate (the default; the circuit descriptions above)
-    An encoded gate fails with probability eps and then loses one of its
-    two teleportations, each side with eps/2, so a qubit is injected fully
-    erased with probability eps/2 and Z-erased with eps/2.  Recovery gates
-    are charged on one side only, as described above.
+ideal hardware
+    ``encoded`` and ``helper`` fail with probability eps and measure both
+    qubits in Z with a known outcome: a qubit is injected Z-measured with
+    probability eps, and a failed helper gate leaves its helper measured
+    and the target unfixed.  There is no ``coupling`` gate, since full
+    erasures do not occur.
+
+per_gate (the default)
+    * ``encoded`` fails with probability eps and then loses one of its two
+      teleportations, each side with eps/2; the lost side is fully erased
+      and its partner Z-erased.  A qubit is injected fully erased with
+      probability eps/2 and Z-erased with eps/2;
+    * ``helper`` loses the helper's teleportation photon with probability
+      1-(1-delta)^helper_detections, fully erasing the helper and leaving
+      an unknown Z correction (a Z erasure) on the fresh qubit;
+    * ``coupling`` fails with probability eps on its data side only
+      (register-side loss is counted by the register detections).  The
+      data qubit is Z-erased, or fully erased for the fraction
+      ``coupling_full_fraction`` of failures.  The register is never
+      marked, so the target's own coupling does not change the outcome.
 
 per_teleportation
     Every two-qubit gate, encoded or inside a recovery circuit, is built
-    by teleporting both of its qubits, and each teleportation is lost
-    independently with probability eps.  ``teleported_gate`` is the one
-    gate-level description: a lost teleportation fully erases its qubit
-    and Z-erases the partner, and a full erasure absorbs a Z mark.  The
-    rest follows from it:
-
-    * injected marginals: every data qubit passes through one encoded
-      gate, so it is fully erased with probability eps and Z-erased with
-      probability eps(1-eps);
-    * ZRecovery: the three helper gates each join a helper to the fresh
-      qubit.  A lost helper side fully erases the helper and Z-erases the
-      fresh qubit; a lost fresh side fully erases the fresh qubit (the
-      target position) and Z-erases the helper.  The target is recovered
-      only when no gate loses anything;
-    * FullErasureToZ: the four couplings each join one of the target and
-      its helpers to its register qubit, and a lost data side fully erases
-      a helper;
-    * bare detections, the target readout and the register readout, lose
-      their photon with probability delta (``readout_detections`` and
-      ``ancilla_detections``); ``helper_detections`` and
-      ``coupling_full_fraction`` do not apply;
-    * the lossy break-even target is the per-qubit FULL marginal, eps.
+    by teleporting both of its qubits, so all three gates are
+    ``teleported_gate(eps)``: each qubit is lost independently with
+    probability eps, and a loss fully erases that qubit and Z-erases its
+    partner.  A qubit is injected fully erased with probability eps and
+    Z-erased with eps(1-eps), and the break-even target is eps.  Only the
+    bare detections (target readout, register readout) use delta;
+    ``helper_detections`` and ``coupling_full_fraction`` do not apply.
 
     Two modelling calls are fixed here, not configurable:
 
@@ -88,7 +88,7 @@ per_teleportation
     2. The target's own coupling counts.  The fully erased target is
        replaced by a fresh qubit that must be coupled for the stabilizer
        to be measured, so either loss in that gate voids the measurement
-       (ancilla side: a fully erased register qubit; data side: the
+       (register side: a fully erased register qubit; data side: the
        replacement is lost and its register qubit Z-erased).  The target
        then stays fully erased.
 
@@ -104,8 +104,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .exact_arith import Poly
 from .erasure_model import (
@@ -335,7 +334,10 @@ def _accumulate(dist: OutcomeDistribution, pattern: Pattern, prob: Poly) -> None
         dist[pattern] = prob
 
 
-def teleported_gate(loss: Poly) -> Dict[Tuple[Erasure, Erasure], Poly]:
+GateTable = Dict[Tuple[Erasure, Erasure], Poly]
+
+
+def teleported_gate(loss: Poly) -> GateTable:
     """Statuses one teleported two-qubit gate leaves on its qubits (a, b).
 
     The per_teleportation gate-level description: each of the two
@@ -352,7 +354,44 @@ def teleported_gate(loss: Poly) -> Dict[Tuple[Erasure, Erasure], Poly]:
     }
 
 
-def _fold_gates(pairs, sites: int, gate) -> Dict[Tuple[Erasure, ...], Poly]:
+class GateTables(NamedTuple):
+    """The two-qubit gates a construction is made of (see the module docstring).
+
+    encoded: (data qubit, data qubit); helper: (helper, fresh qubit);
+    coupling: (data qubit, register), None under ideal hardware.
+    """
+
+    encoded: GateTable
+    helper: GateTable
+    coupling: Optional[GateTable]
+
+
+def gate_tables(params: ModelParams, config: FaultModel = DEFAULT_FAULT_MODEL) -> GateTables:
+    """The gate tables of the model and construction; every table sums to one."""
+    none, full, z = Erasure.NONE, Erasure.FULL, Erasure.Z_ERASED
+    eps = params.eps
+    if params.model is Model.IDEAL:
+        measured = Erasure.Z_MEASURED
+        z_measuring = {(none, none): Poly.one() - eps, (measured, measured): eps}
+        return GateTables(z_measuring, z_measuring, None)
+    if config.construction is Construction.PER_TELEPORTATION:
+        gate = teleported_gate(eps)
+        return GateTables(gate, gate, gate)
+    half = eps * Fraction(1, 2)
+    p_helper = _loss_probability(params.delta, config.helper_detections)
+    frac_full = Fraction(config.coupling_full_fraction)
+    return GateTables(
+        encoded={(none, none): Poly.one() - eps, (full, z): half, (z, full): half},
+        helper={(none, none): Poly.one() - p_helper, (full, z): p_helper},
+        coupling={
+            (none, none): Poly.one() - eps,
+            (z, none): eps * (1 - frac_full),
+            (full, none): eps * frac_full,
+        },
+    )
+
+
+def _fold_gates(pairs, sites: int, gate: GateTable) -> Dict[Tuple[Erasure, ...], Poly]:
     """Joint site statuses after independent gates on the given site pairs.
 
     Every site starts intact and keeps the worst status any gate leaves.
@@ -381,106 +420,42 @@ LocalOutcomes = Tuple[Tuple[Tuple[Erasure, ...], Poly], ...]
 def _z_recovery_outcomes(
     target_status: Erasure, params: ModelParams, config: FaultModel
 ) -> LocalOutcomes:
-    one = Poly.one()
     local: Dict[Tuple[Erasure, ...], Poly] = {}
-
-    if params.model is Model.IDEAL:
-        # Three teleportation locations, each failing with probability eps
-        # and Z-measuring its helper; any failure leaves the target unfixed.
-        p_fail = params.eps
-        p_ok = one - p_fail
-        for failed in _subsets(range(3)):
-            prob = one
-            for k in range(3):
-                prob = prob * (p_fail if k in failed else p_ok)
-            helpers = tuple(
-                Erasure.Z_MEASURED if k in failed else Erasure.NONE for k in range(3)
-            )
-            _accumulate(local, (target_status if failed else Erasure.NONE,) + helpers, prob)
-        return tuple(local.items())
-
-    # Lossy hardware.
-    p_readout = _loss_probability(params.delta, config.readout_detections)
+    proceed = Poly.one()
     if target_status is Erasure.Z_ERASED:
         # The unknown outcome must be read out first; loss destroys the
         # qubit and the attempt is abandoned before the helper gates.
+        p_readout = _loss_probability(params.delta, config.readout_detections)
         _accumulate(local, (Erasure.FULL,) + (Erasure.NONE,) * 3, p_readout)
-        proceed = one - p_readout
-    else:
-        proceed = one
+        proceed = proceed - p_readout
 
-    if config.construction is Construction.PER_TELEPORTATION:
-        # Site 0 is the fresh qubit, which takes the target's place; sites
-        # 1-3 are the helpers, each joined to it by one teleported gate.
-        # With no loss every site stays intact and the target is recovered.
-        gates = teleported_gate(params.eps)
-        for state, prob in _fold_gates(((1, 0), (2, 0), (3, 0)), 4, gates).items():
-            _accumulate(local, state, proceed * prob)
-        return tuple(local.items())
-
-    p_helper = _loss_probability(params.delta, config.helper_detections)
-    survive_helper = one - p_helper
-    for failed in _subsets(range(3)):
-        prob = proceed
-        for k in range(3):
-            prob = prob * (p_helper if k in failed else survive_helper)
-        # Failed teleportations fully erase their helpers and leave an
-        # unknown Z correction on the fresh replacement qubit.
-        helpers = tuple(Erasure.FULL if k in failed else Erasure.NONE for k in range(3))
-        _accumulate(local, (Erasure.Z_ERASED if failed else Erasure.NONE,) + helpers, prob)
+    # Site 0 is the fresh qubit, which takes the target's place; sites 1-3
+    # are the helpers, each joined to it by one helper gate.
+    helper = gate_tables(params, config).helper
+    for state, prob in _fold_gates(((1, 0), (2, 0), (3, 0)), 4, helper).items():
+        _accumulate(local, state, proceed * prob)
     return tuple(local.items())
 
 
 @lru_cache(maxsize=1024)
 def _full_to_z_outcomes(params: ModelParams, config: FaultModel) -> LocalOutcomes:
-    one = Poly.one()
     p_meas_fail = _loss_probability(params.delta, config.ancilla_detections)
-    p_meas_ok = one - p_meas_fail
+    p_meas_ok = Poly.one() - p_meas_fail
     local: Dict[Tuple[Erasure, ...], Poly] = {}
 
-    if config.construction is Construction.PER_TELEPORTATION:
-        # Site 0 is the target, 1-3 the helpers, 4 the register: its four
-        # qubits share one site, since the measurement needs every one of
-        # them intact and only their worst status matters.  An erased
-        # register voids the measurement (modelling call 1), and the
-        # target's own coupling is one of the four gates (call 2).
-        gates = teleported_gate(params.eps)
-        couplings = ((0, 4), (1, 4), (2, 4), (3, 4))
-        for state, prob in _fold_gates(couplings, 5, gates).items():
-            helpers = state[1:4]
-            if state[4] is Erasure.NONE:
-                _accumulate(local, (Erasure.Z_ERASED,) + helpers, prob * p_meas_ok)
-                _accumulate(local, (Erasure.FULL,) + helpers, prob * p_meas_fail)
-            else:
-                _accumulate(local, (Erasure.FULL,) + helpers, prob)
-        return tuple(local.items())
-
-    p_couple = params.eps
-    p_couple_ok = one - p_couple
-    frac_full = Fraction(config.coupling_full_fraction)
-    for measured, meas_prob in ((True, p_meas_ok), (False, p_meas_fail)):
-        target = Erasure.Z_ERASED if measured else Erasure.FULL
-        # The target's own coupling gate cannot change its status further,
-        # so only the three helper couplings are enumerated.
-        for hit in _subsets(range(3)):
-            # Each hit helper is Z-erased, or fully erased for the
-            # configured fraction of coupling failures.
-            for full_subset in _subsets(hit) if frac_full else ((),):
-                prob = meas_prob
-                for k in range(3):
-                    if k not in hit:
-                        prob = prob * p_couple_ok
-                    elif k in full_subset:
-                        prob = prob * (p_couple * frac_full)
-                    else:
-                        prob = prob * (p_couple * (1 - frac_full))
-                helpers = tuple(
-                    Erasure.FULL if k in full_subset
-                    else Erasure.Z_ERASED if k in hit
-                    else Erasure.NONE
-                    for k in range(3)
-                )
-                _accumulate(local, (target,) + helpers, prob)
+    # Site 0 is the target, 1-3 the helpers, 4 the register: its four
+    # qubits share one site, since the measurement needs every one of them
+    # intact and only their worst status matters (per_teleportation's
+    # modelling calls 1 and 2).
+    coupling = gate_tables(params, config).coupling
+    couplings = ((0, 4), (1, 4), (2, 4), (3, 4))
+    for state, prob in _fold_gates(couplings, 5, coupling).items():
+        helpers = state[1:4]
+        if state[4] is Erasure.NONE:
+            _accumulate(local, (Erasure.Z_ERASED,) + helpers, prob * p_meas_ok)
+            _accumulate(local, (Erasure.FULL,) + helpers, prob * p_meas_fail)
+        else:
+            _accumulate(local, (Erasure.FULL,) + helpers, prob)
     return tuple(local.items())
 
 
@@ -528,11 +503,6 @@ def apply_full_to_z(
     if params.model is not Model.LOSSY:
         raise ValueError("full erasures occur only in the lossy model")
     return _place(pattern, step, _full_to_z_outcomes(params, config))
-
-
-def _subsets(items):
-    for k in range(len(items) + 1):
-        yield from combinations(items, k)
 
 
 def attempt(

@@ -422,34 +422,17 @@ def verify_class_soundness(table: ClassTable, params: ModelParams, config=None) 
 def qubit_marginals(params: ModelParams, config=None) -> Dict[Erasure, Poly]:
     """Per-qubit erasure probabilities injected by one encoded gate.
 
-    Ideal hardware: each qubit is measured in Z with probability eps.
-    Lossy hardware: a lost teleportation fully erases the qubit being
-    teleported and Z-erases its partner.  Under the default per_gate
-    construction a gate failure loses one of the two teleportations, so
-    the per-qubit marginal splits the failure rate evenly between the two
-    types.  Under per_teleportation the marginal is that of one side of
-    ``correction_circuits.teleported_gate``: fully erased with probability
-    eps, Z-erased with eps(1-eps).
+    Every data qubit passes through one encoded gate, so this is the
+    marginal of one side of the construction's ``encoded`` gate table
+    (``correction_circuits.gate_tables``).
     """
-    one = Poly.one()
-    if params.model is Model.IDEAL:
-        return {
-            Erasure.NONE: one - params.eps,
-            Erasure.Z_MEASURED: params.eps,
-        }
-    from .correction_circuits import Construction, teleported_gate
+    from .correction_circuits import DEFAULT_FAULT_MODEL, gate_tables
 
-    if config is not None and config.construction is Construction.PER_TELEPORTATION:
-        marginals: Dict[Erasure, Poly] = {}
-        for (own, _partner), prob in teleported_gate(params.eps).items():
-            marginals[own] = marginals.get(own, Poly.zero()) + prob
-        return marginals
-    half = Fraction(1, 2)
-    return {
-        Erasure.NONE: one - params.eps,
-        Erasure.FULL: half * params.eps,
-        Erasure.Z_ERASED: half * params.eps,
-    }
+    encoded = gate_tables(params, config if config is not None else DEFAULT_FAULT_MODEL).encoded
+    marginals: Dict[Erasure, Poly] = {}
+    for (own, _partner), prob in encoded.items():
+        marginals[own] = marginals.get(own, Poly.zero()) + prob
+    return marginals
 
 
 def pattern_probability(pattern: Pattern, params: ModelParams, config=None) -> Poly:

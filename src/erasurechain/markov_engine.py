@@ -62,11 +62,6 @@ class TransitionMatrix:
             sums.append(total)
         return sums
 
-    def evaluate(self, eps: Fraction, delta: Fraction = Fraction(0)) -> List[List[Fraction]]:
-        return [
-            [entry.evaluate(eps, delta) for entry in row] for row in self.P
-        ]
-
     def to_json(self) -> dict:
         return {
             "model": self.params.model.value,

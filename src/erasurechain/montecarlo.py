@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -37,6 +37,10 @@ from .erasure_model import (
 from .pauli_algebra import N_QUBITS
 
 SHARD_SIZE = 1 << 20
+# A trial still live after this many attempts means a broken procedure.
+MAX_STEPS = 10_000
+# Largest |z| that compare() accepts.
+Z_LIMIT = 3.0
 
 
 @dataclass(frozen=True)
@@ -47,15 +51,6 @@ class McEstimate:
     seed: int
     failures: int
 
-    def to_json(self) -> dict:
-        return {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "trials": self.trials,
-            "seed": self.seed,
-            "failures": self.failures,
-        }
-
 
 @dataclass(frozen=True)
 class CompareReport:
@@ -63,16 +58,6 @@ class CompareReport:
     estimate: McEstimate
     z: float
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "exact": float(self.exact),
-            "mc_mean": self.estimate.mean,
-            "mc_stderr": self.estimate.stderr,
-            "trials": self.estimate.trials,
-            "z": self.z,
-            "passed": self.passed,
-        }
 
 
 class _WalkTables:
@@ -101,7 +86,6 @@ def simulate(
     trials: int,
     seed: int,
     config: FaultModel = DEFAULT_FAULT_MODEL,
-    max_steps: int = 10_000,
 ) -> McEstimate:
     """Fraction of trials whose correction ends in a procedure failure."""
     if trials < 1:
@@ -133,7 +117,7 @@ def simulate(
                 statuses[idx[row, q]] if hit[row, q] else Erasure.NONE
                 for q in range(N_QUBITS)
             )
-            failures += _walk(pattern, tables, rng, max_steps)
+            failures += _walk(pattern, tables, rng)
         done += n
         shard += 1
 
@@ -142,9 +126,9 @@ def simulate(
     return McEstimate(mean=mean, stderr=stderr, trials=trials, seed=seed, failures=failures)
 
 
-def _walk(pattern: Pattern, tables: _WalkTables, rng, max_steps: int) -> int:
+def _walk(pattern: Pattern, tables: _WalkTables, rng) -> int:
     """Run one trial to absorption; 1 on procedure failure, 0 on recovery."""
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         if pattern_weight(pattern) == 0:
             return 0
         if classify(pattern) is Classification.PROCEDURE_FAIL:
@@ -154,19 +138,25 @@ def _walk(pattern: Pattern, tables: _WalkTables, rng, max_steps: int) -> int:
     raise RuntimeError("trial did not absorb; check the correction procedure")
 
 
-def compare(exact: Fraction, estimate: McEstimate, z_limit: float = 3.0) -> CompareReport:
+def compare(exact: Fraction, estimate: McEstimate) -> CompareReport:
     """z-score of the Monte Carlo mean against the exact probability.
 
-    Every trial agrees when the mean is exactly 0 or 1, and the standard
-    error is then 0: the comparison passes with z = 0 if the exact value is
-    that mean, and is a ValueError otherwise.
+    The plug-in standard error sqrt(mean(1-mean)/trials) is 0 whenever
+    every trial agrees, which at a small rate is the likely outcome of a
+    correct run.  If the mean then differs from the exact value p, it is
+    scored against sqrt(p(1-p)/trials) instead.  When that is 0 too (p is
+    0 or 1 and the mean is at the other end), the comparison is a
+    ValueError; a zero-error mean equal to p passes with z = 0.
     """
-    if estimate.stderr == 0:
-        if estimate.mean != float(exact):
+    stderr = estimate.stderr
+    if stderr == 0 and estimate.mean != float(exact):
+        stderr = sqrt(exact * (1 - exact) / estimate.trials)
+        if stderr == 0:
             raise ValueError(
                 f"Monte Carlo mean {estimate.mean} with zero standard error "
                 f"differs from the exact value {float(exact)}"
             )
+    if stderr == 0:
         return CompareReport(exact=exact, estimate=estimate, z=0.0, passed=True)
-    z = (estimate.mean - float(exact)) / estimate.stderr
-    return CompareReport(exact=exact, estimate=estimate, z=z, passed=abs(z) <= z_limit)
+    z = (estimate.mean - float(exact)) / stderr
+    return CompareReport(exact=exact, estimate=estimate, z=z, passed=abs(z) <= Z_LIMIT)

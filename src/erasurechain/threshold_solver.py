@@ -151,19 +151,34 @@ def solve_break_even(
     return ThresholdResult((lo + hi) / 2, (lo, hi), iterations, condition)
 
 
+# Largest denominator, in bits, of a rate that concat_projection feeds to
+# the recursion.  Each level multiplies the bit length (by about 16 for the
+# ideal chain, 40 for the lossy one and 7 for measurement), and a level
+# past this size takes minutes or does not finish.
+MAX_RATE_BITS = 1 << 17
+
+
 def concat_projection(
     recursion: Recursion, eps0: Fraction, levels: int
 ) -> List[Fraction]:
     """Per-level failure rates from iterating the level-1 recursion.
 
     Worst-case assumption: every concatenation level sees the same encoded
-    error model, so level k is the recursion applied k times.
+    error model, so level k is the recursion applied k times.  A level
+    whose input rate has a denominator of more than MAX_RATE_BITS bits is
+    a ValueError naming that level.
     """
     if levels < 0:
         raise ValueError("levels must be >= 0")
     rates: List[Fraction] = []
     x = Fraction(eps0)
-    for _ in range(levels):
+    for level in range(1, levels + 1):
+        bits = x.denominator.bit_length()
+        if bits > MAX_RATE_BITS:
+            raise ValueError(
+                f"level {level}: its input rate has a {bits}-bit denominator, "
+                f"more than {MAX_RATE_BITS} bits"
+            )
         x = recursion(x)
         rates.append(x)
     return rates

@@ -171,6 +171,17 @@ class TestMc:
         assert data["z_vs_exact"] == 0.0
         assert data["passed"] is True
 
+    def test_no_failures_at_a_small_rate_passes(self):
+        # No trial fails, so the plug-in standard error is 0; the mean is
+        # scored against the exact value's own spread.
+        proc = run_cli(
+            "mc", "--model", "lossy", "--eps", "1/100", "--trials", "2000",
+            "--seed", "7", "--format", "csv",
+        )
+        eps, delta, trials, mean, stderr, z = proc.stdout.splitlines()[2].split(",")
+        assert (float(mean), float(stderr)) == (0.0, 0.0)
+        assert float(z) == pytest.approx(-0.482, abs=1e-3)
+
 
 class TestConcat:
     def test_zero_start(self):
@@ -195,6 +206,16 @@ class TestConcat:
             "--levels", "11", check=False,
         )
         assert proc.returncode == 2
+
+    def test_oversized_rate_rejected_naming_the_level(self):
+        # Level 4 returns a rate with a 277,008-bit denominator.
+        proc = run_cli(
+            "concat", "--model", "ideal", "--eps0", "1/19", "--levels", "5",
+            check=False,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"].startswith("level 5:")
 
 
 @pytest.mark.parametrize(

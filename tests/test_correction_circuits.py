@@ -1,4 +1,6 @@
 from fractions import Fraction as F
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +17,7 @@ from erasurechain.correction_circuits import (
     apply_z_recovery,
     attempt,
     fail_sink,
+    gate_tables,
     select_step,
     teleported_gate,
 )
@@ -29,6 +32,7 @@ from erasurechain.erasure_model import (
     parse_pattern,
     pattern_counts,
     pattern_weight,
+    qubit_marginals,
 )
 from erasurechain.pauli_algebra import stabilizer_supports_weight4
 
@@ -373,3 +377,172 @@ class TestPerTeleportation:
     def test_normalization_everywhere(self):
         for p in all_patterns(Model.LOSSY):
             assert dist_total(attempt(p, ModelParams.lossy(), PER_TELEPORTATION)) == Poly.one()
+
+
+# Oracle for TestGateTables: every circuit written out as an enumeration
+# over the subsets of its failed fault locations, in the form the per_gate
+# and ideal circuits had before they became folds of gate tables.
+N, M, Z, E = Erasure.NONE, Erasure.Z_MEASURED, Erasure.Z_ERASED, Erasure.FULL
+
+
+def _subsets(items):
+    for k in range(len(items) + 1):
+        yield from combinations(items, k)
+
+
+def _product(factors):
+    prob = Poly.one()
+    for factor in factors:
+        prob = prob * factor
+    return prob
+
+
+def _add(dist, key, prob):
+    if not prob.is_zero():
+        dist[key] = dist.get(key, Poly.zero()) + prob
+
+
+def _detection_loss(delta, detections):
+    return Poly.one() - _product([Poly.one() - delta] * detections)
+
+
+@lru_cache(maxsize=None)
+def _enumerated_z_recovery(target_status, params, config):
+    one, eps = Poly.one(), params.eps
+    local = {}
+    if params.model is Model.IDEAL:
+        # Three teleportations, each failing with eps and Z-measuring its
+        # helper; any failure leaves the target unfixed.
+        for failed in _subsets(range(3)):
+            prob = _product(eps if k in failed else one - eps for k in range(3))
+            helpers = tuple(M if k in failed else N for k in range(3))
+            _add(local, (target_status if failed else N,) + helpers, prob)
+        return local
+    proceed = one
+    if target_status is Z:
+        p_readout = _detection_loss(params.delta, config.readout_detections)
+        _add(local, (E, N, N, N), p_readout)
+        proceed = one - p_readout
+    if config.construction is Construction.PER_TELEPORTATION:
+        # Six teleportations: the helper side (even) and the fresh side
+        # (odd) of each helper gate.
+        for lost in _subsets(range(6)):
+            prob = proceed * _product(eps if t in lost else one - eps for t in range(6))
+            fresh, helpers = N, [N, N, N]
+            for t in lost:
+                k, fresh_side = divmod(t, 2)
+                if fresh_side:
+                    fresh, helpers[k] = E, max(helpers[k], Z)
+                else:
+                    fresh, helpers[k] = max(fresh, Z), E
+            _add(local, (fresh,) + tuple(helpers), prob)
+        return local
+    p_helper = _detection_loss(params.delta, config.helper_detections)
+    for failed in _subsets(range(3)):
+        prob = proceed * _product(p_helper if k in failed else one - p_helper for k in range(3))
+        helpers = tuple(E if k in failed else N for k in range(3))
+        _add(local, (Z if failed else N,) + helpers, prob)
+    return local
+
+
+@lru_cache(maxsize=None)
+def _enumerated_full_to_z(params, config):
+    one, eps = Poly.one(), params.eps
+    p_void = _detection_loss(params.delta, config.ancilla_detections)
+    readout = ((Z, one - p_void), (E, p_void))
+    local = {}
+    if config.construction is Construction.PER_TELEPORTATION:
+        # Eight teleportations: the data side (even) and the register side
+        # (odd) of the four couplings, the target's own first.  Any loss
+        # marks the register and voids the measurement.
+        for lost in _subsets(range(8)):
+            prob = _product(eps if t in lost else one - eps for t in range(8))
+            helpers = [N, N, N]
+            for t in lost:
+                k, register_side = divmod(t, 2)
+                if k:
+                    helpers[k - 1] = max(helpers[k - 1], Z if register_side else E)
+            for target, p in readout if not lost else ((E, one),):
+                _add(local, (target,) + tuple(helpers), prob * p)
+        return local
+    frac_full = F(config.coupling_full_fraction)
+    for target, meas_prob in readout:
+        # Only the three helper couplings can change the outcome.
+        for hit in _subsets(range(3)):
+            for full in _subsets(hit) if frac_full else ((),):
+                prob = meas_prob * _product(
+                    one - eps if k not in hit
+                    else eps * frac_full if k in full
+                    else eps * (1 - frac_full)
+                    for k in range(3)
+                )
+                helpers = tuple(E if k in full else Z if k in hit else N for k in range(3))
+                _add(local, (target,) + helpers, prob)
+    return local
+
+
+def _enumerated_attempt(pattern, params, config):
+    step = select_step(pattern)
+    if step is DONE:
+        return {pattern: Poly.one()}
+    if step is ABORT:
+        return {fail_sink(params.model): Poly.one()}
+    if step.kind is StepKind.Z_RECOVERY:
+        local = _enumerated_z_recovery(pattern[step.target - 1], params, config)
+    else:
+        local = _enumerated_full_to_z(params, config)
+    dist = {}
+    for statuses, prob in local.items():
+        out = list(pattern)
+        for q, status in zip((step.target,) + step.helpers, statuses):
+            out[q - 1] = status
+        _add(dist, tuple(out), prob)
+    return dist
+
+
+def _keys(dist):
+    return {outcome: prob.key() for outcome, prob in dist.items()}
+
+
+GATE_TABLE_CONFIGS = (
+    DEFAULT_FAULT_MODEL,
+    FaultModel(helper_detections=2, coupling_full_fraction=F(1, 2)),
+    PER_TELEPORTATION,
+    FaultModel(coupling_full_fraction=F(1)),
+    FaultModel(ancilla_detections=0, readout_detections=3),
+)
+GATE_TABLE_PARAMS = (
+    ModelParams.ideal(),
+    ModelParams.ideal(F(3, 17)),
+    ModelParams.lossy(),
+    ModelParams.lossy_diagonal(),
+    ModelParams.lossy(F(1, 20), F(1, 7)),
+)
+
+
+class TestGateTables:
+    def test_attempt_matches_enumerated_circuits(self):
+        for params in GATE_TABLE_PARAMS:
+            for config in GATE_TABLE_CONFIGS:
+                for p in all_patterns(params.model):
+                    assert _keys(attempt(p, params, config)) == _keys(
+                        _enumerated_attempt(p, params, config)
+                    ), (params, config, p)
+
+    def test_per_gate_marginals_split_eps_evenly(self):
+        eps, half = Poly.eps(), F(1, 2)
+        for config in (DEFAULT_FAULT_MODEL, GATE_TABLE_CONFIGS[1]):
+            assert qubit_marginals(ModelParams.lossy(), config) == {
+                Erasure.NONE: Poly.one() - eps,
+                Erasure.FULL: half * eps,
+                Erasure.Z_ERASED: half * eps,
+            }
+
+    def test_every_table_sums_to_one(self):
+        for params in GATE_TABLE_PARAMS:
+            for config in GATE_TABLE_CONFIGS:
+                tables = gate_tables(params, config)
+                assert (tables.coupling is None) == (params.model is Model.IDEAL)
+                for table in tables:
+                    if table is not None:
+                        assert dist_total(table) == Poly.one()

@@ -94,10 +94,19 @@ class TestCompare:
         assert not report.passed
 
     def test_zero_stderr_rejected(self):
-        # Every trial recovered, yet the exact rate is not 0.
+        # Every trial failed, yet the exact rate is 0: neither the mean nor
+        # the exact value has any spread to score the gap against.
+        est = McEstimate(mean=1.0, stderr=0.0, trials=100, seed=0, failures=100)
+        with pytest.raises(ValueError, match=r"mean 1\.0 .* exact value 0\.0"):
+            compare(F(0), est)
+
+    def test_zero_stderr_scored_against_exact_spread(self):
+        # No trial failed: the gap is scored against sqrt(p(1-p)/trials)
+        # with p the exact value, here sqrt(1/400) = 1/20.
         est = McEstimate(mean=0.0, stderr=0.0, trials=100, seed=0, failures=0)
-        with pytest.raises(ValueError, match=r"mean 0\.0 .* exact value 0\.5"):
-            compare(F(1, 2), est)
+        report = compare(F(1, 2), est)
+        assert report.z == -10.0
+        assert not report.passed
 
     @pytest.mark.parametrize("mean", [0.0, 1.0])
     def test_zero_stderr_passes_when_mean_is_exact(self, mean):

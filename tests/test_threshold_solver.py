@@ -5,6 +5,7 @@ import pytest
 
 from erasurechain.threshold_solver import (
     BreakEvenCondition,
+    MAX_RATE_BITS,
     NoSignChange,
     REFERENCE_SERIES_IDEAL,
     REFERENCE_SERIES_LOSSY,
@@ -140,6 +141,20 @@ class TestConcatProjection:
     def test_negative_levels_rejected(self):
         with pytest.raises(ValueError):
             concat_projection(measurement_recursion, F(1, 10), -1)
+
+    def test_oversized_input_rate_rejected(self):
+        # x^4 quadruples the bit length: level 9 starts from 1/3^65536
+        # (103,872 bits), level 10 from 1/3^262144.
+        rates = concat_projection(lambda x: x**4, F(1, 3), 9)
+        assert rates[-1] == F(1, 3 ** 4**9)
+        with pytest.raises(ValueError, match=r"^level 10: .*415489-bit"):
+            concat_projection(lambda x: x**4, F(1, 3), 10)
+
+    def test_rate_bit_limit_is_inclusive(self):
+        at_limit = F(1, 2 ** (MAX_RATE_BITS - 1))
+        assert concat_projection(lambda x: x, at_limit, 1) == [at_limit]
+        with pytest.raises(ValueError, match=r"^level 1: "):
+            concat_projection(lambda x: x, at_limit / 2, 1)
 
 
 class TestResultSerialization:
