@@ -145,6 +145,11 @@ def _check_grid_values(values) -> None:
         raise CliError("grid values must lie in [0, 0.5]")
 
 
+def _check_at_least(value: int, least: int, flag: str) -> None:
+    if value < least:
+        raise CliError(f"{flag} must be >= {least}, got {value}")
+
+
 def _model_params(model: str, eps=None, delta=None) -> ModelParams:
     if model == "ideal":
         return ModelParams.ideal(eps)
@@ -304,6 +309,8 @@ def cmd_threshold(args, config: FaultModel) -> dict:
 
 
 def cmd_sweep(args, config: FaultModel) -> dict:
+    _check_at_least(args.trials, 0, "--trials")
+    _check_at_least(args.seed, 0, "--seed")
     grid = _parse_grid(args.grid)
     recursion = chain_recursion(args.model, config=config)
 
@@ -328,6 +335,8 @@ def cmd_sweep(args, config: FaultModel) -> dict:
 def cmd_mc(args, config: FaultModel) -> dict:
     eps = _parse_rate(args.eps, "--eps")
     delta = _parse_rate(args.delta, "--delta") if args.delta else None
+    _check_at_least(args.trials, 1, "--trials")
+    _check_at_least(args.seed, 0, "--seed")
     model = Model(args.model)
     if model is Model.IDEAL:
         numeric = ModelParams.ideal(eps)

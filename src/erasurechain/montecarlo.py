@@ -1,18 +1,22 @@
 """Stochastic fault injection that cross-checks the exact chain.
 
-Each trial samples an injected erasure pattern, then repeatedly samples
-one-attempt outcomes until the block is clean or the pattern becomes a
-procedure failure.  Outcome tables come straight from the exact engine
-(``correction_circuits.attempt`` evaluated at the numeric rates), so the
-sampler exercises the identical fault-effect logic; any disagreement with
-the chain can only come from the chain assembly itself, which is the point
-of the comparison.
+Each trial samples an injected erasure pattern, then one-attempt outcomes
+until the block is clean or a procedure failure.  Outcome rows come from
+``correction_circuits.attempt`` at the numeric rates, not from the class
+lumping, so a disagreement with the chain points at lumping or assembly.
 
-Reproducibility: trials are processed in shards of at most 2**20.  Shard k
-draws from ``numpy``'s counter-based Philox generator seeded with
-``SeedSequence(entropy=seed, spawn_key=(k,))``, and the per-shard failure
-counts are folded in shard order, so an estimate depends only on
-(seed, trials, parameters) regardless of how shards are scheduled.
+A pattern is the base-b integer of its digits over ``MODEL_ALPHABET`` (b =
+2 ideal, 3 lossy; qubit 1 most significant).  The first trial to reach a
+state has it flagged clean, failed or live and, if live, its outcome row
+filled.  Each step draws one uniform u for every live trial and moves it
+to the outcome at the number of cumulative entries <= u; absorbed trials
+are counted and retired.
+
+Shard k (at most 2**20 trials) draws from Philox seeded with
+``SeedSequence(entropy=seed, spawn_key=(k,))``: the (n, 7) injection, then
+one draw per live trial per step.  Failures are folded in shard order, so
+an estimate depends only on (seed, trials, parameters).  The per-trial
+walk this replaced drew in another order, so seeds now give other estimates.
 """
 
 from __future__ import annotations
@@ -20,19 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .correction_circuits import DEFAULT_FAULT_MODEL, FaultModel, attempt
 from .erasure_model import (
-    Classification,
-    Erasure,
-    ModelParams,
-    Pattern,
-    classify,
-    pattern_weight,
-    qubit_marginals,
+    MODEL_ALPHABET, Classification, Erasure, ModelParams, Pattern, classify,
+    pattern_weight, qubit_marginals,
 )
 from .pauli_algebra import N_QUBITS
 
@@ -41,6 +39,8 @@ SHARD_SIZE = 1 << 20
 MAX_STEPS = 10_000
 # Largest |z| that compare() accepts.
 Z_LIMIT = 3.0
+# Terminal flags of a state; UNSEEN until a trial first reaches it.
+UNSEEN, CLEAN, FAIL, LIVE = -1, 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -60,32 +60,52 @@ class CompareReport:
     passed: bool
 
 
-class _WalkTables:
-    """Cached cumulative outcome tables for every reachable pattern."""
+class PatternTable:
+    """Terminal flags and outcome rows of every pattern, filled on first visit.
+
+    ``flag[code]`` is UNSEEN, CLEAN, FAIL or LIVE.  A live state's row is
+    column ``code`` of ``next`` and ``cum``: slot j holds the j-th outcome of
+    ``sorted(attempt(pattern).items())`` and the cumulative probability up to
+    it.  Slots past a row's end hold 1.0, which no uniform draw reaches.
+    """
 
     def __init__(self, params: ModelParams, config: FaultModel):
-        self.params = params
-        self.config = config
-        self.cache: Dict[Pattern, Tuple[np.ndarray, List[Pattern]]] = {}
+        self.params, self.config = params, config
+        self.alphabet = MODEL_ALPHABET[params.model]
+        self.digit = {status: d for d, status in enumerate(self.alphabet)}
+        self.powers = len(self.alphabet) ** np.arange(N_QUBITS - 1, -1, -1)
+        states = len(self.alphabet) ** N_QUBITS
+        self.flag = np.full(states, UNSEEN, dtype=np.int8)
+        self.next = np.zeros((1, states), dtype=np.intp)
+        self.cum = np.ones((1, states))
 
-    def outcomes(self, pattern: Pattern) -> Tuple[np.ndarray, List[Pattern]]:
-        hit = self.cache.get(pattern)
-        if hit is not None:
-            return hit
-        dist = attempt(pattern, self.params, self.config)
-        outcomes = sorted(dist.items())
+    def visit(self, states: np.ndarray) -> None:
+        """Flag, and fill the row of, every state not reached before."""
+        for code in np.unique(states[self.flag[states] == UNSEEN]).tolist():
+            pattern = tuple(self.alphabet[d] for d in code // self.powers % len(self.alphabet))
+            if pattern_weight(pattern) == 0:
+                self.flag[code] = CLEAN
+            elif classify(pattern) is Classification.PROCEDURE_FAIL:
+                self.flag[code] = FAIL
+            else:
+                self.flag[code] = LIVE
+                self._fill(code, pattern)
+
+    def _fill(self, code: int, pattern: Pattern) -> None:
+        outcomes = sorted(attempt(pattern, self.params, self.config).items())
+        extra = len(outcomes) - len(self.cum)
+        if extra > 0:
+            self.next = np.vstack([self.next, np.zeros((extra, self.next.shape[1]), np.intp)])
+            self.cum = np.vstack([self.cum, np.ones((extra, self.cum.shape[1]))])
         cum = np.cumsum([float(p.evaluate(0, 0)) for _, p in outcomes])
         cum[-1] = 1.0  # guard against float round-off at the top
-        entry = (cum, [q for q, _ in outcomes])
-        self.cache[pattern] = entry
-        return entry
+        digits = [[self.digit[s] for s in q] for q, _ in outcomes]
+        self.next[: len(outcomes), code] = np.array(digits) @ self.powers
+        self.cum[: len(outcomes), code] = cum
 
 
 def simulate(
-    params: ModelParams,
-    trials: int,
-    seed: int,
-    config: FaultModel = DEFAULT_FAULT_MODEL,
+    params: ModelParams, trials: int, seed: int, config: FaultModel = DEFAULT_FAULT_MODEL
 ) -> McEstimate:
     """Fraction of trials whose correction ends in a procedure failure."""
     if trials < 1:
@@ -93,48 +113,46 @@ def simulate(
     if params.eps.total_degree() > 0 or params.delta.total_degree() > 0:
         raise ValueError("Monte Carlo needs numeric rates")
 
+    table = PatternTable(params, config)
     marginals = qubit_marginals(params, config)
-    # Per-qubit cumulative thresholds in a fixed status order.
+    # Per-qubit cumulative thresholds; a draw past them all leaves the qubit intact.
     statuses = [s for s in (Erasure.Z_MEASURED, Erasure.Z_ERASED, Erasure.FULL) if s in marginals]
     thresholds = np.cumsum([float(marginals[s].evaluate(0, 0)) for s in statuses])
+    digits = np.array([table.digit[s] for s in statuses] + [table.digit[Erasure.NONE]])
 
-    tables = _WalkTables(params, config)
     failures = 0
-    done = 0
-    shard = 0
-    while done < trials:
-        n = min(SHARD_SIZE, trials - done)
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(shard,)))
-        )
+    for shard, start in enumerate(range(0, trials, SHARD_SIZE)):
+        n = min(SHARD_SIZE, trials - start)
+        sequence = np.random.SeedSequence(entropy=seed, spawn_key=(shard,))
+        rng = np.random.Generator(np.random.Philox(sequence))
         u = rng.random((n, N_QUBITS))
-        # status index per qubit: number of thresholds the draw clears
-        idx = np.searchsorted(thresholds, u)  # thresholds sorted ascending
-        hit = idx < len(statuses)
-        dirty_rows = np.nonzero(hit.any(axis=1))[0]
-        for row in dirty_rows:
-            pattern = tuple(
-                statuses[idx[row, q]] if hit[row, q] else Erasure.NONE
-                for q in range(N_QUBITS)
-            )
-            failures += _walk(pattern, tables, rng)
-        done += n
-        shard += 1
+        states = np.zeros(n, dtype=np.intp)
+        for q in range(N_QUBITS):
+            states += digits[np.searchsorted(thresholds, u[:, q])] * table.powers[q]
+        del u  # the walk keeps only O(live trials) arrays
+        failures += _absorb(states, table, rng)
 
     mean = failures / trials
     stderr = sqrt(mean * (1 - mean) / trials)
     return McEstimate(mean=mean, stderr=stderr, trials=trials, seed=seed, failures=failures)
 
 
-def _walk(pattern: Pattern, tables: _WalkTables, rng) -> int:
-    """Run one trial to absorption; 1 on procedure failure, 0 on recovery."""
+def _absorb(states: np.ndarray, table: PatternTable, rng) -> int:
+    """Step every live trial until all absorb; the number that fail."""
+    failures = 0
     for _ in range(MAX_STEPS):
-        if pattern_weight(pattern) == 0:
-            return 0
-        if classify(pattern) is Classification.PROCEDURE_FAIL:
-            return 1
-        cum, outcomes = tables.outcomes(pattern)
-        pattern = outcomes[int(np.searchsorted(cum, rng.random(), side="right"))]
+        table.visit(states)
+        flag = table.flag[states]
+        failures += int(np.count_nonzero(flag == FAIL))
+        states = states[flag == LIVE]
+        if not states.size:
+            return failures
+        u = rng.random(states.size)
+        outcome = np.zeros(states.size, dtype=np.intp)
+        # The last slot is 1.0 in every row, so no draw passes it.
+        for cum in table.cum[:-1]:
+            outcome += cum[states] <= u
+        states = table.next[outcome, states]
     raise RuntimeError("trial did not absorb; check the correction procedure")
 
 

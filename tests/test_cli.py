@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from math import sqrt
 from pathlib import Path
 
 import pytest
@@ -173,14 +174,19 @@ class TestMc:
 
     def test_no_failures_at_a_small_rate_passes(self):
         # No trial fails, so the plug-in standard error is 0; the mean is
-        # scored against the exact value's own spread.
-        proc = run_cli(
-            "mc", "--model", "lossy", "--eps", "1/100", "--trials", "2000",
-            "--seed", "7", "--format", "csv",
+        # scored against the exact value's own spread.  At eps = 1/1000 the
+        # exact rate is about 1e-7, so 2000 trials see no failure with
+        # probability 0.9998, whatever the seed's stream.
+        data = json.loads(
+            run_cli(
+                "mc", "--model", "lossy", "--eps", "1/1000", "--trials", "2000",
+                "--seed", "7",
+            ).stdout
         )
-        eps, delta, trials, mean, stderr, z = proc.stdout.splitlines()[2].split(",")
-        assert (float(mean), float(stderr)) == (0.0, 0.0)
-        assert float(z) == pytest.approx(-0.482, abs=1e-3)
+        assert (data["mean"], data["stderr"]) == (0.0, 0.0)
+        p = data["exact"]
+        assert data["z_vs_exact"] == pytest.approx(-sqrt(2000 * p / (1 - p)), rel=1e-12)
+        assert data["passed"] is True
 
 
 class TestConcat:
@@ -229,6 +235,11 @@ class TestConcat:
         # Rejected from its point count, before any point is built.
         (("sweep", "--model", "ideal", "--grid", "0:1/2:1/1000000000"), "grid"),
         (("sweep", "--model", "ideal", "--grid", "0:1:1/10"), "grid"),
+        (("mc", "--model", "ideal", "--eps", "1/10", "--seed", "-1"), "--seed"),
+        (("mc", "--model", "ideal", "--eps", "1/10", "--trials", "0"), "--trials"),
+        (("sweep", "--model", "ideal", "--grid", "1/10", "--trials", "-5"), "--trials"),
+        (("sweep", "--model", "ideal", "--grid", "1/10", "--trials", "10", "--seed", "-1"),
+         "--seed"),
     ],
 )
 def test_out_of_domain_argument_rejected(args, flag):

@@ -1,13 +1,27 @@
 from fractions import Fraction as F
 from math import sqrt
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import erasurechain.montecarlo as mc
-from erasurechain.correction_circuits import DEFAULT_FAULT_MODEL, Construction, FaultModel
-from erasurechain.erasure_model import ModelParams
+from erasurechain.correction_circuits import (
+    DEFAULT_FAULT_MODEL,
+    Construction,
+    FaultModel,
+    attempt,
+)
+from erasurechain.erasure_model import (
+    Classification,
+    ModelParams,
+    all_patterns,
+    classify,
+    pattern_weight,
+)
 from erasurechain.markov_engine import build_chain, encoded_failure_at
-from erasurechain.montecarlo import McEstimate, compare, simulate
+from erasurechain.montecarlo import McEstimate, PatternTable, compare, simulate
 
 
 class TestSimulate:
@@ -41,6 +55,13 @@ class TestSimulate:
         b = simulate(params, trials=5000, seed=77)
         assert a == b
 
+    def test_unabsorbed_trial_raises(self, monkeypatch):
+        # About half the trials start with an erasure at 1/10; one attempt
+        # cannot settle them all.
+        monkeypatch.setattr(mc, "MAX_STEPS", 1)
+        with pytest.raises(RuntimeError, match="did not absorb"):
+            simulate(ModelParams.ideal(F(1, 10)), trials=1000, seed=0)
+
     def test_symbolic_rates_rejected(self):
         with pytest.raises(ValueError):
             simulate(ModelParams.ideal(), trials=10, seed=0)
@@ -48,6 +69,73 @@ class TestSimulate:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             simulate(ModelParams.ideal(F(0)), trials=0, seed=0)
+
+
+class TestPatternTable:
+    @pytest.mark.parametrize(
+        "params, config",
+        [
+            (ModelParams.ideal(F(1, 10)), DEFAULT_FAULT_MODEL),
+            (ModelParams.lossy(F(1, 50), F(1, 30)), DEFAULT_FAULT_MODEL),
+            (
+                ModelParams.lossy(F(1, 50), F(1, 50)),
+                FaultModel(construction=Construction.PER_TELEPORTATION),
+            ),
+        ],
+        ids=["ideal", "lossy-per_gate", "lossy-per_teleportation"],
+    )
+    def test_rows_are_the_attempt_tables(self, params, config):
+        # State i is the i-th pattern in enumeration order, which is the
+        # base-b reading with qubit 1 most significant.
+        patterns = all_patterns(params.model)
+        table = PatternTable(params, config)
+        table.visit(np.arange(len(patterns)))
+        for code, pattern in enumerate(patterns):
+            if pattern_weight(pattern) == 0:
+                assert table.flag[code] == mc.CLEAN
+                continue
+            if classify(pattern) is Classification.PROCEDURE_FAIL:
+                assert table.flag[code] == mc.FAIL
+                continue
+            assert table.flag[code] == mc.LIVE
+            outcomes = sorted(attempt(pattern, params, config).items())
+            width = len(outcomes)
+            assert [patterns[c] for c in table.next[:width, code]] == [q for q, _ in outcomes]
+            cum = np.cumsum([float(p.evaluate(0, 0)) for _, p in outcomes])
+            assert cum[-1] == pytest.approx(1.0, abs=1e-12)
+            cum[-1] = 1.0
+            assert np.array_equal(table.cum[:width, code], cum)
+            assert np.all(table.cum[width:, code] == 1.0)
+
+
+@st.composite
+def fault_models(draw):
+    detections = st.integers(0, 4)
+    construction = draw(st.sampled_from(Construction))
+    fields = {
+        "readout_detections": draw(detections),
+        "ancilla_detections": draw(detections),
+        "construction": construction,
+    }
+    if construction is Construction.PER_GATE:
+        fields["helper_detections"] = draw(detections)
+        fields["coupling_full_fraction"] = F(draw(st.integers(0, 8)), 8)
+    return FaultModel(**fields)
+
+
+# A correct sampler lands beyond 4 standard errors about once in 16,000
+# examples (normal approximation), so 15 examples rarely raise a false alarm.
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(
+    config=fault_models(),
+    eps=st.fractions(min_value=F(1, 200), max_value=F(1, 10), max_denominator=1000),
+)
+def test_random_fault_models_agree_with_chain(config, eps):
+    params = ModelParams.lossy(eps, eps)
+    chain = build_chain(params, config=config)  # asserts stochastic, nonnegative rows
+    exact = encoded_failure_at(chain, eps, eps)
+    report = compare(exact, simulate(params, trials=20_000, seed=20230817, config=config))
+    assert abs(report.z) <= 4, f"{config}, eps={eps}: z={report.z}"
 
 
 class TestAgreementWithChain:
