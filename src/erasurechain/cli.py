@@ -160,10 +160,6 @@ def _model_params(model: str, eps=None, delta=None) -> ModelParams:
     raise CliError(f"unknown model {model!r}")
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -247,6 +243,11 @@ def cmd_series(args, config: FaultModel) -> dict:
 def cmd_threshold(args, config: FaultModel) -> dict:
     tol = _parse_fraction(args.tol)
     bracket = _parse_bracket(args.bracket) if args.bracket else None
+    if args.fixture not in ("full-chain", f"{args.model}-ref"):
+        raise CliError(
+            f"--fixture {args.fixture} applies only to --model "
+            f"{args.fixture.removesuffix('-ref')}, got --model {args.model}"
+        )
     # Reference fixtures keep the default accounting's break-even target.
     target_config = None
     if args.model == "measurement":
@@ -339,6 +340,8 @@ def cmd_mc(args, config: FaultModel) -> dict:
     _check_at_least(args.seed, 0, "--seed")
     model = Model(args.model)
     if model is Model.IDEAL:
+        if args.delta is not None:
+            raise CliError("--delta applies only to --model lossy")
         numeric = ModelParams.ideal(eps)
         symbolic = ModelParams.ideal()
         d = Fraction(0)

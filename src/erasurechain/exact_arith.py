@@ -154,7 +154,7 @@ class Poly:
         return tuple(sorted(self.terms.items()))
 
     # ------------------------------------------------------------------
-    # evaluation and rewriting
+    # evaluation
     # ------------------------------------------------------------------
     def evaluate(self, eps: RationalLike, delta: RationalLike = 0) -> Fraction:
         """Exact substitution of rational values for both variables."""
@@ -164,16 +164,6 @@ class Poly:
         for (i, j), coeff in self.terms.items():
             total += coeff * e**i * d**j
         return total
-
-    def truncate(self, order: int) -> "Poly":
-        """Drop all terms of total degree greater than ``order``."""
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
-        result = Poly.__new__(Poly)
-        result.terms = {
-            (i, j): c for (i, j), c in self.terms.items() if i + j <= order
-        }
-        return result
 
     # ------------------------------------------------------------------
     # serialization

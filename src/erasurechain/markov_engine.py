@@ -7,23 +7,26 @@ discarded and counts as an encoded failure: an encoded Z measurement under
 ideal hardware, an encoded full erasure under lossy hardware).
 
 The encoded failure rate is the probability of absorbing into the sink,
-starting from the distribution injected by one encoded gate.  It is
-computed two ways, both exact:
+starting from the distribution injected by one encoded gate.  It comes
+from one elimination: a fraction-free (Bareiss) pass over the bordered
+absorbing system, written once and run in two rings:
 
-* at a numeric rate, by solving the absorbing-chain linear system with
-  one fraction-free (integer Bareiss) elimination and a single reduction
-  at the end (this is what threshold searches use; the truncated series
-  is unreliable near the threshold);
-* as a power series in eps, by iterating the transition map with all
-  polynomials truncated at the requested order until the unabsorbed mass
-  vanishes at that order.
+* over integer polynomials in eps, for a chain in eps alone (ideal, or
+  lossy on the delta = eps diagonal), giving the rate as one rational
+  function N/D; series are its Taylor division, and numeric rates (what
+  threshold searches and concatenation use) are N(x)/D(x) by Horner on
+  integers;
+* over the integers, for a chain evaluated at one point (eps, delta),
+  which covers the lossy model off the diagonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .exact_arith import Poly
@@ -74,9 +77,7 @@ class TransitionMatrix:
 
 @dataclass
 class ChainResult:
-    encoded_failure: Poly | Fraction
-    attempts_used: Optional[int]
-    residual_mass: Poly | Fraction
+    encoded_failure: Fraction
 
 
 def build_chain(
@@ -122,65 +123,14 @@ def build_chain(
     return chain
 
 
-def _apply(dist: Dict[int, Poly], P: List[List[Poly]]) -> Dict[int, Poly]:
-    out: Dict[int, Poly] = {}
-    for cid, mass in dist.items():
-        if mass.is_zero():
-            continue
-        for j, entry in enumerate(P[cid]):
-            if entry.is_zero():
-                continue
-            out[j] = out.get(j, Poly.zero()) + mass * entry
-    return out
-
-
 def run_to_absorption(
     chain: TransitionMatrix,
     initial: Optional[Dict[int, Poly]] = None,
-    max_attempts: Optional[int] = None,
-    series_order: Optional[int] = None,
 ) -> ChainResult:
-    """Encoded failure probability from iterating or solving the chain.
-
-    ``max_attempts`` iterates that many attempts exactly and reports the
-    mass in the fail class and the unabsorbed residual.  Unbounded
-    absorption requires either numeric parameters (solved by exact
-    elimination) or ``series_order`` (solved by truncated iteration).
-    """
-    if initial is None:
-        initial = initial_distribution(chain.params, chain.table, chain.config)
-
-    clean_id, fail_id = chain.absorbing
-
-    if max_attempts is not None:
-        if max_attempts < 0:
-            raise ValueError("max_attempts must be >= 0")
-        dist = dict(initial)
-        for _ in range(max_attempts):
-            dist = _apply(dist, chain.P)
-        fail_mass = dist.get(fail_id, Poly.zero())
-        clean_mass = dist.get(clean_id, Poly.zero())
-        residual = Poly.one() - clean_mass - fail_mass
-        return ChainResult(
-            encoded_failure=fail_mass,
-            attempts_used=max_attempts,
-            residual_mass=residual,
-        )
-
-    if series_order is not None:
-        series = _absorb_series(chain, initial, series_order)
-        return ChainResult(
-            encoded_failure=series, attempts_used=None, residual_mass=Poly.zero()
-        )
-
-    if _is_numeric(chain):
-        value = _absorb_numeric(chain, initial)
-        return ChainResult(
-            encoded_failure=value, attempts_used=None, residual_mass=Fraction(0)
-        )
-    raise ValueError(
-        "unbounded absorption with symbolic rates needs series_order"
-    )
+    """Encoded failure probability of a chain built at numeric rates."""
+    if not _is_numeric(chain):
+        raise ValueError("run_to_absorption needs a chain built at numeric rates")
+    return ChainResult(encoded_failure_at(chain, Fraction(0), Fraction(0), initial))
 
 
 def _is_numeric(chain: TransitionMatrix) -> bool:
@@ -189,96 +139,39 @@ def _is_numeric(chain: TransitionMatrix) -> bool:
     return eps_const and delta_const
 
 
-def _absorb_series(
-    chain: TransitionMatrix, initial: Dict[int, Poly], order: int
-) -> Poly:
-    """Iterate with truncation until the unabsorbed mass vanishes at the order.
+def _solve(chain: TransitionMatrix, initial: Optional[Dict[int, Poly]], to_ring):
+    """(det M, det A * s) of the bordered absorbing system, in one ring.
 
-    Every zero-noise transition makes strict progress toward absorption, so
-    mass that survives k extra rounds carries at least k powers of the
-    noise rates; the truncated residual reaches exact zero in a bounded
-    number of steps.
-    """
-    clean_id, fail_id = chain.absorbing
-    dist = {cid: p.truncate(order) for cid, p in initial.items()}
-    fail_mass = dist.pop(fail_id, Poly.zero())
-    dist.pop(clean_id, None)
-
-    limit = 40 * (order + 2)
-    for _ in range(limit):
-        if not any(not p.is_zero() for p in dist.values()):
-            return fail_mass
-        nxt: Dict[int, Poly] = {}
-        for cid, mass in dist.items():
-            if mass.is_zero():
-                continue
-            for j, entry in enumerate(chain.P[cid]):
-                if entry.is_zero():
-                    continue
-                contrib = (mass * entry).truncate(order)
-                if contrib.is_zero():
-                    continue
-                nxt[j] = nxt.get(j, Poly.zero()) + contrib
-        fail_mass = (fail_mass + nxt.pop(fail_id, Poly.zero())).truncate(order)
-        nxt.pop(clean_id, None)
-        dist = nxt
-    raise RuntimeError("series iteration did not absorb; chain may not progress")
-
-
-def _absorb_numeric(chain: TransitionMatrix, initial: Dict[int, Poly]) -> Fraction:
-    """Unbounded absorption for a chain built at numeric rates.
-
-    The matrix entries are constant polynomials, so evaluating the symbolic
-    solver at (0, 0) reads the constants off exactly.
-    """
-    return encoded_failure_at(chain, Fraction(0), Fraction(0), initial)
-
-
-def encoded_failure_at(
-    chain: TransitionMatrix,
-    eps: Fraction,
-    delta: Fraction,
-    initial: Optional[Dict[int, Poly]] = None,
-) -> Fraction:
-    """Exact absorption probability of a symbolic chain at numeric rates.
-
-    This is the workhorse behind threshold bisection (one symbolic build,
-    many numeric solves), so it runs on integers and reduces once.  Write
-    eps = ep/eq and delta = dp/dq.  Each transient row [I - Q | r] (r is
-    the column into the fail class) and the border row [-c | c0] (the
-    injected mass on the transient classes and on the fail class) are
-    scaled to integers by ``_integer_row``.  One fraction-free Bareiss pass
-    (Bareiss 1968) over the bordered matrix M, with pivot swaps among the
-    transient rows only, leaves det(A) as its m-th pivot and det(M) as its
-    last.  By the Schur complement det(M) / det(A) = s * (c0 + c^T A^-1 r),
-    where s is the border row's scale; a swap flips the sign of both
+    M stacks each transient row [I - Q | r] (r is the column into the fail
+    class) on the border row [-c | c0] (the injected mass on the transient
+    classes and on the fail class); A is its top-left transient block.
+    ``to_ring`` maps a row of polynomials to ring elements times a scale
+    and returns that scale (s for the border row).  One fraction-free
+    Bareiss pass (Bareiss 1968) with pivot swaps among the transient rows
+    only leaves det(A) as its m-th pivot and det(M) as its last; every
+    division is exact, so the loop needs only ``*``, ``-``, ``//`` and a
+    nonzero test.  By the Schur complement det(M) / det(A) = s * (c0 +
+    c^T A^-1 r), the absorption probability; a swap flips the sign of both
     determinants, so the ratio needs no correction.
     """
     if initial is None:
         initial = initial_distribution(chain.params, chain.table, chain.config)
-    eps, delta = Fraction(eps), Fraction(delta)
     clean_id, fail_id = chain.absorbing
     transient = [i for i in range(chain.size) if i not in (clean_id, fail_id)]
-    columns = transient + [fail_id]
     m = len(transient)
 
-    zero = Poly.zero()
-    rows = [[chain.P[i][j] for j in columns] for i in transient]
-    rows.append([initial.get(j, zero) for j in columns])
-    eps_hom = _homogeneous_powers(eps)
-    delta_hom = _homogeneous_powers(delta)
-    M: List[List[int]] = []
-    scales: List[int] = []
-    for polys in rows:
-        values, scale = _integer_row(polys, eps_hom, delta_hom)
-        M.append([-x for x in values[:m]] + [values[m]])
-        scales.append(scale)
-    for k in range(m):
-        M[k][k] += scales[k]
+    zero, one = Poly.zero(), Poly.one()
+    M = []
+    for i in transient:
+        row = [(one if i == j else zero) - chain.P[i][j] for j in transient]
+        M.append(to_ring(row + [chain.P[i][fail_id]])[0])
+    border = [-initial.get(j, zero) for j in transient] + [initial.get(fail_id, zero)]
+    values, scale = to_ring(border)
+    M.append(values)
 
     prev = 1
     for k in range(m):
-        pivot = next((r for r in range(k, m) if M[r][k] != 0), None)
+        pivot = next((r for r in range(k, m) if M[r][k]), None)
         if pivot is None:
             raise ValueError("singular transient system")
         M[k], M[pivot] = M[pivot], M[k]
@@ -290,43 +183,169 @@ def encoded_failure_at(
             for j in range(k + 1, m + 1):
                 row[j] = (row[j] * p - f * top[j]) // prev
         prev = p
-    return Fraction(M[m][m], prev * scales[m])
+    return M[m][m], prev * scale
 
 
-def _homogeneous_powers(x: Fraction):
-    """``hom(i, d) = p^i * q^(d - i)`` for x = p/q, memoised per solve."""
-    p, q = x.numerator, x.denominator
-    cache: Dict[Tuple[int, int], int] = {}
+def encoded_failure_at(
+    chain: TransitionMatrix,
+    eps: Fraction,
+    delta: Fraction,
+    initial: Optional[Dict[int, Poly]] = None,
+) -> Fraction:
+    """Exact absorption probability of a chain at numeric rates.
 
-    def hom(i: int, d: int) -> int:
-        value = cache.get((i, d))
-        if value is None:
-            value = cache[(i, d)] = p**i * q ** (d - i)
-        return value
-
-    return hom
-
-
-def _integer_row(row: List[Poly], eps_hom, delta_hom) -> Tuple[List[int], int]:
-    """The row's entries at (eps, delta), times its scale, and that scale.
-
-    The scale is L * eq^I * dq^J: L is the lcm of the row's coefficient
-    denominators, I and J the row's own largest eps and delta degrees, so
-    every term c * eps^i * delta^j becomes the integer
-    c * L * ep^i * eq^(I-i) * dp^j * dq^(J-j).
+    Every entry is evaluated at (eps, delta), each row is scaled to
+    integers by the lcm of its denominators, and ``_solve`` runs on Python
+    ints; the answer is reduced once.
     """
-    terms = [t for entry in row for t in entry.terms.items()]
-    I = max((i for (i, _), _ in terms), default=0)
-    J = max((j for (_, j), _ in terms), default=0)
-    L = lcm(*(c.denominator for _, c in terms))
-    scaled = [
-        sum(
-            c.numerator * (L // c.denominator) * eps_hom(i, I) * delta_hom(j, J)
-            for (i, j), c in entry.terms.items()
-        )
-        for entry in row
-    ]
-    return scaled, L * eps_hom(0, I) * delta_hom(0, J)
+    eps, delta = Fraction(eps), Fraction(delta)
+
+    def integer_row(row: List[Poly]) -> Tuple[List[int], int]:
+        values = [entry.evaluate(eps, delta) for entry in row]
+        scale = lcm(*(v.denominator for v in values))
+        return [v.numerator * (scale // v.denominator) for v in values], scale
+
+    det_m, det_a = _solve(chain, initial, integer_row)
+    return Fraction(det_m, det_a)
+
+
+class _EpsPoly:
+    """Dense polynomial in eps with integer coefficients, lowest degree first.
+
+    Only the ring operations ``_solve`` uses; ``//`` is exact division,
+    which is all the elimination asks of it.  An int operand is read as a
+    constant.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs: List[int]):
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        self.c = coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.c)
+
+    def __mul__(self, other: "_EpsPoly | int") -> "_EpsPoly":
+        a, b = self.c, _coefficients(other)
+        if not a or not b:
+            return _EpsPoly([])
+        # Kronecker substitution: multiply the values at eps = 2^w and read
+        # the product's coefficients back from w-bit slots, each wide
+        # enough for min(len) products of the largest coefficients, signed.
+        w = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+        w += min(len(a), len(b)).bit_length() + 1
+        return _EpsPoly(_unpack(_pack(a, w) * _pack(b, w), w, len(a) + len(b) - 1))
+
+    def __sub__(self, other: "_EpsPoly") -> "_EpsPoly":
+        return _EpsPoly([x - y for x, y in zip_longest(self.c, other.c, fillvalue=0)])
+
+    def __floordiv__(self, other: "_EpsPoly | int") -> "_EpsPoly":
+        # Quotient coefficients from the top down; the lower coefficients
+        # of the dividend are not read, since the division is exact.
+        a, rb = self.c, _coefficients(other)[::-1]
+        top = len(rb) - 1
+        q = [0] * max(len(a) - top, 0)
+        for k in range(len(q) - 1, -1, -1):
+            q[k] = (a[k + top] - sum(map(mul, q[k + 1 : k + 1 + top], rb[1:]))) // rb[0]
+        return _EpsPoly(q)
+
+
+def _coefficients(x: "_EpsPoly | int") -> List[int]:
+    return x.c if isinstance(x, _EpsPoly) else [x]
+
+
+def _pack(coeffs: List[int], w: int) -> int:
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << w) + c
+    return value
+
+
+def _unpack(value: int, w: int, n: int) -> List[int]:
+    """The n signed w-bit slots of ``value``, lowest first."""
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    out = []
+    for _ in range(n):
+        c = value & mask
+        if c >= half:
+            c -= 1 << w
+        out.append(c)
+        value = (value - c) >> w
+    return out
+
+
+def _eps_row(row: List[Poly]) -> Tuple[List[_EpsPoly], int]:
+    """The row times the lcm of its coefficient denominators, and that lcm."""
+    scale = lcm(*(c.denominator for entry in row for c in entry.terms.values()))
+    out = []
+    for entry in row:
+        coeffs = [0] * (entry.total_degree() + 1)
+        for (i, j), c in entry.terms.items():
+            if j:
+                raise ValueError("failure_rate needs a chain in eps alone; it has a delta term")
+            coeffs[i] = c.numerator * (scale // c.denominator)
+        out.append(_EpsPoly(coeffs))
+    return out, scale
+
+
+@dataclass(frozen=True)
+class FailureRate:
+    """The encoded failure rate as N(eps) / D(eps).
+
+    N and D are integer coefficient lists, lowest degree first.
+    """
+
+    N: List[int]
+    D: List[int]
+
+    def at(self, x: Fraction) -> Fraction:
+        """N(x) / D(x), by homogeneous Horner on integers and one reduction."""
+        x = Fraction(x)
+        p, q = x.numerator, x.denominator
+        degree = max(len(self.N), len(self.D)) - 1
+
+        def scaled(coeffs: List[int]) -> int:
+            # q^degree * poly(p/q), from the top coefficient down.
+            acc, qk = 0, q ** (degree + 1 - len(coeffs))
+            for c in reversed(coeffs):
+                acc = acc * p + c * qk
+                qk *= q
+            return acc
+
+        den = scaled(self.D)
+        if den == 0:
+            raise ValueError("singular transient system")
+        return Fraction(scaled(self.N), den)
+
+    def series(self, order: int) -> Poly:
+        """Taylor coefficients of N/D at eps = 0, up to eps^order."""
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        N, D = self.N, self.D
+        if not D[0]:
+            raise ValueError("singular transient system at eps = 0")
+        coeffs: List[Fraction] = []
+        for k in range(order + 1):
+            s = Fraction(N[k] if k < len(N) else 0)
+            for i in range(1, min(k, len(D) - 1) + 1):
+                s -= D[i] * coeffs[k - i]
+            coeffs.append(s / D[0])
+        return Poly({(k, 0): c for k, c in enumerate(coeffs)})
+
+
+def failure_rate(
+    chain: TransitionMatrix, initial: Optional[Dict[int, Poly]] = None
+) -> FailureRate:
+    """The exact encoded failure rate of a chain in eps alone, as N/D.
+
+    The chain may be ideal, lossy on the delta = eps diagonal
+    (``ModelParams.lossy_diagonal()``) or built at numeric rates; a delta
+    term is a ValueError.
+    """
+    det_m, det_a = _solve(chain, initial, _eps_row)
+    return FailureRate(det_m.c, det_a.c)
 
 
 def recursion_series(
@@ -339,11 +358,7 @@ def recursion_series(
     The lossy model is evaluated on the delta = eps diagonal so the result
     is single-variable in both models.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
     if params.model is Model.LOSSY:
-        params = ModelParams(Model.LOSSY, params.eps, params.eps)
-    chain = build_chain(params, config=config)
-    result = run_to_absorption(chain, series_order=order)
-    return result.encoded_failure
+        params = ModelParams.lossy_diagonal(params.eps)
+    return failure_rate(build_chain(params, config=config)).series(order)
 

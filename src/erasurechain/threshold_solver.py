@@ -13,8 +13,8 @@ A threshold is the noise rate where one level of encoding stops helping:
     measurement   delta^(1) = delta
 
 Roots are found by exact bisection on Fraction arithmetic; the recursion
-callables themselves are exact (absorbing-chain solves or fixed reference
-polynomials), so a sign is never ambiguous.
+callables themselves are exact (the chain's rational function N/D or fixed
+reference polynomials), so a sign is never ambiguous.
 """
 
 from __future__ import annotations
@@ -197,26 +197,16 @@ def chain_recursion(model_name: str, config=None) -> Recursion:
     """Exact full-chain recursion for 'ideal' or 'lossy' (delta = eps)."""
     from .correction_circuits import DEFAULT_FAULT_MODEL
     from .erasure_model import ModelParams
-    from .markov_engine import build_chain, encoded_failure_at, initial_distribution
+    from .markov_engine import build_chain, failure_rate
 
-    cfg = config if config is not None else DEFAULT_FAULT_MODEL
     if model_name == "ideal":
         params = ModelParams.ideal()
     elif model_name == "lossy":
-        params = ModelParams.lossy()
+        params = ModelParams.lossy_diagonal()
     else:
         raise ValueError("model must be 'ideal' or 'lossy'")
-    chain = build_chain(params, config=cfg)
-    initial = initial_distribution(params, chain.table, cfg)
-
-    if model_name == "ideal":
-        def rec(x: Fraction) -> Fraction:
-            return encoded_failure_at(chain, Fraction(x), Fraction(0), initial)
-    else:
-        def rec(x: Fraction) -> Fraction:
-            return encoded_failure_at(chain, Fraction(x), Fraction(x), initial)
-
-    return rec
+    cfg = config if config is not None else DEFAULT_FAULT_MODEL
+    return failure_rate(build_chain(params, config=cfg)).at
 
 
 def default_bracket(condition: BreakEvenCondition) -> Tuple[Fraction, Fraction]:

@@ -107,6 +107,21 @@ class TestThreshold:
         assert err["error"] == "no_sign_change"
         assert "samples_of_recursion_minus_condition" in err
 
+    @pytest.mark.parametrize(
+        "model, fixture",
+        [
+            ("measurement", "lossy-ref"),
+            ("measurement", "ideal-ref"),
+            ("lossy", "ideal-ref"),
+            ("ideal", "lossy-ref"),
+        ],
+    )
+    def test_fixture_of_another_model_rejected(self, model, fixture):
+        proc = run_cli("threshold", "--model", model, "--fixture", fixture, check=False)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--fixture" in json.loads(proc.stderr)["error"]
+
 
 class TestSweep:
     def test_zero_grid(self):
@@ -240,6 +255,7 @@ class TestConcat:
         (("sweep", "--model", "ideal", "--grid", "1/10", "--trials", "-5"), "--trials"),
         (("sweep", "--model", "ideal", "--grid", "1/10", "--trials", "10", "--seed", "-1"),
          "--seed"),
+        (("mc", "--model", "ideal", "--eps", "1/20", "--delta", "1/2"), "--delta"),
     ],
 )
 def test_out_of_domain_argument_rejected(args, flag):

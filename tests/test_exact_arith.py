@@ -73,27 +73,6 @@ class TestEval:
         assert p.evaluate(0, 1) == 1
 
 
-class TestTruncate:
-    def test_keeps_leading_cubic(self):
-        p = eps_poly(0, 0, 0, 56, 406)
-        assert p.truncate(3) == eps_poly(0, 0, 0, 56)
-
-    def test_constant_survives_order_zero(self):
-        assert Poly.one().truncate(0) == Poly.one()
-
-    def test_drops_everything(self):
-        assert Poly.monomial(3, 0).truncate(2).is_zero()
-
-    def test_total_degree_counts_both_variables(self):
-        p = Poly.monomial(1, 1)
-        assert p.truncate(1).is_zero()
-        assert p.truncate(2) == p
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            Poly.one().truncate(-1)
-
-
 def random_poly(rng, max_terms=5, max_deg=4):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):

@@ -20,6 +20,7 @@ from erasurechain.erasure_model import (
 from erasurechain.markov_engine import (
     build_chain,
     encoded_failure_at,
+    failure_rate,
     recursion_series,
     run_to_absorption,
 )
@@ -138,31 +139,58 @@ class TestAbsorption:
         lchain = lossy_chain()
         assert encoded_failure_at(lchain, F(0), F(0)) == 0
 
-    def test_truncated_runs_report_shrinking_residual(self):
-        chain = build_chain(ModelParams.ideal(F(1, 10)))
-        previous = None
-        for t in (1, 2, 4, 8, 16, 32, 48):
-            result = run_to_absorption(chain, max_attempts=t)
-            assert result.attempts_used == t
-            res = result.residual_mass.evaluate(0, 0)
-            assert 0 <= res <= 1
-            if previous is not None:
-                assert res <= previous
-            previous = res
-        assert previous < F(1, 10**6)
-
-    def test_truncated_fail_mass_approaches_absorbing_solve(self):
-        eps = F(1, 10)
-        chain = build_chain(ModelParams.ideal(eps))
-        exact = encoded_failure_at(chain, F(0), F(0))
-        late = run_to_absorption(chain, max_attempts=60)
-        gap = exact - late.encoded_failure.evaluate(0, 0)
-        assert 0 <= gap < F(1, 10**12)
-
-    def test_unbounded_symbolic_requires_series_order(self):
+    def test_symbolic_chain_rejected(self):
         chain = ideal_chain()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="numeric rates"):
             run_to_absorption(chain)
+
+    def test_failure_rate_rejects_delta_terms(self):
+        with pytest.raises(ValueError, match="delta"):
+            failure_rate(lossy_chain())
+
+
+def iterated_series(chain, order):
+    """Encoded failure series by iterating the chain, truncated at ``order``.
+
+    Every zero-noise transition makes strict progress toward absorption, so
+    mass that survives k extra rounds carries at least k powers of eps and
+    the truncated unabsorbed mass reaches exact zero in a bounded number of
+    steps.
+    """
+
+    def truncate(p):
+        return Poly({e: c for e, c in p.terms.items() if sum(e) <= order})
+
+    clean_id, fail_id = chain.absorbing
+    initial = initial_distribution(chain.params, chain.table, chain.config)
+    dist = {cid: truncate(p) for cid, p in initial.items()}
+    fail_mass = dist.pop(fail_id, Poly.zero())
+    dist.pop(clean_id, None)
+    for _ in range(40 * (order + 2)):
+        if all(p.is_zero() for p in dist.values()):
+            return fail_mass
+        nxt = {}
+        for cid, mass in dist.items():
+            for j, entry in enumerate(chain.P[cid]):
+                nxt[j] = nxt.get(j, Poly.zero()) + truncate(mass * entry)
+        fail_mass = fail_mass + nxt.pop(fail_id, Poly.zero())
+        nxt.pop(clean_id, None)
+        dist = nxt
+    raise AssertionError("series iteration did not absorb")
+
+
+SERIES_CASES = {
+    "ideal": (ModelParams.ideal(), FaultModel()),
+    "lossy_per_gate": (ModelParams.lossy_diagonal(), FaultModel()),
+    "lossy_per_teleportation": (
+        ModelParams.lossy_diagonal(),
+        FaultModel(construction=Construction.PER_TELEPORTATION),
+    ),
+    "lossy_helper_coupling": (
+        ModelParams.lossy_diagonal(),
+        FaultModel(helper_detections=2, coupling_full_fraction=F(1, 2)),
+    ),
+}
 
 
 class TestSeries:
@@ -195,6 +223,12 @@ class TestSeries:
     def test_series_is_single_variable_for_lossy(self):
         series = recursion_series(ModelParams.lossy(), 5)
         assert all(j == 0 for (_, j) in series.terms)
+
+    @pytest.mark.parametrize("case", sorted(SERIES_CASES))
+    def test_taylor_series_matches_iterated_absorption(self, case):
+        params, config = SERIES_CASES[case]
+        expected = iterated_series(build_chain(params, config=config), 20)
+        assert recursion_series(params, 20, config=config) == expected
 
     def test_series_matches_numeric_solve_at_small_rate(self):
         # The truncated series and the exact absorbing solve agree up to
@@ -307,9 +341,13 @@ class TestFractionFreeSolve:
         rng = random.Random(4)
         ideal = build_chain(ModelParams.ideal(), config=config)
         lossy = build_chain(ModelParams.lossy(), config=config)
+        ideal_rate = chain_recursion("ideal", config)
+        lossy_rate = chain_recursion("lossy", config)
         for _ in range(12):
             eps = random_rate(rng)
             assert encoded_failure_at(ideal, eps, F(0)) == fraction_oracle(ideal, eps, F(0))
+            assert ideal_rate(eps) == fraction_oracle(ideal, eps, F(0))
+            assert lossy_rate(eps) == fraction_oracle(lossy, eps, eps)
             delta = random_rate(rng)
             while delta == eps:
                 delta = random_rate(rng)
@@ -321,6 +359,7 @@ class TestFractionFreeSolve:
             expected = fraction_oracle(chain, F(0), F(0))
             assert encoded_failure_at(chain, F(0), F(0)) == expected
             assert run_to_absorption(chain).encoded_failure == expected
+            assert failure_rate(chain).at(F(1, 2)) == expected
 
     @pytest.mark.parametrize("construction", sorted(CONFIGS))
     def test_matches_oracle_at_rate_endpoints(self, construction):
