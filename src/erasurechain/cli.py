@@ -94,6 +94,8 @@ def _parse_fraction(text: str) -> Fraction:
 
 def _parse_rate(text: str, flag: str) -> Fraction:
     """A probability given on the command line, checked against [0, 1]."""
+    if not text:
+        raise CliError(f"{flag} is empty")
     value = _parse_fraction(text)
     if not 0 <= value <= 1:
         raise CliError(f"{flag} must lie in [0, 1], got {text}")
@@ -135,7 +137,12 @@ def _parse_grid(text: str) -> List[Fraction]:
             grid.append(x)
             x += step
         return grid
-    grid = [_parse_fraction(p) for p in text.split(",") if p]
+    if not text:
+        raise CliError("--grid is empty")
+    entries = text.split(",")
+    if not all(entries):
+        raise CliError(f"--grid has an empty entry in {text!r}")
+    grid = [_parse_fraction(p) for p in entries]
     _check_grid_values(grid)
     return grid
 
@@ -335,7 +342,7 @@ def cmd_sweep(args, config: FaultModel) -> dict:
 
 def cmd_mc(args, config: FaultModel) -> dict:
     eps = _parse_rate(args.eps, "--eps")
-    delta = _parse_rate(args.delta, "--delta") if args.delta else None
+    delta = _parse_rate(args.delta, "--delta") if args.delta is not None else None
     _check_at_least(args.trials, 1, "--trials")
     _check_at_least(args.seed, 0, "--seed")
     model = Model(args.model)

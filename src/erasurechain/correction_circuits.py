@@ -114,6 +114,7 @@ from .erasure_model import (
     ModelParams,
     Pattern,
     classify,
+    format_pattern,
     pattern_weight,
 )
 from .pauli_algebra import N_QUBITS, stabilizer_supports_weight4
@@ -149,6 +150,11 @@ class CorrectionStep:
     kind: StepKind
     target: int
     helpers: Tuple[int, int, int]
+
+    @property
+    def positions(self) -> Tuple[int, ...]:
+        """The qubits the step writes: the target, then the helpers."""
+        return (self.target,) + self.helpers
 
 
 class Construction(Enum):
@@ -459,9 +465,8 @@ def _full_to_z_outcomes(params: ModelParams, config: FaultModel) -> LocalOutcome
     return tuple(local.items())
 
 
-def _place(pattern: Pattern, step: CorrectionStep, local: LocalOutcomes) -> OutcomeDistribution:
-    """Write local (target, helpers) outcomes into the pattern."""
-    positions = (step.target,) + step.helpers
+def _place(pattern: Pattern, positions: Tuple[int, ...], local: LocalOutcomes) -> OutcomeDistribution:
+    """Write local outcomes into the pattern at the given 1-based positions."""
     dist: OutcomeDistribution = {}
     for statuses, prob in local:
         out = list(pattern)
@@ -486,7 +491,9 @@ def apply_z_recovery(
     for h in step.helpers:
         if pattern[h - 1] != Erasure.NONE:
             raise ValueError("helpers must be intact")
-    return _place(pattern, step, _z_recovery_outcomes(target_status, params, config))
+    return _place(
+        pattern, step.positions, _z_recovery_outcomes(target_status, params, config)
+    )
 
 
 def apply_full_to_z(
@@ -502,7 +509,66 @@ def apply_full_to_z(
         raise ValueError("conversion target must be fully erased")
     if params.model is not Model.LOSSY:
         raise ValueError("full erasures occur only in the lossy model")
-    return _place(pattern, step, _full_to_z_outcomes(params, config))
+    return _place(pattern, step.positions, _full_to_z_outcomes(params, config))
+
+
+# The local tables of one (params, config), keyed by (step kind, target status).
+OutcomeTables = Dict[Tuple[StepKind, Erasure], LocalOutcomes]
+
+
+@lru_cache(maxsize=1024)
+def outcome_tables(
+    params: ModelParams, config: FaultModel = DEFAULT_FAULT_MODEL
+) -> OutcomeTables:
+    """Every local outcome table the model's patterns can use.
+
+    Ideal patterns only ever recover a Z-measured target; lossy patterns
+    recover a Z-erased target or convert a fully erased one.  The returned
+    mapping is shared between callers and must not be modified.
+    """
+    if params.model is Model.IDEAL:
+        measured = Erasure.Z_MEASURED
+        return {
+            (StepKind.Z_RECOVERY, measured): _z_recovery_outcomes(measured, params, config)
+        }
+    return {
+        (StepKind.Z_RECOVERY, Erasure.Z_ERASED): _z_recovery_outcomes(
+            Erasure.Z_ERASED, params, config
+        ),
+        (StepKind.FULL_TO_Z, Erasure.FULL): _full_to_z_outcomes(params, config),
+    }
+
+
+class LocalAttempt(NamedTuple):
+    """One attempt before it is written into the pattern.
+
+    positions: the qubits it writes, target first, then the helpers;
+    key: the (step kind, target status) key of its local table;
+    outcomes: that table, the statuses written at ``positions`` with their
+    probabilities.
+    """
+
+    positions: Tuple[int, ...]
+    key: Tuple[StepKind, Erasure]
+    outcomes: LocalOutcomes
+
+
+def local_attempt(pattern: Pattern, tables: OutcomeTables) -> Done | Abort | LocalAttempt:
+    """Select a step and look up its local table in ``tables``.
+
+    Returns DONE, ABORT or a LocalAttempt; ``attempt`` is the LocalAttempt
+    written into the pattern.  ValueError if the pattern's alphabet is not
+    the one ``tables`` was built for.
+    """
+    step = select_step(pattern)
+    if step is DONE or step is ABORT:
+        return step
+    key = (step.kind, pattern[step.target - 1])
+    if key not in tables:
+        raise ValueError(
+            f"pattern {format_pattern(pattern)} is not over the alphabet of the tables' model"
+        )
+    return LocalAttempt(step.positions, key, tables[key])
 
 
 def attempt(
@@ -515,14 +581,12 @@ def attempt(
     Clean patterns map to themselves; procedure failures map to the
     designated absorbing failure pattern (every qubit erased).
     """
-    step = select_step(pattern)
-    if step is DONE:
+    local = local_attempt(pattern, outcome_tables(params, config))
+    if local is DONE:
         return {pattern: Poly.one()}
-    if step is ABORT:
+    if local is ABORT:
         return {fail_sink(params.model): Poly.one()}
-    if step.kind is StepKind.Z_RECOVERY:
-        return apply_z_recovery(pattern, step, params, config)
-    return apply_full_to_z(pattern, step, params, config)
+    return _place(pattern, local.positions, local.outcomes)
 
 
 def fail_sink(model: Model) -> Pattern:

@@ -23,7 +23,10 @@ partition refinement: starting from a candidate grouping (by weight for the
 ideal model, by full/Z-erasure counts for the lossy model), classes are
 split until every member of a class has the identical class-level outcome
 distribution under one correction attempt, compared exactly as polynomials.
-The fixed point is therefore a verified lumping of the Markov chain, not an
+A row's per-class sums are built once per local outcome table and grouping
+of its entries into classes, not once per pattern (a few dozen sums for
+2187 lossy patterns).  The fixed point is therefore a verified lumping of
+the Markov chain (Kemeny and Snell, *Finite Markov Chains*, 1960), not an
 assumed one.
 """
 
@@ -351,39 +354,78 @@ def build_classes(model: Model, config=None) -> ClassTable:
     )
 
 
-def _projected_row(outcomes: Dict[Pattern, Poly], index: Dict[Pattern, int]) -> tuple:
-    """One attempt's outcome distribution summed per class, in canonical form."""
-    projected: Dict[int, Poly] = {}
-    for q, prob in outcomes.items():
-        cid = index[q]
-        projected[cid] = projected.get(cid, Poly.zero()) + prob
-    return tuple((cid, projected[cid].key()) for cid in sorted(projected))
+def _projector(index: Dict[Pattern, int], params: ModelParams, fault_model):
+    """pattern -> one attempt's outcome distribution summed per class.
+
+    A row is a tuple of (class id, ``Poly.key()`` of the exact class sum),
+    sorted by class id.  An attempt writes one of a few local outcome
+    tables into the pattern (``correction_circuits.local_attempt``), so a
+    row is fixed by the table and by which of its entries land in each
+    class.  Each (table, entries) sum is built once per projector and
+    looked up for every later pattern that groups its entries the same way.
+    Members of one class may group their entries differently and still have
+    equal sums, so rows compare sums, never groupings.
+    """
+    from .correction_circuits import ABORT, DONE, fail_sink, local_attempt, outcome_tables
+
+    tables = outcome_tables(params, fault_model)
+    unit = Poly.one().key()
+    sink = index[fail_sink(params.model)]
+    sums: Dict[tuple, tuple] = {}
+
+    def project(pattern: Pattern) -> tuple:
+        local = local_attempt(pattern, tables)
+        if local is DONE:
+            return ((index[pattern], unit),)
+        if local is ABORT:
+            return ((sink, unit),)
+        positions, key, outcomes = local
+        entries: Dict[int, List[int]] = {}
+        out = list(pattern)
+        for i, (statuses, _) in enumerate(outcomes):
+            for q, status in zip(positions, statuses):
+                out[q - 1] = status
+            entries.setdefault(index[tuple(out)], []).append(i)
+        row = []
+        for cid in sorted(entries):
+            memo = (key, tuple(entries[cid]))
+            total = sums.get(memo)
+            if total is None:
+                acc = Poly.zero()
+                for i in entries[cid]:
+                    acc = acc + outcomes[i][1]
+                total = sums[memo] = acc.key()
+            row.append((cid, total))
+        return tuple(row)
+
+    return project
 
 
 def _refine_partition(partition, params, fault_model):
     """Split classes until class-projected outcome rows match exactly.
 
-    The last round computes every member's projected row and splits
-    nothing, which is exactly the check ``verify_class_soundness`` makes,
-    so the fixed point needs no second pass.  ``attempt`` uses only ring
-    operations on eps and delta, and substituting values for them commutes
-    with the per-class sums, so rows equal as polynomials stay equal under
-    every ``ModelParams`` (numeric rates or the delta = eps diagonal).
+    Rows are compared as exact per-class polynomial sums, each built once
+    per round for every distinct (local outcome table, entry grouping); see
+    ``_projector``.  The last round computes every member's projected row
+    and splits nothing, which is exactly the check
+    ``verify_class_soundness`` makes, so the fixed point needs no second
+    pass.  ``attempt`` uses only ring operations on eps and delta, and
+    substituting values for them commutes with the per-class sums, so rows
+    equal as polynomials stay equal under every ``ModelParams`` (numeric
+    rates or the delta = eps diagonal).
     """
-    from .correction_circuits import attempt
-
-    # Outcome distributions over raw patterns never change; compute each once.
-    outcomes = {
-        p: attempt(p, params, fault_model) for group in partition for p in group
-    }
     while True:
-        index = {p: cid for cid, group in enumerate(partition) for p in group}
+        project = _projector(
+            {p: cid for cid, group in enumerate(partition) for p in group},
+            params,
+            fault_model,
+        )
         new_partition: List[List[Pattern]] = []
         changed = False
         for group in partition:
             rows: Dict[tuple, List[Pattern]] = {}
             for p in group:
-                rows.setdefault(_projected_row(outcomes[p], index), []).append(p)
+                rows.setdefault(project(p), []).append(p)
             if len(rows) > 1:
                 changed = True
             new_partition.extend(sorted(g) for g in rows.values())
@@ -399,13 +441,15 @@ def verify_class_soundness(table: ClassTable, params: ModelParams, config=None) 
     on tables it is given; tables from ``build_classes`` are sound by
     construction.
     """
-    from .correction_circuits import DEFAULT_FAULT_MODEL, attempt
+    from .correction_circuits import DEFAULT_FAULT_MODEL
 
-    fault_model = config if config is not None else DEFAULT_FAULT_MODEL
+    project = _projector(
+        table.index, params, config if config is not None else DEFAULT_FAULT_MODEL
+    )
     for cls in table.classes:
         reference = None
         for p in cls.members:
-            row = _projected_row(attempt(p, params, fault_model), table.index)
+            row = project(p)
             if reference is None:
                 reference = row
             elif row != reference:

@@ -1,10 +1,13 @@
-"""Shared test oracles built from first principles, not from the engine."""
+"""Shared test oracles built from first principles, not from the engine, and a
+strategy for random fault models."""
 
+from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
+from hypothesis import strategies as st
 
-from erasurechain.correction_circuits import fail_sink
+from erasurechain.correction_circuits import Construction, FaultModel, fail_sink
 from erasurechain.erasure_model import (
     CLEAN_PATTERN,
     ClassTable,
@@ -49,3 +52,19 @@ def ideal_singleton_table():
         clean_id=index[CLEAN_PATTERN],
         fail_id=index[fail_sink(Model.IDEAL)],
     )
+
+
+@st.composite
+def fault_models(draw):
+    """Random valid FaultModels under both lossy constructions."""
+    detections = st.integers(0, 4)
+    construction = draw(st.sampled_from(Construction))
+    fields = {
+        "readout_detections": draw(detections),
+        "ancilla_detections": draw(detections),
+        "construction": construction,
+    }
+    if construction is Construction.PER_GATE:
+        fields["helper_detections"] = draw(detections)
+        fields["coupling_full_fraction"] = F(draw(st.integers(0, 8)), 8)
+    return FaultModel(**fields)

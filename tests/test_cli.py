@@ -256,6 +256,11 @@ class TestConcat:
         (("sweep", "--model", "ideal", "--grid", "1/10", "--trials", "10", "--seed", "-1"),
          "--seed"),
         (("mc", "--model", "ideal", "--eps", "1/20", "--delta", "1/2"), "--delta"),
+        (("mc", "--model", "lossy", "--eps", "1/20", "--delta", "", "--trials", "100",
+          "--seed", "1"), "--delta"),
+        (("sweep", "--model", "ideal", "--grid", ""), "--grid"),
+        (("sweep", "--model", "ideal", "--grid", ","), "--grid"),
+        (("sweep", "--model", "ideal", "--grid", "1/10,,1/5"), "--grid"),
     ],
 )
 def test_out_of_domain_argument_rejected(args, flag):

@@ -198,6 +198,14 @@ class TestAttempt:
         p = parse_pattern(".......")
         assert attempt(p, ModelParams.ideal()) == {p: Poly.one()}
 
+    @pytest.mark.parametrize(
+        "text, params",
+        [("M......", ModelParams.lossy()), ("Z......", ModelParams.ideal())],
+    )
+    def test_pattern_outside_the_models_alphabet_rejected(self, text, params):
+        with pytest.raises(ValueError, match="alphabet"):
+            attempt(parse_pattern(text), params)
+
     def test_abort_maps_to_sink(self):
         p = parse_pattern("MMMM...")
         assert attempt(p, ModelParams.ideal()) == {

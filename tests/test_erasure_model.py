@@ -1,10 +1,18 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
-from erasurechain.correction_circuits import Construction, FaultModel
+from erasurechain.correction_circuits import (
+    DEFAULT_FAULT_MODEL,
+    Construction,
+    FaultModel,
+    attempt,
+    fail_sink,
+)
 from erasurechain.exact_arith import Poly
 from erasurechain.erasure_model import (
+    CLEAN_PATTERN,
     ClassUnsound,
     Classification,
     EquivClass,
@@ -24,8 +32,11 @@ from erasurechain.erasure_model import (
     pattern_support,
     pattern_weight,
     verify_class_soundness,
+    _projector,
 )
 from erasurechain.pauli_algebra import all_supports, supports_logical
+
+from conftest import fault_models
 
 
 class TestPatternText:
@@ -178,18 +189,25 @@ class TestBuildClasses:
             if model is Model.LOSSY:
                 assert len(table.classes) == 11
 
-    def test_soundness_verifier_rejects_bad_merge(self):
-        table = build_classes(Model.IDEAL)
-        w1 = table.classes[1]
-        w2 = table.classes[2]
+    @pytest.mark.parametrize(
+        "model, params, labels",
+        [
+            (Model.IDEAL, ModelParams.ideal(), ("w1", "w2")),
+            (Model.LOSSY, ModelParams.lossy(), ("[1,1]", "[2,0]")),
+        ],
+        ids=["ideal", "lossy"],
+    )
+    def test_soundness_verifier_rejects_bad_merge(self, model, params, labels):
+        table = build_classes(model)
+        first, second = (c for c in table.classes if c.label in labels)
         merged = EquivClass(
-            id=w1.id,
+            id=first.id,
             label="bogus",
-            representative=w1.representative,
-            size=w1.size + w2.size,
-            members=w1.members + w2.members,
+            representative=first.representative,
+            size=first.size + second.size,
+            members=first.members + second.members,
         )
-        bad_classes = [table.classes[0], merged, table.classes[3], table.classes[4]]
+        bad_classes = [merged if c is first else c for c in table.classes if c is not second]
         bad_index = {}
         for new_id, c in enumerate(bad_classes):
             for p in c.members:
@@ -201,11 +219,59 @@ class TestBuildClasses:
                 for new_id, c in enumerate(bad_classes)
             ],
             index=bad_index,
-            clean_id=0,
-            fail_id=3,
+            clean_id=bad_index[CLEAN_PATTERN],
+            fail_id=bad_index[fail_sink(model)],
         )
         with pytest.raises(ClassUnsound):
-            verify_class_soundness(bad, ModelParams.ideal())
+            verify_class_soundness(bad, params)
+
+
+def _attempt_row(pattern, index, params, config):
+    """Reference projection: ``attempt``'s placed distribution summed per class."""
+    projected = {}
+    for q, prob in attempt(pattern, params, config).items():
+        cid = index[q]
+        projected[cid] = projected.get(cid, Poly.zero()) + prob
+    return tuple((cid, projected[cid].key()) for cid in sorted(projected))
+
+
+def _assert_rows_are_attempt_sums(model, config, params_list):
+    table = build_classes(model, config=config)
+    for params in params_list:
+        project = _projector(table.index, params, config)
+        for p in all_patterns(model):
+            assert project(p) == _attempt_row(p, table.index, params, config), (
+                format_pattern(p)
+            )
+
+
+# The README's alternative circuit config.
+ALT_CONFIG = FaultModel(helper_detections=2, coupling_full_fraction=F(1, 2))
+LOSSY_PARAMS = (
+    ModelParams.lossy(),
+    ModelParams.lossy_diagonal(),
+    ModelParams.lossy(F(1, 20), F(1, 7)),
+)
+
+
+class TestProjection:
+    @pytest.mark.parametrize(
+        "model, config, params_list",
+        [
+            (Model.IDEAL, DEFAULT_FAULT_MODEL, (ModelParams.ideal(), ModelParams.ideal(F(1, 20)))),
+            (Model.LOSSY, DEFAULT_FAULT_MODEL, LOSSY_PARAMS),
+            (Model.LOSSY, ALT_CONFIG, LOSSY_PARAMS),
+            (Model.LOSSY, FaultModel(construction=Construction.PER_TELEPORTATION), LOSSY_PARAMS),
+        ],
+        ids=["ideal", "lossy", "lossy-alt", "lossy-per_teleportation"],
+    )
+    def test_rows_are_attempt_sums(self, model, config, params_list):
+        _assert_rows_are_attempt_sums(model, config, params_list)
+
+    @settings(max_examples=10, derandomize=True, database=None, deadline=None)
+    @given(config=fault_models())
+    def test_rows_are_attempt_sums_for_random_fault_models(self, config):
+        _assert_rows_are_attempt_sums(Model.LOSSY, config, (ModelParams.lossy(),))
 
 
 class TestInitialDistribution:

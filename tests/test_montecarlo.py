@@ -23,6 +23,8 @@ from erasurechain.erasure_model import (
 from erasurechain.markov_engine import build_chain, encoded_failure_at
 from erasurechain.montecarlo import McEstimate, PatternTable, compare, simulate
 
+from conftest import fault_models
+
 
 class TestSimulate:
     def test_zero_rate_never_fails(self):
@@ -106,21 +108,6 @@ class TestPatternTable:
             cum[-1] = 1.0
             assert np.array_equal(table.cum[:width, code], cum)
             assert np.all(table.cum[width:, code] == 1.0)
-
-
-@st.composite
-def fault_models(draw):
-    detections = st.integers(0, 4)
-    construction = draw(st.sampled_from(Construction))
-    fields = {
-        "readout_detections": draw(detections),
-        "ancilla_detections": draw(detections),
-        "construction": construction,
-    }
-    if construction is Construction.PER_GATE:
-        fields["helper_detections"] = draw(detections)
-        fields["coupling_full_fraction"] = F(draw(st.integers(0, 8)), 8)
-    return FaultModel(**fields)
 
 
 # A correct sampler lands beyond 4 standard errors about once in 16,000
