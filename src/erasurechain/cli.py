@@ -39,6 +39,7 @@ from .markov_engine import (
 from .montecarlo import compare, simulate
 from .threshold_solver import (
     BreakEvenCondition,
+    MEASUREMENT_TAIL,
     NoSignChange,
     REFERENCE_SERIES_IDEAL,
     REFERENCE_SERIES_LOSSY,
@@ -376,18 +377,19 @@ def cmd_mc(args, config: FaultModel) -> dict:
 
 def cmd_concat(args, config: FaultModel) -> dict:
     eps0 = _parse_rate(args.eps0, "--eps0")
+    _check_at_least(args.levels, 0, "--levels")
     if args.levels > 10:
-        raise CliError("levels must be <= 10")
+        raise CliError(f"--levels must be <= 10, got {args.levels}")
     if args.model == "measurement":
-        recursion = measurement_recursion
+        rate = MEASUREMENT_TAIL
     else:
-        recursion = chain_recursion(args.model, config=config)
-    rates = concat_projection(recursion, eps0, args.levels)
+        rate = chain_recursion(args.model, config=config)
+    rates = concat_projection(rate, eps0, args.levels)
     return {
         "model": args.model,
         "eps0": float(eps0),
         "levels": [
-            {"level": k + 1, "rate": float(r)} for k, r in enumerate(rates)
+            {"level": k + 1, "rate": r} for k, r in enumerate(rates)
         ],
     }
 

@@ -354,6 +354,22 @@ def build_classes(model: Model, config=None) -> ClassTable:
     )
 
 
+class _Sum(tuple):
+    """A ``Poly.key()`` that computes its hash once.
+
+    A plain key rehashes every Fraction in it on each lookup, and a class
+    build groups thousands of rows made of a few dozen distinct sums.
+    """
+
+    def __new__(cls, key: tuple) -> "_Sum":
+        self = super().__new__(cls, key)
+        self.hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self.hash
+
+
 def _projector(index: Dict[Pattern, int], params: ModelParams, fault_model):
     """pattern -> one attempt's outcome distribution summed per class.
 
@@ -364,14 +380,21 @@ def _projector(index: Dict[Pattern, int], params: ModelParams, fault_model):
     class.  Each (table, entries) sum is built once per projector and
     looked up for every later pattern that groups its entries the same way.
     Members of one class may group their entries differently and still have
-    equal sums, so rows compare sums, never groupings.
+    equal sums, so rows compare sums, never groupings: each distinct sum is
+    interned once per projector, keyed by its value, as a ``_Sum``.
     """
     from .correction_circuits import ABORT, DONE, fail_sink, local_attempt, outcome_tables
 
     tables = outcome_tables(params, fault_model)
-    unit = Poly.one().key()
+    interned: Dict[_Sum, _Sum] = {}
+
+    def intern(key: tuple) -> _Sum:
+        total = _Sum(key)
+        return interned.setdefault(total, total)
+
+    unit = intern(Poly.one().key())
     sink = index[fail_sink(params.model)]
-    sums: Dict[tuple, tuple] = {}
+    sums: Dict[tuple, _Sum] = {}
 
     def project(pattern: Pattern) -> tuple:
         local = local_attempt(pattern, tables)
@@ -394,7 +417,7 @@ def _projector(index: Dict[Pattern, int], params: ModelParams, fault_model):
                 acc = Poly.zero()
                 for i in entries[cid]:
                     acc = acc + outcomes[i][1]
-                total = sums[memo] = acc.key()
+                total = sums[memo] = intern(acc.key())
             row.append((cid, total))
         return tuple(row)
 

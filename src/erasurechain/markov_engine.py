@@ -13,9 +13,10 @@ absorbing system, written once and run in two rings:
 
 * over integer polynomials in eps, for a chain in eps alone (ideal, or
   lossy on the delta = eps diagonal), giving the rate as one rational
-  function N/D; series are its Taylor division, and numeric rates (what
-  threshold searches and concatenation use) are N(x)/D(x) by Horner on
-  integers;
+  function N/D; series are its Taylor division, numeric rates (what
+  threshold searches use) are N(x)/D(x) by Horner on integers, and
+  concatenation encloses N/D over an interval of rates by the same Horner
+  on the positive and negative coefficient parts;
 * over the integers, for a chain evaluated at one point (eps, delta),
   which covers the lossy model off the diagonal.
 """
@@ -290,11 +291,21 @@ def _eps_row(row: List[Poly]) -> Tuple[List[_EpsPoly], int]:
     return out, scale
 
 
+def _horner(coeffs: List[int], p: int, q: int, degree: int) -> int:
+    """q^degree * poly(p/q), from the top coefficient down."""
+    acc, qk = 0, q ** (degree + 1 - len(coeffs))
+    for c in reversed(coeffs):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
+
+
 @dataclass(frozen=True)
 class FailureRate:
     """The encoded failure rate as N(eps) / D(eps).
 
-    N and D are integer coefficient lists, lowest degree first.
+    N and D are integer coefficient lists, lowest degree first.  Calling
+    the rate is ``at``.
     """
 
     N: List[int]
@@ -303,21 +314,51 @@ class FailureRate:
     def at(self, x: Fraction) -> Fraction:
         """N(x) / D(x), by homogeneous Horner on integers and one reduction."""
         x = Fraction(x)
-        p, q = x.numerator, x.denominator
+        (num, den), _ = self.enclose(x.numerator, x.numerator, x.denominator)
+        return Fraction(num, den)
+
+    __call__ = at
+
+    def enclose(
+        self, lo: int, hi: int, q: int
+    ) -> Optional[Tuple[Tuple[int, int], Tuple[int, int]]]:
+        """Bounds ``(a, b), (c, d)`` with a/b <= N(x)/D(x) <= c/d on [lo/q, hi/q].
+
+        Requires 0 <= lo <= hi; b and d are positive and nothing is
+        reduced.  N and D are each split into their positive and negative
+        coefficient parts, which increase on x >= 0, so the parts at the
+        two ends bound N and D.  For lo == hi the bounds are the exact
+        value, and D(x) = 0 raises ``singular transient system``; otherwise
+        a D enclosure that contains 0 gives None.  All four ends share the
+        scale q^degree, which cancels.
+        """
         degree = max(len(self.N), len(self.D)) - 1
+        if lo == hi:
+            num, den = _horner(self.N, lo, q, degree), _horner(self.D, lo, q, degree)
+            if den == 0:
+                raise ValueError("singular transient system")
+            if den < 0:
+                num, den = -num, -den
+            return (num, den), (num, den)
 
-        def scaled(coeffs: List[int]) -> int:
-            # q^degree * poly(p/q), from the top coefficient down.
-            acc, qk = 0, q ** (degree + 1 - len(coeffs))
-            for c in reversed(coeffs):
-                acc = acc * p + c * qk
-                qk *= q
-            return acc
+        def bounds(coeffs: List[int]) -> Tuple[int, int]:
+            pos = [max(c, 0) for c in coeffs]
+            neg = [max(-c, 0) for c in coeffs]
+            return (
+                _horner(pos, lo, q, degree) - _horner(neg, hi, q, degree),
+                _horner(pos, hi, q, degree) - _horner(neg, lo, q, degree),
+            )
 
-        den = scaled(self.D)
-        if den == 0:
-            raise ValueError("singular transient system")
-        return Fraction(scaled(self.N), den)
+        n_lo, n_hi = bounds(self.N)
+        d_lo, d_hi = bounds(self.D)
+        if d_lo <= 0 <= d_hi:
+            return None
+        if d_hi < 0:
+            n_lo, n_hi, d_lo, d_hi = -n_hi, -n_lo, -d_hi, -d_lo
+        return (
+            (n_lo, d_hi if n_lo >= 0 else d_lo),
+            (n_hi, d_lo if n_hi >= 0 else d_hi),
+        )
 
     def series(self, order: int) -> Poly:
         """Taylor coefficients of N/D at eps = 0, up to eps^order."""

@@ -15,6 +15,11 @@ A threshold is the noise rate where one level of encoding stops helping:
 Roots are found by exact bisection on Fraction arithmetic; the recursion
 callables themselves are exact (the chain's rational function N/D or fixed
 reference polynomials), so a sign is never ambiguous.
+
+Concatenation iterates a rate N/D level by level.  The exact level-k rate
+grows 7-40x in bit length per level, so ``concat_projection`` carries an
+outward-rounded interval of bounded precision instead and returns each
+level's double, proven to be ``float()`` of the exact rate.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .exact_arith import Poly
+from .markov_engine import FailureRate, build_chain, failure_rate
 
 Recursion = Callable[[Fraction], Fraction]
 
@@ -88,21 +93,22 @@ REFERENCE_SERIES_LOSSY = Poly(
 )
 
 
+# The binomial tail sum_{i>=3} C(7, i) delta^i (1 - delta)^(7 - i).
+MEASUREMENT_TAIL = FailureRate([0, 0, 0, 35, -105, 126, -70, 15], [1])
+
+
 def measurement_recursion(delta: Fraction) -> Fraction:
     """Encoded measurement failure rate: binomial tail over weight >= 3.
 
     Encoded basis states are codeword superpositions of a [7,4,3] classical
     code, so lost single-qubit readouts act as classical erasures; weight
     <= 2 losses are always decodable and everything heavier is counted as
-    an encoded failure.
+    an encoded failure.  The tail is ``MEASUREMENT_TAIL``.
     """
     d = Fraction(delta)
     if not 0 <= d <= 1:
         raise ValueError("delta must lie in [0, 1]")
-    total = Fraction(0)
-    for i in range(3, 8):
-        total += comb(7, i) * d**i * (1 - d) ** (7 - i)
-    return total
+    return MEASUREMENT_TAIL(d)
 
 
 def solve_break_even(
@@ -151,37 +157,81 @@ def solve_break_even(
     return ThresholdResult((lo + hi) / 2, (lo, hi), iterations, condition)
 
 
-# Largest denominator, in bits, of a rate that concat_projection feeds to
-# the recursion.  Each level multiplies the bit length (by about 16 for the
-# ideal chain, 40 for the lossy one and 7 for measurement), and a level
-# past this size takes minutes or does not finish.
-MAX_RATE_BITS = 1 << 17
+# Finest grid, 2^-_GRID_BITS, that concat_projection rounds a rate to: below
+# the smallest subnormal double, 2^-1074, so a rate that underflows still
+# gets its double, yet is carried in no more bits than one that does not.
+_GRID_BITS = 1100
 
 
-def concat_projection(
-    recursion: Recursion, eps0: Fraction, levels: int
-) -> List[Fraction]:
-    """Per-level failure rates from iterating the level-1 recursion.
+def concat_projection(rate: FailureRate, eps0: Fraction, levels: int) -> List[float]:
+    """Per-level failure rates from iterating the level-1 rate, as doubles.
 
     Worst-case assumption: every concatenation level sees the same encoded
-    error model, so level k is the recursion applied k times.  A level
-    whose input rate has a denominator of more than MAX_RATE_BITS bits is
-    a ValueError naming that level.
+    error model, so level k is the rate function applied k times.  Each
+    returned double is ``float()`` of that exact level-k rational, proven
+    by interval enclosure (Moore, *Interval Analysis*, 1966) rather than by
+    carrying the rationals, whose bit length grows 7-40x per level.
+    ``rate`` must map [0, 1] into [0, 1], as a failure probability does.
+
+    Every level encloses its exact rate in [lo, hi] (``FailureRate.enclose``),
+    clamps that to [0, 1] and rounds it outward to ``bits`` significant bits
+    on a grid no finer than 2^-1100; a value whose numerator and
+    denominator both fit in ``bits`` bits is kept exact.  Rounding to the
+    nearest double is monotone, so when both ends round to the same double
+    it is the exact rate's.  When they do not, or an enclosure of D holds
+    0, every level is recomputed from eps0 with twice the bits, starting
+    from 64.  With enough bits every exact rate is kept, so the loop ends.
+    Below threshold it ends at 64 or 128 bits; ten lossy levels driven
+    towards 1 take 1024, because near 1 the coefficient parts of N and D
+    nearly cancel and widen the enclosure.
     """
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    rates: List[Fraction] = []
     x = Fraction(eps0)
+    if not 0 <= x <= 1:
+        raise ValueError("eps0 must lie in [0, 1]")
+    bits = 64
+    while True:
+        rates = _certified_levels(rate, x, levels, bits)
+        if rates is not None:
+            return rates
+        bits *= 2
+
+
+def _certified_levels(
+    rate: FailureRate, x: Fraction, levels: int, bits: int
+) -> Optional[List[float]]:
+    """Each level's proven double at ``bits`` of precision, or None."""
+    lo = hi = x.numerator  # the rate lies in [lo/q, hi/q]
+    q = x.denominator
+    out: List[float] = []
     for level in range(1, levels + 1):
-        bits = x.denominator.bit_length()
-        if bits > MAX_RATE_BITS:
-            raise ValueError(
-                f"level {level}: its input rate has a {bits}-bit denominator, "
-                f"more than {MAX_RATE_BITS} bits"
-            )
-        x = recursion(x)
-        rates.append(x)
-    return rates
+        bounds = rate.enclose(lo, hi, q)
+        if bounds is None:
+            return None
+        (a, b), (c, d) = bounds
+        if c < 0 or a > b:
+            raise ValueError(f"level {level}: the rate leaves [0, 1]")
+        if (a, b) == (c, d):
+            exact = Fraction(a, b)
+            lo = hi = exact.numerator
+            q = exact.denominator
+            if max(lo.bit_length(), q.bit_length()) <= bits:
+                out.append(lo / q)
+                continue
+        if a < 0:
+            a, b = 0, 1
+        if c > d:
+            c, d = 1, 1
+        shift = min(bits - c.bit_length() + d.bit_length(), _GRID_BITS)
+        lo = (a << shift) // b
+        hi = -((-c << shift) // d)
+        q = 1 << shift
+        low, high = lo / q, hi / q
+        if low != high:
+            return None
+        out.append(low)
+    return out
 
 
 def polynomial_recursion(poly: Poly) -> Recursion:
@@ -193,11 +243,10 @@ def polynomial_recursion(poly: Poly) -> Recursion:
     return rec
 
 
-def chain_recursion(model_name: str, config=None) -> Recursion:
-    """Exact full-chain recursion for 'ideal' or 'lossy' (delta = eps)."""
+def chain_recursion(model_name: str, config=None) -> FailureRate:
+    """Exact full-chain rate N/D for 'ideal' or 'lossy' (delta = eps)."""
     from .correction_circuits import DEFAULT_FAULT_MODEL
     from .erasure_model import ModelParams
-    from .markov_engine import build_chain, failure_rate
 
     if model_name == "ideal":
         params = ModelParams.ideal()
@@ -206,7 +255,7 @@ def chain_recursion(model_name: str, config=None) -> Recursion:
     else:
         raise ValueError("model must be 'ideal' or 'lossy'")
     cfg = config if config is not None else DEFAULT_FAULT_MODEL
-    return failure_rate(build_chain(params, config=cfg)).at
+    return failure_rate(build_chain(params, config=cfg))
 
 
 def default_bracket(condition: BreakEvenCondition) -> Tuple[Fraction, Fraction]:

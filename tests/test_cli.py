@@ -228,15 +228,14 @@ class TestConcat:
         )
         assert proc.returncode == 2
 
-    def test_oversized_rate_rejected_naming_the_level(self):
-        # Level 4 returns a rate with a 277,008-bit denominator.
-        proc = run_cli(
-            "concat", "--model", "ideal", "--eps0", "1/19", "--levels", "5",
-            check=False,
+    def test_ideal_level_five_prints(self):
+        # Level 4's exact rate has a 277,008-bit denominator; each level
+        # prints the double of its exact rate without carrying it.
+        data = json.loads(
+            run_cli("concat", "--model", "ideal", "--eps0", "1/19", "--levels", "5").stdout
         )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert json.loads(proc.stderr)["error"].startswith("level 5:")
+        assert [level["level"] for level in data["levels"]] == [1, 2, 3, 4, 5]
+        assert data["levels"][4]["rate"] == 1.3910727308118855e-95
 
 
 @pytest.mark.parametrize(
@@ -261,6 +260,8 @@ class TestConcat:
         (("sweep", "--model", "ideal", "--grid", ""), "--grid"),
         (("sweep", "--model", "ideal", "--grid", ","), "--grid"),
         (("sweep", "--model", "ideal", "--grid", "1/10,,1/5"), "--grid"),
+        (("concat", "--model", "measurement", "--eps0", "1/10", "--levels", "-1"), "--levels"),
+        (("concat", "--model", "measurement", "--eps0", "1/10", "--levels", "11"), "--levels"),
     ],
 )
 def test_out_of_domain_argument_rejected(args, flag):

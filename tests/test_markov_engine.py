@@ -18,6 +18,7 @@ from erasurechain.erasure_model import (
     pattern_weight,
 )
 from erasurechain.markov_engine import (
+    FailureRate,
     build_chain,
     encoded_failure_at,
     failure_rate,
@@ -391,4 +392,37 @@ class TestFractionFreeSolve:
         for _ in range(3):
             x = fraction_oracle(chain, x, F(0))
             expected.append(x)
-        assert concat_projection(chain_recursion("ideal"), F(1, 19), 3) == expected
+        assert concat_projection(chain_recursion("ideal"), F(1, 19), 3) == [
+            float(x) for x in expected
+        ]
+
+
+class TestEnclose:
+    @pytest.mark.parametrize(
+        "rate",
+        [
+            FailureRate([-1, 3], [1, 1]),  # negative numerator near 0
+            FailureRate([1], [-2, -1]),  # negative denominator
+            FailureRate([0, 0, 0, 35, -105, 126, -70, 15], [1]),
+        ],
+        ids=["negative-numerator", "negative-denominator", "measurement-tail"],
+    )
+    def test_bounds_hold_the_rate_on_the_interval(self, rate):
+        rng = random.Random(5)
+        for _ in range(40):
+            q = rng.randint(1, 10**6)
+            lo, hi = sorted(rng.randint(0, q) for _ in range(2))
+            (a, b), (c, d) = rate.enclose(lo, hi, q)
+            assert b > 0 and d > 0
+            for k in range(5):
+                x = F(lo, q) + F(hi - lo, q) * F(k, 4)
+                assert F(a, b) <= rate.at(x) <= F(c, d)
+            if lo == hi:
+                assert F(a, b) == F(c, d) == rate.at(F(lo, q))
+
+    def test_denominator_holding_zero(self):
+        rate = FailureRate([1], [1, -2])
+        assert rate.enclose(0, 1, 1) is None
+        with pytest.raises(ValueError, match="singular transient system"):
+            rate.enclose(1, 1, 2)
+

@@ -1,14 +1,19 @@
 from fractions import Fraction as F
+from functools import lru_cache
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from erasurechain.markov_engine import FailureRate
 from erasurechain.threshold_solver import (
+    MEASUREMENT_TAIL,
     BreakEvenCondition,
-    MAX_RATE_BITS,
     NoSignChange,
     REFERENCE_SERIES_IDEAL,
     REFERENCE_SERIES_LOSSY,
+    chain_recursion,
     concat_projection,
     default_bracket,
     measurement_recursion,
@@ -20,6 +25,29 @@ from erasurechain.threshold_solver import (
 def binomial_tail(d: F) -> F:
     """Independent oracle for the measurement recursion."""
     return sum(comb(7, i) * d**i * (1 - d) ** (7 - i) for i in range(3, 8))
+
+
+def exact_levels(rate: FailureRate, eps0: F, levels: int) -> list:
+    """Oracle for concat_projection: the exact Fraction iterate of the rate."""
+    x, out = F(eps0), []
+    for _ in range(levels):
+        x = rate.at(x)
+        out.append(x)
+    return out
+
+
+def oracle_floats(rate: FailureRate, eps0: F, levels: int) -> list:
+    return [float(x) for x in exact_levels(rate, eps0, levels)]
+
+
+IDENTITY = FailureRate([0, 1], [1])
+SQUARE = FailureRate([0, 0, 1], [1])
+QUARTIC = FailureRate([0, 0, 0, 0, 1], [1])
+
+
+@lru_cache(maxsize=None)
+def rate_of(model: str) -> FailureRate:
+    return MEASUREMENT_TAIL if model == "measurement" else chain_recursion(model)
 
 
 class TestMeasurementRecursion:
@@ -118,43 +146,110 @@ class TestSolveBreakEven:
 
 class TestConcatProjection:
     def test_zero_stays_zero(self):
-        rates = concat_projection(measurement_recursion, F(0), 5)
-        assert rates == [F(0)] * 5
+        rates = concat_projection(MEASUREMENT_TAIL, F(0), 5)
+        assert rates == oracle_floats(MEASUREMENT_TAIL, F(0), 5) == [0.0] * 5
 
     def test_exact_fixed_point_is_constant(self):
-        rates = concat_projection(lambda x: x * x, F(1), 4)
-        assert rates == [F(1)] * 4
+        rates = concat_projection(SQUARE, F(1), 4)
+        assert rates == oracle_floats(SQUARE, F(1), 4) == [1.0] * 4
 
     def test_measurement_iteration_decreasing(self):
-        rates = concat_projection(measurement_recursion, F(1, 10), 3)
-        assert rates[0] == binomial_tail(F(1, 10))
-        assert rates[0] == F(51383, 2000000)
-        assert abs(float(rates[0]) - 0.0256915) < 1e-7
+        rates = concat_projection(MEASUREMENT_TAIL, F(1, 10), 3)
+        exact = exact_levels(MEASUREMENT_TAIL, F(1, 10), 3)
+        assert exact[0] == binomial_tail(F(1, 10)) == F(51383, 2000000)
+        assert rates == [float(x) for x in exact]
+        assert abs(rates[0] - 0.0256915) < 1e-7
         assert rates[0] > rates[1] > rates[2]
 
     def test_below_threshold_decreases_above_increases(self):
-        below = concat_projection(measurement_recursion, F(1, 5), 4)
-        assert all(a > b for a, b in zip([F(1, 5)] + below, below))
-        above = concat_projection(measurement_recursion, F(27, 100), 2)
-        assert above[0] > F(27, 100)
+        below = concat_projection(MEASUREMENT_TAIL, F(1, 5), 4)
+        assert below == oracle_floats(MEASUREMENT_TAIL, F(1, 5), 4)
+        assert all(a > b for a, b in zip([0.2] + below, below))
+        above = concat_projection(MEASUREMENT_TAIL, F(27, 100), 2)
+        assert above == oracle_floats(MEASUREMENT_TAIL, F(27, 100), 2)
+        assert above[0] > 0.27
 
     def test_negative_levels_rejected(self):
         with pytest.raises(ValueError):
-            concat_projection(measurement_recursion, F(1, 10), -1)
+            concat_projection(MEASUREMENT_TAIL, F(1, 10), -1)
 
-    def test_oversized_input_rate_rejected(self):
-        # x^4 quadruples the bit length: level 9 starts from 1/3^65536
-        # (103,872 bits), level 10 from 1/3^262144.
-        rates = concat_projection(lambda x: x**4, F(1, 3), 9)
-        assert rates[-1] == F(1, 3 ** 4**9)
-        with pytest.raises(ValueError, match=r"^level 10: .*415489-bit"):
-            concat_projection(lambda x: x**4, F(1, 3), 10)
+    def test_quartic_map_iterates_past_the_old_bit_cap(self):
+        # x^4 quadruples the bit length: level 10's exact rate is 1/3^(4^10),
+        # with a denominator of about 1.66 million bits.
+        rates = concat_projection(QUARTIC, F(1, 3), 10)
+        assert rates == [float(F(1, 3 ** 4**k)) for k in range(1, 11)]
 
-    def test_rate_bit_limit_is_inclusive(self):
-        at_limit = F(1, 2 ** (MAX_RATE_BITS - 1))
-        assert concat_projection(lambda x: x, at_limit, 1) == [at_limit]
-        with pytest.raises(ValueError, match=r"^level 1: "):
-            concat_projection(lambda x: x, at_limit / 2, 1)
+    def test_rate_at_the_old_bit_cap_iterates(self):
+        at_cap = F(1, 2 ** (1 << 17))
+        assert concat_projection(IDENTITY, at_cap, 2) == [float(at_cap)] * 2 == [0.0] * 2
+
+
+class TestCertifiedConcat:
+    @pytest.mark.parametrize("model", ["ideal", "lossy", "measurement"])
+    @pytest.mark.parametrize(
+        "eps0", [F(0), F(1, 1000), F(1, 19), F(2, 19), F(1, 4), F(9, 10), F(1)], ids=str
+    )
+    def test_matches_exact_oracle(self, model, eps0):
+        rate = rate_of(model)
+        assert concat_projection(rate, eps0, 3) == oracle_floats(rate, eps0, 3)
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(
+        model=st.sampled_from(["ideal", "measurement"]),
+        eps0=st.fractions(min_value=0, max_value=1, max_denominator=10**9),
+        levels=st.integers(0, 3),
+    )
+    def test_matches_exact_oracle_at_random_rates(self, model, eps0, levels):
+        rate = rate_of(model)
+        assert concat_projection(rate, eps0, levels) == oracle_floats(rate, eps0, levels)
+
+    def test_exact_dyadic_level(self):
+        # Level 1 from 1/4 is 3991/16384, kept exact: the next level is
+        # evaluated on a degenerate interval.
+        rates = concat_projection(MEASUREMENT_TAIL, F(1, 4), 2)
+        assert rates[0] == 0.24359130859375 == F(3991, 16384)
+        assert rates == oracle_floats(MEASUREMENT_TAIL, F(1, 4), 2)
+
+    def test_denominator_enclosure_holding_zero_refines(self):
+        # D = 2^100 (2x - 1)^2 + 1 is 1 at x = 1/2, where its positive and
+        # negative coefficient parts are near 2^101.  Level 1 lies within
+        # 2^-70 of 1/2 and is not dyadic, so the 64-bit enclosure of D at
+        # level 2 holds 0 and every level is recomputed with 128 bits.
+        rate = FailureRate([1], [2**100 + 1, -(2**102), 2**102])
+        eps0 = F(1, 2) + F(1, 2**51) * (1 - F(1, 3 * 2**70))
+        assert 0 < rate.at(eps0) - F(1, 2) < F(1, 2**70)
+        assert concat_projection(rate, eps0, 3) == oracle_floats(rate, eps0, 3)
+
+    def test_singular_rate_rejected(self):
+        with pytest.raises(ValueError, match="singular transient system"):
+            concat_projection(FailureRate([0], [0, 1]), F(0), 1)
+
+    def test_rate_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match="level 1: the rate leaves"):
+            concat_projection(FailureRate([2], [1]), F(1, 3), 1)
+        with pytest.raises(ValueError, match="eps0 must lie in"):
+            concat_projection(IDENTITY, F(3, 2), 1)
+
+    @pytest.mark.parametrize(
+        "model, eps0, levels", [("ideal", F(1, 19), 7), ("lossy", F(1, 100), 5)]
+    )
+    def test_deep_levels_match_high_precision(self, model, eps0, levels):
+        mpmath = pytest.importorskip("mpmath")
+        rate = rate_of(model)
+
+        def poly(coeffs, x):
+            acc = mpmath.mpf(0)
+            for c in reversed(coeffs):
+                acc = acc * x + c
+            return acc
+
+        with mpmath.workdps(400):
+            x, expected = mpmath.mpf(eps0.numerator) / eps0.denominator, []
+            for _ in range(levels):
+                x = poly(rate.N, x) / poly(rate.D, x)
+                expected.append(float(x))
+        assert concat_projection(rate, eps0, levels) == expected
+        assert all(expected[:5])
 
 
 class TestResultSerialization:
