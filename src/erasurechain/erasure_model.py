@@ -521,24 +521,31 @@ def initial_distribution(
 
     A pattern's probability depends only on how many of its qubits carry
     each status, so a class's mass is a sum over the distinct compositions
-    among its members, each weighted by how many members share it.  Each
-    composition's product of marginals is built once, from the first
-    pattern that has it; ``pattern_probability`` is the per-pattern form.
+    among its members, each weighted by how many members share it.  The
+    powers 0..7 of each status's marginal are built once and shared by every
+    class, so a composition's product is one product of those powers;
+    ``pattern_probability`` is the per-pattern form.
     """
     if table.model is not params.model:
         raise ValueError("class table and params disagree on the model")
     marginals = qubit_marginals(params, config)
-    products: Dict[Tuple[int, int, int], Poly] = {}
+    alphabet = MODEL_ALPHABET[params.model]
+    powers: Dict[Erasure, List[Poly]] = {}
+    for status in alphabet:
+        powers[status] = [Poly.one()]
+        for _ in range(N_QUBITS):
+            powers[status].append(powers[status][-1] * marginals[status])
     dist: Dict[int, Poly] = {}
     for cls in table.classes:
-        multiplicity: Dict[Tuple[int, int, int], int] = {}
+        multiplicity: Dict[Tuple[int, ...], int] = {}
         for p in cls.members:
-            comp = pattern_counts(p)
-            if comp not in products:
-                products[comp] = _pattern_probability(p, marginals)
+            comp = tuple(p.count(status) for status in alphabet)
             multiplicity[comp] = multiplicity.get(comp, 0) + 1
         mass = Poly.zero()
         for comp, count in multiplicity.items():
-            mass = mass + count * products[comp]
+            product = Poly.one()
+            for status, k in zip(alphabet, comp):
+                product = product * powers[status][k]
+            mass = mass + count * product
         dist[cls.id] = mass
     return dist

@@ -8,9 +8,12 @@ lumping, so a disagreement with the chain points at lumping or assembly.
 A pattern is the base-b integer of its digits over ``MODEL_ALPHABET`` (b =
 2 ideal, 3 lossy; qubit 1 most significant).  The first trial to reach a
 state has it flagged clean, failed or live and, if live, its outcome row
-filled.  Each step draws one uniform u for every live trial and moves it
-to the outcome at the number of cumulative entries <= u; absorbed trials
-are counted and retired.
+filled.  A qubit's injected status is read from its uniform draw u by
+comparison: the number of the marginals' cumulative thresholds below u
+picks the status, and a draw past them all leaves the qubit intact.  Each
+step draws one uniform u for every live trial and moves it to the outcome
+at the number of cumulative entries <= u; absorbed trials are counted and
+retired.
 
 Shard k (at most 2**20 trials) draws from Philox seeded with
 ``SeedSequence(entropy=seed, spawn_key=(k,))``: the (n, 7) injection, then
@@ -81,7 +84,10 @@ class PatternTable:
 
     def visit(self, states: np.ndarray) -> None:
         """Flag, and fill the row of, every state not reached before."""
-        for code in np.unique(states[self.flag[states] == UNSEEN]).tolist():
+        # A mark over the states, not np.unique, whose first call imports numpy.ma.
+        unseen = np.zeros(len(self.flag), dtype=bool)
+        unseen[states[self.flag[states] == UNSEEN]] = True
+        for code in np.flatnonzero(unseen).tolist():
             pattern = tuple(self.alphabet[d] for d in code // self.powers % len(self.alphabet))
             if pattern_weight(pattern) == 0:
                 self.flag[code] = CLEAN
@@ -97,7 +103,8 @@ class PatternTable:
         if extra > 0:
             self.next = np.vstack([self.next, np.zeros((extra, self.next.shape[1]), np.intp)])
             self.cum = np.vstack([self.cum, np.ones((extra, self.cum.shape[1]))])
-        cum = np.cumsum([float(p.evaluate(0, 0)) for _, p in outcomes])
+        # At numeric rates the constant term is the probability.
+        cum = np.cumsum([float(p.coefficient(0, 0)) for _, p in outcomes])
         cum[-1] = 1.0  # guard against float round-off at the top
         digits = [[self.digit[s] for s in q] for q, _ in outcomes]
         self.next[: len(outcomes), code] = np.array(digits) @ self.powers
@@ -118,7 +125,9 @@ def simulate(
     # Per-qubit cumulative thresholds; a draw past them all leaves the qubit intact.
     statuses = [s for s in (Erasure.Z_MEASURED, Erasure.Z_ERASED, Erasure.FULL) if s in marginals]
     thresholds = np.cumsum([float(marginals[s].evaluate(0, 0)) for s in statuses])
-    digits = np.array([table.digit[s] for s in statuses] + [table.digit[Erasure.NONE]])
+    digits = np.array(
+        [table.digit[s] for s in statuses] + [table.digit[Erasure.NONE]], dtype=np.int8
+    )
 
     failures = 0
     for shard, start in enumerate(range(0, trials, SHARD_SIZE)):
@@ -126,10 +135,17 @@ def simulate(
         sequence = np.random.SeedSequence(entropy=seed, spawn_key=(shard,))
         rng = np.random.Generator(np.random.Philox(sequence))
         u = rng.random((n, N_QUBITS))
+        # Each draw's index is the number of thresholds below it; int8 keeps
+        # the (n, 7) temporaries at one byte per qubit.
+        index = np.zeros((n, N_QUBITS), dtype=np.int8)
+        for t in thresholds:
+            index += u > t
+        del u  # the walk keeps only O(live trials) arrays
+        index = digits[index]
         states = np.zeros(n, dtype=np.intp)
         for q in range(N_QUBITS):
-            states += digits[np.searchsorted(thresholds, u[:, q])] * table.powers[q]
-        del u  # the walk keeps only O(live trials) arrays
+            states += index[:, q] * table.powers[q]
+        del index
         failures += _absorb(states, table, rng)
 
     mean = failures / trials

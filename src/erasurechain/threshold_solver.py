@@ -183,7 +183,10 @@ def concat_projection(rate: FailureRate, eps0: Fraction, levels: int) -> List[fl
     from 64.  With enough bits every exact rate is kept, so the loop ends.
     Below threshold it ends at 64 or 128 bits; ten lossy levels driven
     towards 1 take 1024, because near 1 the coefficient parts of N and D
-    nearly cancel and widen the enclosure.
+    nearly cancel and widen the enclosure.  A level whose rounded interval
+    equals the one it started from, such as one that underflows to 0 on the
+    2^-1100 grid, is a fixed point: its double is repeated for every later
+    level without evaluating them.
     """
     if levels < 0:
         raise ValueError("levels must be >= 0")
@@ -206,6 +209,7 @@ def _certified_levels(
     q = x.denominator
     out: List[float] = []
     for level in range(1, levels + 1):
+        state = (lo, hi, q)
         bounds = rate.enclose(lo, hi, q)
         if bounds is None:
             return None
@@ -216,21 +220,23 @@ def _certified_levels(
             exact = Fraction(a, b)
             lo = hi = exact.numerator
             q = exact.denominator
-            if max(lo.bit_length(), q.bit_length()) <= bits:
-                out.append(lo / q)
-                continue
-        if a < 0:
-            a, b = 0, 1
-        if c > d:
-            c, d = 1, 1
-        shift = min(bits - c.bit_length() + d.bit_length(), _GRID_BITS)
-        lo = (a << shift) // b
-        hi = -((-c << shift) // d)
-        q = 1 << shift
-        low, high = lo / q, hi / q
-        if low != high:
-            return None
-        out.append(low)
+        if (a, b) != (c, d) or max(lo.bit_length(), q.bit_length()) > bits:
+            if a < 0:
+                a, b = 0, 1
+            if c > d:
+                c, d = 1, 1
+            shift = min(bits - c.bit_length() + d.bit_length(), _GRID_BITS)
+            lo = (a << shift) // b
+            hi = -((-c << shift) // d)
+            q = 1 << shift
+            if lo / q != hi / q:
+                return None
+        out.append(lo / q)
+        if (lo, hi, q) == state:
+            # Each level's state is a function of the last one's, so a level
+            # that returns its own state repeats it, and its double, forever.
+            out.extend([out[-1]] * (levels - level))
+            return out
     return out
 
 

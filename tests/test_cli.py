@@ -309,3 +309,23 @@ class TestCircuitConfig:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "error" in json.loads(proc.stderr)
+
+
+def test_cold_imports():
+    # The CLI imports neither numpy.ma nor numpy.random at startup, and a
+    # Monte Carlo run does not import numpy.ma.
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import erasurechain.cli\n"
+        "assert 'numpy.ma' not in sys.modules, 'cli imports numpy.ma'\n"
+        "assert 'numpy.random' not in sys.modules, 'cli imports numpy.random'\n"
+        "from erasurechain.erasure_model import ModelParams\n"
+        "from erasurechain.montecarlo import simulate\n"
+        "simulate(ModelParams.lossy(Fraction(1, 10), Fraction(1, 7)), 1000, 1)\n"
+        "assert 'numpy.ma' not in sys.modules, 'simulate imports numpy.ma'\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=600, env=ENV
+    )
+    assert done.returncode == 0, done.stderr

@@ -295,6 +295,13 @@ class TestInitialDistribution:
             (Model.IDEAL, ModelParams.ideal(), None),
             (Model.LOSSY, ModelParams.lossy(), None),
             (Model.LOSSY, ModelParams.lossy(), per_teleportation),
+            (Model.LOSSY, ModelParams.lossy_diagonal(), None),
+            (Model.LOSSY, ModelParams.lossy(F(1, 50), F(1, 30)), None),
+            (
+                Model.LOSSY,
+                ModelParams.lossy(),
+                FaultModel(helper_detections=2, coupling_full_fraction=F(1, 2)),
+            ),
         ):
             table = build_classes(model, config=config)
             dist = initial_distribution(params, table, config)

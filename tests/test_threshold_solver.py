@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from erasurechain.correction_circuits import Construction, FaultModel
 from erasurechain.markov_engine import FailureRate
 from erasurechain.threshold_solver import (
     MEASUREMENT_TAIL,
@@ -229,6 +230,29 @@ class TestCertifiedConcat:
             concat_projection(FailureRate([2], [1]), F(1, 3), 1)
         with pytest.raises(ValueError, match="eps0 must lie in"):
             concat_projection(IDENTITY, F(3, 2), 1)
+
+    def test_levels_past_a_fixed_point_are_not_evaluated(self, monkeypatch):
+        # Level 5 underflows to the 2^-1100 grid and level 6 rounds back to
+        # the same interval, so levels 7-10 repeat its 0.0 unevaluated.
+        calls = []
+        enclose = FailureRate.enclose
+
+        def spy(self, lo, hi, q):
+            calls.append((lo, hi, q))
+            return enclose(self, lo, hi, q)
+
+        monkeypatch.setattr(FailureRate, "enclose", spy)
+        config = FaultModel(construction=Construction.PER_TELEPORTATION)
+        rates = concat_projection(chain_recursion("lossy", config), F(1, 1000), 10)
+        assert rates == [
+            9.690759173744745e-07,
+            8.536707284834112e-16,
+            5.835445385871647e-43,
+            1.8639096847047979e-124,
+        ] + [0.0] * 6
+        assert len(calls) <= 6
+        rates = concat_projection(rate_of("ideal"), F(1, 19), 10)
+        assert rates[5:] == [1.3190024180416206e-283] + [0.0] * 4
 
     @pytest.mark.parametrize(
         "model, eps0, levels", [("ideal", F(1, 19), 7), ("lossy", F(1, 100), 5)]
