@@ -31,11 +31,7 @@ from .erasure_model import (
     pattern_counts,
     pattern_weight,
 )
-from .markov_engine import (
-    build_chain,
-    encoded_failure_at,
-    recursion_series,
-)
+from .markov_engine import build_chain, encoded_failure_at
 from .montecarlo import compare, simulate
 from .threshold_solver import (
     BreakEvenCondition,
@@ -47,8 +43,6 @@ from .threshold_solver import (
     chain_recursion,
     concat_projection,
     default_bracket,
-    measurement_recursion,
-    polynomial_recursion,
     solve_break_even,
 )
 
@@ -108,13 +102,17 @@ def _parse_bracket(text: str) -> Tuple[Fraction, Fraction]:
     if len(parts) != 2:
         raise CliError(f"--bracket must be two rationals lo,hi, got {text!r}")
     lo, hi = (_parse_fraction(p) for p in parts)
-    if not 0 <= lo < hi <= 1:
-        raise CliError(f"--bracket must satisfy 0 <= lo < hi <= 1, got {text}")
+    # Every rate and target is 0 at 0, and ideal and measurement also meet
+    # at 1: a bracket reaching either end would return that trivial root.
+    if not 0 < lo < hi < 1:
+        raise CliError(f"--bracket must satisfy 0 < lo < hi < 1, got {text}")
     return lo, hi
 
 
 # Largest number of points a lo:hi:step grid may expand to.
 MAX_GRID_POINTS = 10_000
+# Highest series order: lossy order 1000 prints in about a second.
+MAX_SERIES_ORDER = 1000
 
 
 def _parse_grid(text: str) -> List[Fraction]:
@@ -125,6 +123,8 @@ def _parse_grid(text: str) -> List[Fraction]:
         lo, hi, step = (_parse_fraction(p) for p in parts)
         if step <= 0:
             raise CliError("grid step must be positive")
+        if lo > hi:
+            raise CliError(f"grid range lo:hi:step must have lo <= hi, got {text}")
         # Checked from its ends and its point count before it is expanded.
         _check_grid_values((lo, hi))
         count = (hi - lo) // step + 1
@@ -156,6 +156,11 @@ def _check_grid_values(values) -> None:
 def _check_at_least(value: int, least: int, flag: str) -> None:
     if value < least:
         raise CliError(f"{flag} must be >= {least}, got {value}")
+
+
+def _check_at_most(value: int, most: int, flag: str) -> None:
+    if value > most:
+        raise CliError(f"{flag} must be <= {most}, got {value}")
 
 
 def _model_params(model: str, eps=None, delta=None) -> ModelParams:
@@ -228,12 +233,13 @@ def cmd_chain(args, config: FaultModel) -> dict:
 
 
 def cmd_series(args, config: FaultModel) -> dict:
+    _check_at_least(args.order, 0, "--order")
+    _check_at_most(args.order, MAX_SERIES_ORDER, "--order")
     model = Model(args.model)
-    params = ModelParams.ideal() if model is Model.IDEAL else ModelParams.lossy()
-    series = recursion_series(params, args.order, config=config)
+    series = chain_recursion(args.model, config=config).series(args.order)
     reference = (
         REFERENCE_SERIES_IDEAL if model is Model.IDEAL else REFERENCE_SERIES_LOSSY
-    )
+    ).series(6)
     return {
         "model": model.value,
         "order": args.order,
@@ -260,15 +266,15 @@ def cmd_threshold(args, config: FaultModel) -> dict:
     target_config = None
     if args.model == "measurement":
         condition = BreakEvenCondition.MEASUREMENT
-        recursion = measurement_recursion
+        rate = MEASUREMENT_TAIL
         provenance = "binomial measurement recursion"
     elif args.fixture == "ideal-ref":
         condition = BreakEvenCondition.IDEAL_GATE
-        recursion = polynomial_recursion(REFERENCE_SERIES_IDEAL)
+        rate = REFERENCE_SERIES_IDEAL
         provenance = "reference truncated series (ideal)"
     elif args.fixture == "lossy-ref":
         condition = BreakEvenCondition.LOSSY_GATE
-        recursion = polynomial_recursion(REFERENCE_SERIES_LOSSY)
+        rate = REFERENCE_SERIES_LOSSY
         provenance = "reference truncated series (lossy)"
     else:
         condition = (
@@ -276,7 +282,7 @@ def cmd_threshold(args, config: FaultModel) -> dict:
             if args.model == "ideal"
             else BreakEvenCondition.LOSSY_GATE
         )
-        recursion = chain_recursion(args.model, config=config)
+        rate = chain_recursion(args.model, config=config)
         provenance = "full absorbing chain"
         target_config = config
 
@@ -284,13 +290,13 @@ def cmd_threshold(args, config: FaultModel) -> dict:
         bracket = default_bracket(condition)
 
     try:
-        result = solve_break_even(recursion, condition, bracket, tol, target_config)
+        result = solve_break_even(rate, condition, bracket, tol, target_config)
     except NoSignChange as exc:
         samples = {}
         lo, hi = bracket
         for k in range(5):
             x = lo + (hi - lo) * Fraction(k, 4)
-            samples[f"{float(x):.6g}"] = float(recursion(x) - condition.target(x, target_config))
+            samples[f"{float(x):.6g}"] = float(rate(x) - condition.target(x, target_config))
         raise CliError(
             json.dumps(
                 {
@@ -321,13 +327,13 @@ def cmd_sweep(args, config: FaultModel) -> dict:
     _check_at_least(args.trials, 0, "--trials")
     _check_at_least(args.seed, 0, "--seed")
     grid = _parse_grid(args.grid)
-    recursion = chain_recursion(args.model, config=config)
+    rate = chain_recursion(args.model, config=config)
 
     rows = []
     for x in grid:
         row = {
             "eps": float(x),
-            "encoded_failure_exact": float(recursion(x)),
+            "encoded_failure_exact": float(rate(x)),
         }
         if args.trials:
             numeric = _model_params(args.model, x)
@@ -351,15 +357,12 @@ def cmd_mc(args, config: FaultModel) -> dict:
         if args.delta is not None:
             raise CliError("--delta applies only to --model lossy")
         numeric = ModelParams.ideal(eps)
-        symbolic = ModelParams.ideal()
         d = Fraction(0)
     else:
         d = delta if delta is not None else eps
         numeric = ModelParams.lossy(eps, d)
-        symbolic = ModelParams.lossy()
     est = simulate(numeric, args.trials, seed=args.seed, config=config)
-    chain = build_chain(symbolic, config=config)
-    exact = encoded_failure_at(chain, eps, d)
+    exact = encoded_failure_at(build_chain(numeric, config=config))
     report = compare(exact, est)
     return {
         "model": model.value,
@@ -378,8 +381,7 @@ def cmd_mc(args, config: FaultModel) -> dict:
 def cmd_concat(args, config: FaultModel) -> dict:
     eps0 = _parse_rate(args.eps0, "--eps0")
     _check_at_least(args.levels, 0, "--levels")
-    if args.levels > 10:
-        raise CliError(f"--levels must be <= 10, got {args.levels}")
+    _check_at_most(args.levels, 10, "--levels")
     if args.model == "measurement":
         rate = MEASUREMENT_TAIL
     else:

@@ -35,8 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .exact_arith import Poly
 from .pauli_algebra import N_QUBITS, supports_logical
@@ -230,13 +232,20 @@ class EquivClass:
     members: Tuple[Pattern, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassTable:
+    """Classes in id order and the class id of every pattern; read-only,
+    since ``build_classes`` shares one table among all its callers."""
+
     model: Model
-    classes: List[EquivClass]
-    index: Dict[Pattern, int] = field(repr=False)
+    classes: Tuple[EquivClass, ...]
+    index: Mapping[Pattern, int] = field(repr=False, hash=False)
     clean_id: int
     fail_id: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "classes", tuple(self.classes))
+        object.__setattr__(self, "index", MappingProxyType(dict(self.index)))
 
     def class_of(self, pattern: Pattern) -> int:
         return self.index[pattern]
@@ -279,11 +288,18 @@ def build_classes(model: Model, config=None) -> ClassTable:
     erasure composition) and the grouping is refined until one attempt's
     class-level outcome distribution is literally identical, as exact
     polynomials, for every member of every class.  The returned table is
-    therefore already sound (see ``_refine_partition``).
+    therefore already sound (see ``_refine_partition``).  It is built once
+    per (model, FaultModel), ``None`` meaning the default, and shared.
     """
-    from .correction_circuits import DEFAULT_FAULT_MODEL, fail_sink
+    from .correction_circuits import DEFAULT_FAULT_MODEL
 
-    fault_model = config if config is not None else DEFAULT_FAULT_MODEL
+    return _class_table(model, config if config is not None else DEFAULT_FAULT_MODEL)
+
+
+@lru_cache(maxsize=8)
+def _class_table(model: Model, fault_model) -> ClassTable:
+    from .correction_circuits import fail_sink
+
     params = (
         ModelParams.ideal() if model is Model.IDEAL else ModelParams.lossy()
     )

@@ -9,16 +9,15 @@ ideal hardware, an encoded full erasure under lossy hardware).
 The encoded failure rate is the probability of absorbing into the sink,
 starting from the distribution injected by one encoded gate.  It comes
 from one elimination: a fraction-free (Bareiss) pass over the bordered
-absorbing system, written once and run in two rings:
-
-* over integer polynomials in eps, for a chain in eps alone (ideal, or
-  lossy on the delta = eps diagonal), giving the rate as one rational
-  function N/D; series are its Taylor division, numeric rates (what
-  threshold searches use) are N(x)/D(x) by Horner on integers, and
-  concatenation encloses N/D over an interval of rates by the same Horner
-  on the positive and negative coefficient parts;
-* over the integers, for a chain evaluated at one point (eps, delta),
-  which covers the lossy model off the diagonal.
+absorbing system, over integer polynomials in eps.  A chain in eps alone
+(ideal, or lossy on the delta = eps diagonal) gives the rate as one
+rational function N/D; series are its Taylor division, numeric rates (what
+threshold searches use) are N(x)/D(x) by Horner on integers, and
+concatenation encloses N/D over an interval of rates by the same Horner on
+the positive and negative coefficient parts.  A rate at any one point
+(eps, delta) is the same elimination of the chain built at that point,
+whose entries are constants; its class table is the symbolic one, which
+``build_classes`` proved sound as polynomials and so at every point.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from typing import Dict, List, Optional, Tuple
 from .exact_arith import Poly
 from .erasure_model import (
     ClassTable,
-    Model,
     ModelParams,
     build_classes,
     initial_distribution,
@@ -76,26 +74,24 @@ class TransitionMatrix:
         }
 
 
-@dataclass
-class ChainResult:
-    encoded_failure: Fraction
-
-
 def build_chain(
     params: ModelParams,
     table: Optional[ClassTable] = None,
-    config: FaultModel = DEFAULT_FAULT_MODEL,
+    config: Optional[FaultModel] = None,
 ) -> TransitionMatrix:
     """Assemble the class-level transition matrix for one attempt.
 
-    A table passed in is checked with ``verify_class_soundness`` (a
-    mismatch raises ClassUnsound).  A table built here comes from
+    ``config`` None is the default FaultModel.  A table passed in is
+    checked with ``verify_class_soundness`` (a mismatch raises
+    ClassUnsound).  A table built here is the shared one from
     ``build_classes``, whose refinement already proved it sound at symbolic
     rates, and so at every substitution of them.  Absorbing rows (clean,
     fail) are identity rows.  Every row must sum to exactly one and, at
     numeric rates, hold no negative entry; otherwise ValueError names the
     class.
     """
+    if config is None:
+        config = DEFAULT_FAULT_MODEL
     if table is None:
         table = build_classes(params.model, config=config)
     elif table.model is not params.model:
@@ -124,36 +120,26 @@ def build_chain(
     return chain
 
 
-def run_to_absorption(
-    chain: TransitionMatrix,
-    initial: Optional[Dict[int, Poly]] = None,
-) -> ChainResult:
-    """Encoded failure probability of a chain built at numeric rates."""
-    if not _is_numeric(chain):
-        raise ValueError("run_to_absorption needs a chain built at numeric rates")
-    return ChainResult(encoded_failure_at(chain, Fraction(0), Fraction(0), initial))
-
-
 def _is_numeric(chain: TransitionMatrix) -> bool:
     eps_const = chain.params.eps.total_degree() <= 0
     delta_const = chain.params.delta.total_degree() <= 0
     return eps_const and delta_const
 
 
-def _solve(chain: TransitionMatrix, initial: Optional[Dict[int, Poly]], to_ring):
-    """(det M, det A * s) of the bordered absorbing system, in one ring.
+def _solve(chain: TransitionMatrix, initial: Optional[Dict[int, Poly]]):
+    """(det M, det A * s) of the bordered absorbing system, in Z[eps].
 
     M stacks each transient row [I - Q | r] (r is the column into the fail
     class) on the border row [-c | c0] (the injected mass on the transient
     classes and on the fail class); A is its top-left transient block.
-    ``to_ring`` maps a row of polynomials to ring elements times a scale
-    and returns that scale (s for the border row).  One fraction-free
-    Bareiss pass (Bareiss 1968) with pivot swaps among the transient rows
-    only leaves det(A) as its m-th pivot and det(M) as its last; every
-    division is exact, so the loop needs only ``*``, ``-``, ``//`` and a
-    nonzero test.  By the Schur complement det(M) / det(A) = s * (c0 +
-    c^T A^-1 r), the absorption probability; a swap flips the sign of both
-    determinants, so the ratio needs no correction.
+    Each row is scaled to integer coefficients (``_eps_row``); s is the
+    border row's scale.  One fraction-free Bareiss pass (Bareiss 1968) with
+    pivot swaps among the transient rows only leaves det(A) as its m-th
+    pivot and det(M) as its last; every division is exact, so the loop
+    needs only ``*``, ``-``, ``//`` and a nonzero test.  By the Schur
+    complement det(M) / det(A) = s * (c0 + c^T A^-1 r), the absorption
+    probability; a swap flips the sign of both determinants, so the ratio
+    needs no correction.
     """
     if initial is None:
         initial = initial_distribution(chain.params, chain.table, chain.config)
@@ -165,9 +151,9 @@ def _solve(chain: TransitionMatrix, initial: Optional[Dict[int, Poly]], to_ring)
     M = []
     for i in transient:
         row = [(one if i == j else zero) - chain.P[i][j] for j in transient]
-        M.append(to_ring(row + [chain.P[i][fail_id]])[0])
+        M.append(_eps_row(row + [chain.P[i][fail_id]])[0])
     border = [-initial.get(j, zero) for j in transient] + [initial.get(fail_id, zero)]
-    values, scale = to_ring(border)
+    values, scale = _eps_row(border)
     M.append(values)
 
     prev = 1
@@ -187,35 +173,14 @@ def _solve(chain: TransitionMatrix, initial: Optional[Dict[int, Poly]], to_ring)
     return M[m][m], prev * scale
 
 
-def encoded_failure_at(
-    chain: TransitionMatrix,
-    eps: Fraction,
-    delta: Fraction,
-    initial: Optional[Dict[int, Poly]] = None,
-) -> Fraction:
-    """Exact absorption probability of a chain at numeric rates.
-
-    Every entry is evaluated at (eps, delta), each row is scaled to
-    integers by the lcm of its denominators, and ``_solve`` runs on Python
-    ints; the answer is reduced once.
-    """
-    eps, delta = Fraction(eps), Fraction(delta)
-
-    def integer_row(row: List[Poly]) -> Tuple[List[int], int]:
-        values = [entry.evaluate(eps, delta) for entry in row]
-        scale = lcm(*(v.denominator for v in values))
-        return [v.numerator * (scale // v.denominator) for v in values], scale
-
-    det_m, det_a = _solve(chain, initial, integer_row)
-    return Fraction(det_m, det_a)
-
-
 class _EpsPoly:
     """Dense polynomial in eps with integer coefficients, lowest degree first.
 
     Only the ring operations ``_solve`` uses; ``//`` is exact division,
-    which is all the elimination asks of it.  An int operand is read as a
-    constant.
+    which is all the elimination asks of it.  The ring's constants may also
+    be plain ints, on either side of an operation: ``_eps_row`` writes a
+    constant entry as an int, so a chain built at numeric rates is
+    eliminated in int arithmetic throughout.
     """
 
     __slots__ = ("c",)
@@ -239,8 +204,14 @@ class _EpsPoly:
         w += min(len(a), len(b)).bit_length() + 1
         return _EpsPoly(_unpack(_pack(a, w) * _pack(b, w), w, len(a) + len(b) - 1))
 
-    def __sub__(self, other: "_EpsPoly") -> "_EpsPoly":
-        return _EpsPoly([x - y for x, y in zip_longest(self.c, other.c, fillvalue=0)])
+    __rmul__ = __mul__
+
+    def __sub__(self, other: "_EpsPoly | int") -> "_EpsPoly":
+        pairs = zip_longest(self.c, _coefficients(other), fillvalue=0)
+        return _EpsPoly([x - y for x, y in pairs])
+
+    def __rsub__(self, other: int) -> "_EpsPoly":
+        return _EpsPoly([other]) - self
 
     def __floordiv__(self, other: "_EpsPoly | int") -> "_EpsPoly":
         # Quotient coefficients from the top down; the lower coefficients
@@ -252,9 +223,15 @@ class _EpsPoly:
             q[k] = (a[k + top] - sum(map(mul, q[k + 1 : k + 1 + top], rb[1:]))) // rb[0]
         return _EpsPoly(q)
 
+    def __rfloordiv__(self, other: int) -> "_EpsPoly":
+        return _EpsPoly([other]) // self
+
 
 def _coefficients(x: "_EpsPoly | int") -> List[int]:
-    return x.c if isinstance(x, _EpsPoly) else [x]
+    """Coefficients, lowest first, with no trailing zero (none for 0)."""
+    if isinstance(x, _EpsPoly):
+        return x.c
+    return [x] if x else []
 
 
 def _pack(coeffs: List[int], w: int) -> int:
@@ -277,8 +254,11 @@ def _unpack(value: int, w: int, n: int) -> List[int]:
     return out
 
 
-def _eps_row(row: List[Poly]) -> Tuple[List[_EpsPoly], int]:
-    """The row times the lcm of its coefficient denominators, and that lcm."""
+def _eps_row(row: List[Poly]) -> Tuple[List["_EpsPoly | int"], int]:
+    """The row times the lcm of its coefficient denominators, and that lcm.
+
+    A constant entry is an int.
+    """
     scale = lcm(*(c.denominator for entry in row for c in entry.terms.values()))
     out = []
     for entry in row:
@@ -287,7 +267,7 @@ def _eps_row(row: List[Poly]) -> Tuple[List[_EpsPoly], int]:
             if j:
                 raise ValueError("failure_rate needs a chain in eps alone; it has a delta term")
             coeffs[i] = c.numerator * (scale // c.denominator)
-        out.append(_EpsPoly(coeffs))
+        out.append(_EpsPoly(coeffs) if len(coeffs) > 1 else sum(coeffs))
     return out, scale
 
 
@@ -385,21 +365,32 @@ def failure_rate(
     (``ModelParams.lossy_diagonal()``) or built at numeric rates; a delta
     term is a ValueError.
     """
-    det_m, det_a = _solve(chain, initial, _eps_row)
-    return FailureRate(det_m.c, det_a.c)
+    det_m, det_a = _solve(chain, initial)
+    return FailureRate(_coefficients(det_m), _coefficients(det_a))
 
 
-def recursion_series(
-    params: ModelParams,
-    order: int,
-    config: FaultModel = DEFAULT_FAULT_MODEL,
-) -> Poly:
-    """Encoded failure rate as an exact series in eps, truncated at ``order``.
+def encoded_failure_at(
+    chain: TransitionMatrix, initial: Optional[Dict[int, Poly]] = None
+) -> Fraction:
+    """Exact absorption probability of a chain built at numeric rates.
 
-    The lossy model is evaluated on the delta = eps diagonal so the result
-    is single-variable in both models.
+    The rate at a point is the rate of the chain built at that point:
+    ``failure_rate`` of a chain whose entries are constants, read at 0.
+    A chain with a symbolic rate is a ValueError.
     """
-    if params.model is Model.LOSSY:
-        params = ModelParams.lossy_diagonal(params.eps)
-    return failure_rate(build_chain(params, config=config)).series(order)
+    if not _is_numeric(chain):
+        raise ValueError("encoded_failure_at needs a chain built at numeric rates")
+    return failure_rate(chain, initial).at(Fraction(0))
 
+
+@dataclass
+class ChainResult:
+    encoded_failure: Fraction
+
+
+def run_to_absorption(
+    chain: TransitionMatrix,
+    initial: Optional[Dict[int, Poly]] = None,
+) -> ChainResult:
+    """Encoded failure probability of a chain built at numeric rates."""
+    return ChainResult(encoded_failure_at(chain, initial))

@@ -12,9 +12,10 @@ A threshold is the noise rate where one level of encoding stops helping:
                                        per_teleportation)
     measurement   delta^(1) = delta
 
-Roots are found by exact bisection on Fraction arithmetic; the recursion
-callables themselves are exact (the chain's rational function N/D or fixed
-reference polynomials), so a sign is never ambiguous.
+Every rate is a ``FailureRate`` N/D: the chain's exact rational function,
+the measurement binomial tail, or a reference polynomial (D = 1).  Roots
+are found by exact bisection on Fraction arithmetic, so a sign is never
+ambiguous.
 
 Concatenation iterates a rate N/D level by level.  The exact level-k rate
 grows 7-40x in bit length per level, so ``concat_projection`` carries an
@@ -27,12 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .exact_arith import Poly
 from .markov_engine import FailureRate, build_chain, failure_rate
-
-Recursion = Callable[[Fraction], Fraction]
 
 
 class BreakEvenCondition(Enum):
@@ -85,44 +83,30 @@ REFERENCE_THRESHOLDS = {
 # quoted lossy threshold is consistent with its polynomial, while the ideal
 # polynomial truncation turns negative well below its quoted threshold and
 # therefore has no fixed point at all in (0, 0.2).
-REFERENCE_SERIES_IDEAL = Poly(
-    {(3, 0): Fraction(56), (4, 0): Fraction(406), (5, 0): Fraction(3878), (6, 0): Fraction(-129675)}
-)
-REFERENCE_SERIES_LOSSY = Poly(
-    {(3, 0): Fraction(1050), (4, 0): Fraction(33173), (5, 0): Fraction(-46242), (6, 0): Fraction(-6861701)}
-)
+REFERENCE_SERIES_IDEAL = FailureRate([0, 0, 0, 56, 406, 3878, -129675], [1])
+REFERENCE_SERIES_LOSSY = FailureRate([0, 0, 0, 1050, 33173, -46242, -6861701], [1])
 
 
-# The binomial tail sum_{i>=3} C(7, i) delta^i (1 - delta)^(7 - i).
+# Encoded measurement failure rate: the binomial tail
+# sum_{i>=3} C(7, i) delta^i (1 - delta)^(7 - i).  Encoded basis states are
+# codeword superpositions of a [7,4,3] classical code, so lost single-qubit
+# readouts act as classical erasures; weight <= 2 losses are always
+# decodable and everything heavier is counted as an encoded failure.
 MEASUREMENT_TAIL = FailureRate([0, 0, 0, 35, -105, 126, -70, 15], [1])
 
 
-def measurement_recursion(delta: Fraction) -> Fraction:
-    """Encoded measurement failure rate: binomial tail over weight >= 3.
-
-    Encoded basis states are codeword superpositions of a [7,4,3] classical
-    code, so lost single-qubit readouts act as classical erasures; weight
-    <= 2 losses are always decodable and everything heavier is counted as
-    an encoded failure.  The tail is ``MEASUREMENT_TAIL``.
-    """
-    d = Fraction(delta)
-    if not 0 <= d <= 1:
-        raise ValueError("delta must lie in [0, 1]")
-    return MEASUREMENT_TAIL(d)
-
-
 def solve_break_even(
-    recursion: Recursion,
+    rate: FailureRate,
     condition: BreakEvenCondition,
     bracket: Tuple[Fraction, Fraction],
     tol: Fraction = Fraction(1, 10**6),
     config=None,
 ) -> ThresholdResult:
-    """Bisection for recursion(x) = condition(x) inside the bracket.
+    """Bisection for rate(x) = condition(x) inside the bracket.
 
-    Requires a sign change of recursion(x) - condition(x) across the
-    bracket and tightens it to width <= tol; exact arithmetic makes the
-    procedure deterministic.  ``config`` is the FaultModel whose
+    Requires a sign change of rate(x) - condition(x) across the bracket
+    and tightens it to width <= tol; exact arithmetic makes the procedure
+    deterministic.  ``config`` is the FaultModel whose
     construction sets the lossy-gate target (default accounting if None).
     """
     lo, hi = Fraction(bracket[0]), Fraction(bracket[1])
@@ -131,8 +115,8 @@ def solve_break_even(
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    g_lo = recursion(lo) - condition.target(lo, config)
-    g_hi = recursion(hi) - condition.target(hi, config)
+    g_lo = rate(lo) - condition.target(lo, config)
+    g_hi = rate(hi) - condition.target(hi, config)
     if g_lo == 0:
         return ThresholdResult(lo, (lo, lo), 0, condition)
     if g_hi == 0:
@@ -146,7 +130,7 @@ def solve_break_even(
     iterations = 0
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        g_mid = recursion(mid) - condition.target(mid, config)
+        g_mid = rate(mid) - condition.target(mid, config)
         iterations += 1
         if g_mid == 0:
             return ThresholdResult(mid, (mid, mid), iterations, condition)
@@ -240,18 +224,8 @@ def _certified_levels(
     return out
 
 
-def polynomial_recursion(poly: Poly) -> Recursion:
-    """Wrap a single-variable polynomial as a recursion callable."""
-
-    def rec(x: Fraction) -> Fraction:
-        return poly.evaluate(x, x)
-
-    return rec
-
-
 def chain_recursion(model_name: str, config=None) -> FailureRate:
     """Exact full-chain rate N/D for 'ideal' or 'lossy' (delta = eps)."""
-    from .correction_circuits import DEFAULT_FAULT_MODEL
     from .erasure_model import ModelParams
 
     if model_name == "ideal":
@@ -260,8 +234,7 @@ def chain_recursion(model_name: str, config=None) -> FailureRate:
         params = ModelParams.lossy_diagonal()
     else:
         raise ValueError("model must be 'ideal' or 'lossy'")
-    cfg = config if config is not None else DEFAULT_FAULT_MODEL
-    return failure_rate(build_chain(params, config=cfg))
+    return failure_rate(build_chain(params, config=config))
 
 
 def default_bracket(condition: BreakEvenCondition) -> Tuple[Fraction, Fraction]:

@@ -24,16 +24,11 @@ from erasurechain.erasure_model import (
     all_patterns,
     classify,
     enumerate_patterns,
-    initial_distribution,
     pattern_support,
     pattern_weight,
     verify_class_soundness,
 )
-from erasurechain.markov_engine import (
-    build_chain,
-    encoded_failure_at,
-    recursion_series,
-)
+from erasurechain.markov_engine import build_chain, encoded_failure_at, run_to_absorption
 from erasurechain.montecarlo import compare, simulate
 from erasurechain.pauli_algebra import all_supports, supports_logical
 from erasurechain.threshold_solver import (
@@ -41,9 +36,9 @@ from erasurechain.threshold_solver import (
     NoSignChange,
     REFERENCE_SERIES_IDEAL,
     REFERENCE_SERIES_LOSSY,
+    MEASUREMENT_TAIL,
+    chain_recursion,
     default_bracket,
-    measurement_recursion,
-    polynomial_recursion,
     solve_break_even,
 )
 
@@ -97,11 +92,8 @@ def test_acceptance_2_structural_series_facts():
     ok = False
     try:
         detail = []
-        for params, name in (
-            (ModelParams.ideal(), "ideal"),
-            (ModelParams.lossy(), "lossy"),
-        ):
-            series = recursion_series(params, 4)
+        for name in ("ideal", "lossy"):
+            series = chain_recursion(name).series(4)
             for k in (0, 1, 2):
                 assert series.coefficient(k) == 0
             c3 = series.coefficient(3)
@@ -119,13 +111,11 @@ def test_acceptance_3_reduced_chain_fidelity(ideal_singleton_table):
     t0 = time.monotonic()
     ok = False
     try:
-        params = ModelParams.ideal()
-        reduced = build_chain(params)
-        unreduced = build_chain(params, table=ideal_singleton_table)
-        assert len(unreduced.table.classes) == 128
         for eps in (F(1, 100), F(1, 10)):
-            a = encoded_failure_at(reduced, eps, F(0))
-            b = encoded_failure_at(unreduced, eps, F(0))
+            a = run_to_absorption(build_chain(ModelParams.ideal(eps)))
+            unreduced = build_chain(ModelParams.ideal(eps), table=ideal_singleton_table)
+            assert len(unreduced.table.classes) == 128
+            b = run_to_absorption(unreduced)
             assert a == b, f"reduced/unreduced mismatch at eps={eps}"
         ok = True
     finally:
@@ -140,13 +130,13 @@ def test_acceptance_4_measurement_threshold():
     ok = False
     try:
         result = solve_break_even(
-            measurement_recursion,
+            MEASUREMENT_TAIL,
             BreakEvenCondition.MEASUREMENT,
             default_bracket(BreakEvenCondition.MEASUREMENT),
         )
         root = float(result.root)
         assert abs(root - 0.2559) <= 0.001
-        quarter = measurement_recursion(F(1, 4))
+        quarter = MEASUREMENT_TAIL(F(1, 4))
         assert abs(float(quarter) - 0.2436) <= 0.0001
         # The commonly quoted figure is 0.25; flag that the computed fixed
         # point differs from that rounding.
@@ -157,7 +147,7 @@ def test_acceptance_4_measurement_threshold():
         elapsed = _report(
             4,
             "measurement threshold 0.2559 (quoted 0.25 flagged), "
-            f"recursion(1/4)={float(measurement_recursion(F(1,4))):.6f}",
+            f"recursion(1/4)={float(MEASUREMENT_TAIL(F(1,4))):.6f}",
             t0,
             ok,
         )
@@ -169,7 +159,7 @@ def test_acceptance_5_solver_validation_on_reference_fixtures():
     ok = False
     try:
         lossy = solve_break_even(
-            polynomial_recursion(REFERENCE_SERIES_LOSSY),
+            REFERENCE_SERIES_LOSSY,
             BreakEvenCondition.LOSSY_GATE,
             (F(1, 100), F(3, 100)),
         )
@@ -177,7 +167,7 @@ def test_acceptance_5_solver_validation_on_reference_fixtures():
 
         with pytest.raises(NoSignChange):
             solve_break_even(
-                polynomial_recursion(REFERENCE_SERIES_IDEAL),
+                REFERENCE_SERIES_IDEAL,
                 BreakEvenCondition.IDEAL_GATE,
                 (F(1, 1000), F(1, 5)),
             )
@@ -198,18 +188,18 @@ def test_acceptance_6_oracle_equivalence():
     ok = False
     lines = []
     try:
-        ideal_chain = build_chain(ModelParams.ideal())
         for eps in (F(1, 100), F(1, 20), F(1, 10)):
-            exact = encoded_failure_at(ideal_chain, eps, F(0))
-            est = simulate(ModelParams.ideal(eps), 10**6, seed=MC_SEED)
+            params = ModelParams.ideal(eps)
+            exact = encoded_failure_at(build_chain(params))
+            est = simulate(params, 10**6, seed=MC_SEED)
             rep = compare(exact, est)
             lines.append(f"ideal eps={float(eps)} z={rep.z:+.2f}")
             assert rep.passed, lines[-1]
 
-        lossy_chain = build_chain(ModelParams.lossy())
         for eps in (F(1, 200), F(1, 100), F(89, 5000)):
-            exact = encoded_failure_at(lossy_chain, eps, eps)
-            est = simulate(ModelParams.lossy(eps, eps), 10**6, seed=MC_SEED)
+            params = ModelParams.lossy(eps, eps)
+            exact = encoded_failure_at(build_chain(params))
+            est = simulate(params, 10**6, seed=MC_SEED)
             rep = compare(exact, est)
             lines.append(f"lossy eps=delta={float(eps)} z={rep.z:+.2f}")
             assert rep.passed, lines[-1]
@@ -234,29 +224,31 @@ def test_acceptance_6_oracle_equivalence():
 
 def _full_chain_root(model, config=DEFAULT_FAULT_MODEL, verify=False):
     """Break-even root of the full chain; ``verify`` also runs the explicit
-    soundness check on its class table."""
+    soundness check on its class table.
+
+    Every bisection point solves the chain built at that point rather
+    than reading ``chain_recursion``'s N/D.
+    """
     if model == "ideal":
-        params = ModelParams.ideal()
+        params = ModelParams.ideal
         condition = BreakEvenCondition.IDEAL_GATE
     else:
-        params = ModelParams.lossy()
+        params = ModelParams.lossy_diagonal
         condition = BreakEvenCondition.LOSSY_GATE
-    chain = build_chain(params, config=config)
     if verify:
-        verify_class_soundness(chain.table, params, config)
-    initial = initial_distribution(params, chain.table, config)
-    if model == "ideal":
-        rec = lambda x: encoded_failure_at(chain, x, F(0), initial)
-    else:
-        rec = lambda x: encoded_failure_at(chain, x, x, initial)
-    return solve_break_even(rec, condition, default_bracket(condition), config=config)
+        verify_class_soundness(build_chain(params(), config=config).table, params(), config)
+
+    def rate(x):
+        return encoded_failure_at(build_chain(params(x), config=config))
+
+    return solve_break_even(rate, condition, default_bracket(condition), config=config)
 
 
 def _coefficient_table(name, computed, reference):
     rows = [f"    {name}: k  computed      reference     deviation"]
     for k in range(3, 7):
         c = computed.coefficient(k)
-        r = reference.coefficient(k)
+        r = reference.series(6).coefficient(k)
         dev = float(c - r)
         rows.append(
             f"          {k}  {float(c):>12.6g}  {float(r):>12.6g}  {dev:+.6g}"
@@ -328,7 +320,7 @@ def test_acceptance_7c_lossy_below_measurement_root():
     try:
         lossy_root = _full_chain_root("lossy").root
         meas_root = solve_break_even(
-            measurement_recursion,
+            MEASUREMENT_TAIL,
             BreakEvenCondition.MEASUREMENT,
             default_bracket(BreakEvenCondition.MEASUREMENT),
         ).root
@@ -348,9 +340,9 @@ def test_acceptance_7d_series_reported_against_reference():
     tables = []
     try:
         per_teleportation = _per_teleportation()
-        ideal = recursion_series(ModelParams.ideal(), 6)
-        lossy = recursion_series(ModelParams.lossy(), 6)
-        tele = recursion_series(ModelParams.lossy(), 6, config=per_teleportation)
+        ideal = chain_recursion("ideal").series(6)
+        lossy = chain_recursion("lossy").series(6)
+        tele = chain_recursion("lossy", per_teleportation).series(6)
         tables.append(_coefficient_table("ideal", ideal, REFERENCE_SERIES_IDEAL))
         tables.append(_coefficient_table("lossy", lossy, REFERENCE_SERIES_LOSSY))
         tables.append(

@@ -262,6 +262,12 @@ class TestConcat:
         (("sweep", "--model", "ideal", "--grid", "1/10,,1/5"), "--grid"),
         (("concat", "--model", "measurement", "--eps0", "1/10", "--levels", "-1"), "--levels"),
         (("concat", "--model", "measurement", "--eps0", "1/10", "--levels", "11"), "--levels"),
+        # Every rate and target is 0 at 0; ideal and measurement also meet at 1.
+        (("threshold", "--model", "ideal", "--bracket", "0,1/4"), "--bracket"),
+        (("threshold", "--model", "measurement", "--bracket", "1/2,1"), "--bracket"),
+        (("sweep", "--model", "ideal", "--grid", "1/10:1/100:1/100"), "grid"),
+        (("series", "--model", "ideal", "--order", "-1"), "--order"),
+        (("series", "--model", "lossy", "--order", "1001"), "--order"),
     ],
 )
 def test_out_of_domain_argument_rejected(args, flag):

@@ -4,8 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
+import dataclasses
+
+import erasurechain.erasure_model as erasure_model
 import erasurechain.markov_engine as markov_engine
-from erasurechain.correction_circuits import Construction, FaultModel
+from erasurechain.correction_circuits import DEFAULT_FAULT_MODEL, Construction, FaultModel
 from erasurechain.exact_arith import Poly
 from erasurechain.erasure_model import (
     CLEAN_PATTERN,
@@ -22,7 +25,6 @@ from erasurechain.markov_engine import (
     build_chain,
     encoded_failure_at,
     failure_rate,
-    recursion_series,
     run_to_absorption,
 )
 from erasurechain.threshold_solver import chain_recursion, concat_projection
@@ -135,15 +137,15 @@ class TestBuildChain:
 
 class TestAbsorption:
     def test_zero_noise_never_fails(self):
-        chain = ideal_chain()
-        assert encoded_failure_at(chain, F(0), F(0)) == 0
-        lchain = lossy_chain()
-        assert encoded_failure_at(lchain, F(0), F(0)) == 0
+        assert encoded_failure_at(build_chain(ModelParams.ideal(F(0)))) == 0
+        assert encoded_failure_at(build_chain(ModelParams.lossy(F(0), F(0)))) == 0
 
     def test_symbolic_chain_rejected(self):
-        chain = ideal_chain()
-        with pytest.raises(ValueError, match="numeric rates"):
-            run_to_absorption(chain)
+        for chain in (ideal_chain(), lossy_chain(), build_chain(ModelParams.lossy(F(1, 10)))):
+            with pytest.raises(ValueError, match="numeric rates"):
+                encoded_failure_at(chain)
+            with pytest.raises(ValueError, match="numeric rates"):
+                run_to_absorption(chain)
 
     def test_failure_rate_rejects_delta_terms(self):
         with pytest.raises(ValueError, match="delta"):
@@ -181,91 +183,87 @@ def iterated_series(chain, order):
 
 
 SERIES_CASES = {
-    "ideal": (ModelParams.ideal(), FaultModel()),
-    "lossy_per_gate": (ModelParams.lossy_diagonal(), FaultModel()),
+    "ideal": ("ideal", FaultModel()),
+    "lossy_per_gate": ("lossy", FaultModel()),
     "lossy_per_teleportation": (
-        ModelParams.lossy_diagonal(),
+        "lossy",
         FaultModel(construction=Construction.PER_TELEPORTATION),
     ),
     "lossy_helper_coupling": (
-        ModelParams.lossy_diagonal(),
+        "lossy",
         FaultModel(helper_detections=2, coupling_full_fraction=F(1, 2)),
     ),
 }
 
+# The chain each model's series is read from: lossy on the delta = eps line.
+SERIES_PARAMS = {"ideal": ModelParams.ideal(), "lossy": ModelParams.lossy_diagonal()}
+
 
 class TestSeries:
     def test_low_order_coefficients_vanish(self):
-        for params in (ModelParams.ideal(), ModelParams.lossy()):
-            series = recursion_series(params, 4)
+        for model in ("ideal", "lossy"):
+            series = chain_recursion(model).series(4)
             for k in (0, 1, 2):
                 assert series.coefficient(k) == 0
             assert series.coefficient(3) >= 7
 
     def test_order_zero_is_zero(self):
-        assert recursion_series(ModelParams.ideal(), 0).is_zero()
+        assert chain_recursion("ideal").series(0).is_zero()
 
     def test_ideal_series_regression(self):
         # Exact engine output, cross-validated in this suite against the
         # unreduced 128-state chain and the Monte Carlo sampler.
-        series = recursion_series(ModelParams.ideal(), 6)
+        series = chain_recursion("ideal").series(6)
         assert series.coefficient(3) == 49
         assert series.coefficient(4) == 441
         assert series.coefficient(5) == -2086
         assert series.coefficient(6) == -3801
 
     def test_lossy_series_regression(self):
-        series = recursion_series(ModelParams.lossy(), 6)
+        series = chain_recursion("lossy").series(6)
         assert series.coefficient(3) == F(203, 2)
         assert series.coefficient(4) == F(6041, 4)
         assert series.coefficient(5) == F(-9303, 2)
         assert series.coefficient(6) == F(-54887)
 
     def test_series_is_single_variable_for_lossy(self):
-        series = recursion_series(ModelParams.lossy(), 5)
+        series = chain_recursion("lossy").series(5)
         assert all(j == 0 for (_, j) in series.terms)
 
     @pytest.mark.parametrize("case", sorted(SERIES_CASES))
     def test_taylor_series_matches_iterated_absorption(self, case):
-        params, config = SERIES_CASES[case]
-        expected = iterated_series(build_chain(params, config=config), 20)
-        assert recursion_series(params, 20, config=config) == expected
+        model, config = SERIES_CASES[case]
+        expected = iterated_series(build_chain(SERIES_PARAMS[model], config=config), 20)
+        assert chain_recursion(model, config).series(20) == expected
 
     def test_series_matches_numeric_solve_at_small_rate(self):
         # The truncated series and the exact absorbing solve agree up to
         # the order-8 remainder at a small rate.
         eps = F(1, 1000)
-        series = recursion_series(ModelParams.ideal(), 7)
-        chain = ideal_chain()
-        exact = encoded_failure_at(chain, eps, F(0))
+        series = chain_recursion("ideal").series(7)
+        exact = encoded_failure_at(build_chain(ModelParams.ideal(eps)))
         series_value = series.evaluate(eps, eps)
         assert abs(exact - series_value) < 10**7 * eps**8
 
 
 class TestReducedVersusUnreduced:
     def test_ideal_exact_equality(self, ideal_singleton_table):
-        params = ModelParams.ideal()
-        reduced = build_chain(params)
-        full = build_chain(params, table=ideal_singleton_table)
         for eps in (F(1, 100), F(1, 10)):
-            assert encoded_failure_at(reduced, eps, F(0)) == encoded_failure_at(
-                full, eps, F(0)
-            )
+            params = ModelParams.ideal(eps)
+            reduced = build_chain(params)
+            full = build_chain(params, table=ideal_singleton_table)
+            assert encoded_failure_at(reduced) == encoded_failure_at(full)
 
     def test_series_sanity_full_solve_stays_probability(self):
         # Sampled over [0, 1/4], the absorbing-solve failure rate is a
         # probability even where the truncated series misbehaves.
-        chain = ideal_chain()
         for k in range(0, 21, 2):
-            eps = F(k, 80)
-            value = encoded_failure_at(chain, eps, F(0))
+            value = encoded_failure_at(build_chain(ModelParams.ideal(F(k, 80))))
             assert 0 <= value <= 1
 
     def test_lossy_diagonal_probability_valued(self):
-        chain = lossy_chain()
         for k in range(0, 21, 4):
-            eps = F(k, 80)
-            value = encoded_failure_at(chain, eps, eps)
+            value = encoded_failure_at(build_chain(ModelParams.lossy_diagonal(F(k, 80))))
             assert 0 <= value <= 1
 
 
@@ -283,9 +281,9 @@ class TestChainExport:
 def fraction_oracle(chain, eps, delta):
     """Absorption probability by Fraction Gauss-Jordan elimination.
 
-    An independent reference for the integer solve in
-    ``encoded_failure_at``: evaluate every entry as a Fraction and reduce
-    [I - Q | r] to the absorption vector.
+    An independent reference for ``encoded_failure_at``, which eliminates
+    the chain built at the point: evaluate every entry of the symbolic
+    chain as a Fraction and reduce [I - Q | r] to the absorption vector.
     """
     clean_id, fail_id = chain.absorbing
     transient = [i for i in range(chain.size) if i not in (clean_id, fail_id)]
@@ -333,8 +331,15 @@ CONFIGS = {
 }
 
 
+def at_point(model, eps, delta, config):
+    """The rate at (eps, delta) from the chain built at that point."""
+    params = ModelParams.ideal(eps) if model is Model.IDEAL else ModelParams.lossy(eps, delta)
+    return encoded_failure_at(build_chain(params, config=config))
+
+
 class TestFractionFreeSolve:
-    """The integer Bareiss solve returns the Fraction elimination's rational."""
+    """The Bareiss solve of the chain built at a point returns the Fraction
+    elimination's rational of the symbolic chain evaluated there."""
 
     @pytest.mark.parametrize("construction", sorted(CONFIGS))
     def test_matches_oracle_at_random_rationals(self, construction):
@@ -346,19 +351,22 @@ class TestFractionFreeSolve:
         lossy_rate = chain_recursion("lossy", config)
         for _ in range(12):
             eps = random_rate(rng)
-            assert encoded_failure_at(ideal, eps, F(0)) == fraction_oracle(ideal, eps, F(0))
-            assert ideal_rate(eps) == fraction_oracle(ideal, eps, F(0))
+            expected = fraction_oracle(ideal, eps, F(0))
+            assert at_point(Model.IDEAL, eps, F(0), config) == expected
+            assert ideal_rate(eps) == expected
             assert lossy_rate(eps) == fraction_oracle(lossy, eps, eps)
             delta = random_rate(rng)
             while delta == eps:
                 delta = random_rate(rng)
-            assert encoded_failure_at(lossy, eps, delta) == fraction_oracle(lossy, eps, delta)
+            assert at_point(Model.LOSSY, eps, delta, config) == fraction_oracle(
+                lossy, eps, delta
+            )
 
     def test_matches_oracle_on_numeric_rate_chain(self):
         for params in (ModelParams.ideal(F(3, 17)), ModelParams.lossy(F(1, 20), F(1, 7))):
             chain = build_chain(params)
             expected = fraction_oracle(chain, F(0), F(0))
-            assert encoded_failure_at(chain, F(0), F(0)) == expected
+            assert encoded_failure_at(chain) == expected
             assert run_to_absorption(chain).encoded_failure == expected
             assert failure_rate(chain).at(F(1, 2)) == expected
 
@@ -368,22 +376,25 @@ class TestFractionFreeSolve:
         ideal = build_chain(ModelParams.ideal(), config=config)
         lossy = build_chain(ModelParams.lossy(), config=config)
         for eps in (F(0), F(1)):
-            assert encoded_failure_at(ideal, eps, F(0)) == fraction_oracle(ideal, eps, F(0))
+            assert at_point(Model.IDEAL, eps, F(0), config) == fraction_oracle(
+                ideal, eps, F(0)
+            )
             for delta in (F(0), F(1)):
                 if (eps, delta) == (0, 1):
                     continue
-                assert encoded_failure_at(lossy, eps, delta) == fraction_oracle(
+                assert at_point(Model.LOSSY, eps, delta, config) == fraction_oracle(
                     lossy, eps, delta
                 )
 
     @pytest.mark.parametrize("construction", sorted(CONFIGS))
     def test_lossless_gates_with_lost_detections_is_singular(self, construction):
         # eps = 0, delta = 1: a class holding a full erasure never leaves itself.
-        lossy = build_chain(ModelParams.lossy(), config=CONFIGS[construction])
+        config = CONFIGS[construction]
+        lossy = build_chain(ModelParams.lossy(), config=config)
         with pytest.raises(ValueError, match="singular transient system"):
             fraction_oracle(lossy, F(0), F(1))
         with pytest.raises(ValueError, match="singular transient system"):
-            encoded_failure_at(lossy, F(0), F(1))
+            at_point(Model.LOSSY, F(0), F(1), config)
 
     def test_concat_to_level_three_matches_oracle(self):
         chain = build_chain(ModelParams.ideal())
@@ -395,6 +406,59 @@ class TestFractionFreeSolve:
         assert concat_projection(chain_recursion("ideal"), F(1, 19), 3) == [
             float(x) for x in expected
         ]
+
+
+class TestEpsPolyRing:
+    def test_int_constants_on_either_side(self):
+        # A chain built at numeric rates enters the elimination as ints,
+        # and a symbolic one mixes ints and polynomials.
+        P = markov_engine._EpsPoly
+        p = P([2, 0, -3])
+        assert (3 * p).c == (p * 3).c == (P([3]) * p).c == [6, 0, -9]
+        assert (1 - p).c == (P([1]) - p).c == [-1, 0, 3]
+        assert (p - 2).c == [0, 0, -3]
+        assert (0 // p).c == [] and ((p * p) // p).c == p.c
+        assert (6 // P([3])).c == [2]
+
+
+class TestSharedClassTable:
+    def test_refined_once_per_model_and_fault_model(self, monkeypatch):
+        refine = erasure_model._refine_partition
+        calls = []
+
+        def spy(partition, params, fault_model):
+            calls.append((params.model, fault_model))
+            return refine(partition, params, fault_model)
+
+        monkeypatch.setattr(erasure_model, "_refine_partition", spy)
+        erasure_model._class_table.cache_clear()
+        try:
+            tables = [
+                build_chain(params, config=config).table
+                for config in (None, DEFAULT_FAULT_MODEL, FaultModel())
+                for params in (
+                    ModelParams.ideal(),
+                    ModelParams.ideal(F(1, 10)),
+                    ModelParams.lossy(),
+                    ModelParams.lossy(F(1, 20), F(1, 7)),
+                )
+            ]
+        finally:
+            erasure_model._class_table.cache_clear()
+        assert calls == [(Model.IDEAL, DEFAULT_FAULT_MODEL), (Model.LOSSY, DEFAULT_FAULT_MODEL)]
+        assert len({id(t) for t in tables[0::4] + tables[1::4]}) == 1
+        assert len({id(t) for t in tables[2::4] + tables[3::4]}) == 1
+
+    def test_shared_table_is_read_only(self):
+        table = build_classes(Model.LOSSY)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.fail_id = 0
+        with pytest.raises(TypeError):
+            table.index[CLEAN_PATTERN] = table.fail_id
+        with pytest.raises(TypeError):
+            table.classes[0] = table.classes[1]
+        assert table.class_of(CLEAN_PATTERN) == table.clean_id
+        assert hash(table) == hash(build_classes(Model.LOSSY, DEFAULT_FAULT_MODEL))
 
 
 class TestEnclose:

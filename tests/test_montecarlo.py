@@ -132,7 +132,7 @@ class TestPatternTable:
 def test_random_fault_models_agree_with_chain(config, eps):
     params = ModelParams.lossy(eps, eps)
     chain = build_chain(params, config=config)  # asserts stochastic, nonnegative rows
-    exact = encoded_failure_at(chain, eps, eps)
+    exact = encoded_failure_at(chain)
     report = compare(exact, simulate(params, trials=20_000, seed=20230817, config=config))
     assert abs(report.z) <= 4, f"{config}, eps={eps}: z={report.z}"
 
@@ -141,8 +141,7 @@ class TestAgreementWithChain:
     def test_ideal_mid_rate(self):
         eps = F(1, 20)
         est = simulate(ModelParams.ideal(eps), trials=200_000, seed=20230817)
-        chain = build_chain(ModelParams.ideal())
-        exact = encoded_failure_at(chain, eps, F(0))
+        exact = encoded_failure_at(build_chain(ModelParams.ideal(eps)))
         report = compare(exact, est)
         assert report.passed, f"z={report.z}"
 
@@ -152,11 +151,9 @@ class TestAgreementWithChain:
             DEFAULT_FAULT_MODEL,
             FaultModel(construction=Construction.PER_TELEPORTATION),
         ):
-            est = simulate(
-                ModelParams.lossy(eps, eps), trials=200_000, seed=20230817, config=config
-            )
-            chain = build_chain(ModelParams.lossy(), config=config)
-            exact = encoded_failure_at(chain, eps, eps)
+            params = ModelParams.lossy(eps, eps)
+            est = simulate(params, trials=200_000, seed=20230817, config=config)
+            exact = encoded_failure_at(build_chain(params, config=config))
             report = compare(exact, est)
             assert report.passed, f"{config.construction.value}: z={report.z}"
 

@@ -17,8 +17,6 @@ from erasurechain.threshold_solver import (
     chain_recursion,
     concat_projection,
     default_bracket,
-    measurement_recursion,
-    polynomial_recursion,
     solve_break_even,
 )
 
@@ -53,51 +51,45 @@ def rate_of(model: str) -> FailureRate:
 
 class TestMeasurementRecursion:
     def test_endpoints(self):
-        assert measurement_recursion(F(0)) == 0
-        assert measurement_recursion(F(1)) == 1
+        assert MEASUREMENT_TAIL(F(0)) == 0
+        assert MEASUREMENT_TAIL(F(1)) == 1
 
     def test_quarter_point_exact(self):
         expected = binomial_tail(F(1, 4))
         assert expected == F(3991, 16384)
-        assert measurement_recursion(F(1, 4)) == expected
+        assert MEASUREMENT_TAIL(F(1, 4)) == expected
         assert abs(float(expected) - 0.24359) < 1e-5
 
     def test_matches_oracle_on_grid(self):
         for k in range(0, 33):
             d = F(k, 32)
-            assert measurement_recursion(d) == binomial_tail(d)
+            assert MEASUREMENT_TAIL(d) == binomial_tail(d)
 
     def test_monotone_increasing(self):
-        values = [measurement_recursion(F(k, 64)) for k in range(65)]
+        values = [MEASUREMENT_TAIL(F(k, 64)) for k in range(65)]
         assert all(a < b for a, b in zip(values, values[1:]))
-
-    def test_domain_enforced(self):
-        with pytest.raises(ValueError):
-            measurement_recursion(F(-1, 10))
 
 
 class TestSolveBreakEven:
     def test_square_map_fixed_point(self):
-        result = solve_break_even(
-            lambda x: x * x, BreakEvenCondition.IDEAL_GATE, (F(1, 2), F(3, 2))
-        )
+        result = solve_break_even(SQUARE, BreakEvenCondition.IDEAL_GATE, (F(1, 2), F(3, 2)))
         assert result.root == 1
 
     def test_measurement_fixed_point(self):
         result = solve_break_even(
-            measurement_recursion,
+            MEASUREMENT_TAIL,
             BreakEvenCondition.MEASUREMENT,
             default_bracket(BreakEvenCondition.MEASUREMENT),
         )
         assert abs(float(result.root) - 0.2559) < 0.001
         # The commonly quoted 0.25 is a rounding of this fixed point, and
         # the recursion value there confirms it is not the exact root.
-        assert measurement_recursion(F(1, 4)) != F(1, 4)
+        assert MEASUREMENT_TAIL(F(1, 4)) != F(1, 4)
         assert result.bracket[1] - result.bracket[0] <= F(1, 10**6)
 
     def test_reference_lossy_polynomial_root(self):
         result = solve_break_even(
-            polynomial_recursion(REFERENCE_SERIES_LOSSY),
+            REFERENCE_SERIES_LOSSY,
             BreakEvenCondition.LOSSY_GATE,
             (F(1, 100), F(3, 100)),
         )
@@ -106,27 +98,25 @@ class TestSolveBreakEven:
     def test_reference_ideal_polynomial_has_no_fixed_point(self):
         with pytest.raises(NoSignChange):
             solve_break_even(
-                polynomial_recursion(REFERENCE_SERIES_IDEAL),
+                REFERENCE_SERIES_IDEAL,
                 BreakEvenCondition.IDEAL_GATE,
                 (F(1, 1000), F(1, 5)),
             )
 
     def test_invalid_bracket_rejected(self):
         with pytest.raises(ValueError):
-            solve_break_even(
-                lambda x: x, BreakEvenCondition.IDEAL_GATE, (F(1, 2), F(1, 4))
-            )
+            solve_break_even(IDENTITY, BreakEvenCondition.IDEAL_GATE, (F(1, 2), F(1, 4)))
 
     def test_tolerance_refinement_nests(self):
         # Halving the tolerance must keep the root inside the wider bracket.
         coarse = solve_break_even(
-            measurement_recursion,
+            MEASUREMENT_TAIL,
             BreakEvenCondition.MEASUREMENT,
             default_bracket(BreakEvenCondition.MEASUREMENT),
             tol=F(1, 10**4),
         )
         fine = solve_break_even(
-            measurement_recursion,
+            MEASUREMENT_TAIL,
             BreakEvenCondition.MEASUREMENT,
             default_bracket(BreakEvenCondition.MEASUREMENT),
             tol=F(1, 2 * 10**4),
@@ -137,7 +127,7 @@ class TestSolveBreakEven:
 
     def test_exact_hit_returns_degenerate_bracket(self):
         result = solve_break_even(
-            lambda x: 2 * x - F(1, 2),
+            FailureRate([-1, 4], [2]),  # 2x - 1/2
             BreakEvenCondition.IDEAL_GATE,
             (F(0), F(1)),
         )
@@ -279,7 +269,7 @@ class TestCertifiedConcat:
 class TestResultSerialization:
     def test_json_fields(self):
         result = solve_break_even(
-            measurement_recursion,
+            MEASUREMENT_TAIL,
             BreakEvenCondition.MEASUREMENT,
             default_bracket(BreakEvenCondition.MEASUREMENT),
         )
