@@ -256,6 +256,8 @@ def cmd_series(args, config: FaultModel) -> dict:
 
 def cmd_threshold(args, config: FaultModel) -> dict:
     tol = _parse_fraction(args.tol)
+    if tol <= 0:
+        raise CliError(f"--tol must be positive, got {args.tol}")
     bracket = _parse_bracket(args.bracket) if args.bracket else None
     if args.fixture not in ("full-chain", f"{args.model}-ref"):
         raise CliError(

@@ -279,16 +279,6 @@ class FaultModel:
 
 DEFAULT_FAULT_MODEL = FaultModel()
 
-_QUADS = None
-
-
-def _quad_supports():
-    global _QUADS
-    if _QUADS is None:
-        _QUADS = tuple(frozenset(s) for s in stabilizer_supports_weight4())
-    return _QUADS
-
-
 def select_step(pattern: Pattern):
     """Choose the next correction action for a pattern.
 
@@ -312,7 +302,7 @@ def select_step(pattern: Pattern):
     intact = {q + 1 for q in range(N_QUBITS) if pattern[q] == Erasure.NONE}
     candidates = sorted(
         tuple(sorted(quad - {target}))
-        for quad in _quad_supports()
+        for quad in stabilizer_supports_weight4()
         if target in quad and (quad - {target}) <= intact
     )
     if not candidates:
@@ -474,42 +464,6 @@ def _place(pattern: Pattern, positions: Tuple[int, ...], local: LocalOutcomes) -
             out[q - 1] = status
         _accumulate(dist, tuple(out), prob)
     return dist
-
-
-def apply_z_recovery(
-    pattern: Pattern,
-    step: CorrectionStep,
-    params: ModelParams,
-    config: FaultModel = DEFAULT_FAULT_MODEL,
-) -> OutcomeDistribution:
-    """Outcome distribution of one teleported single-qubit recovery."""
-    if step.kind is not StepKind.Z_RECOVERY:
-        raise ValueError("step is not a Z recovery")
-    target_status = pattern[step.target - 1]
-    if target_status not in (Erasure.Z_MEASURED, Erasure.Z_ERASED):
-        raise ValueError("Z recovery target must be Z-measured or Z-erased")
-    for h in step.helpers:
-        if pattern[h - 1] != Erasure.NONE:
-            raise ValueError("helpers must be intact")
-    return _place(
-        pattern, step.positions, _z_recovery_outcomes(target_status, params, config)
-    )
-
-
-def apply_full_to_z(
-    pattern: Pattern,
-    step: CorrectionStep,
-    params: ModelParams,
-    config: FaultModel = DEFAULT_FAULT_MODEL,
-) -> OutcomeDistribution:
-    """Outcome distribution of one covering-stabilizer measurement."""
-    if step.kind is not StepKind.FULL_TO_Z:
-        raise ValueError("step is not a full-erasure conversion")
-    if pattern[step.target - 1] != Erasure.FULL:
-        raise ValueError("conversion target must be fully erased")
-    if params.model is not Model.LOSSY:
-        raise ValueError("full erasures occur only in the lossy model")
-    return _place(pattern, step.positions, _full_to_z_outcomes(params, config))
 
 
 # The local tables of one (params, config), keyed by (step kind, target status).

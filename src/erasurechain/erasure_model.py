@@ -18,16 +18,19 @@ logical operators exist but the single-target recovery circuits do not
 apply to them, so all weight >= 4 patterns are counted as procedure
 failures.
 
-``build_classes`` compresses the pattern space into equivalence classes by
-partition refinement: starting from a candidate grouping (by weight for the
-ideal model, by full/Z-erasure counts for the lossy model), classes are
-split until every member of a class has the identical class-level outcome
-distribution under one correction attempt, compared exactly as polynomials.
-A row's per-class sums are built once per local outcome table and grouping
-of its entries into classes, not once per pattern (a few dozen sums for
-2187 lossy patterns).  The fixed point is therefore a verified lumping of
-the Markov chain (Kemeny and Snell, *Finite Markov Chains*, 1960), not an
-assumed one.
+``build_classes`` groups the pattern space by correction signature (weight
+for the ideal model, full/Z-erasure counts for the lossy model) and checks,
+exactly as polynomials, that every member of every class has the identical
+class-level outcome distribution under one correction attempt.  A row's
+per-class sums are built once per local outcome table and grouping of its
+entries into classes, not once per pattern (a few dozen sums for 2187 lossy
+patterns).  Each circuit applies one gate table to every helper, so a local
+outcome's probability depends only on its orbit under permuting the
+helpers, and the signature grouping lumps every construction the gate
+tables can express.  The check still runs at every build, so the grouping
+is a verified lumping of the Markov chain (Kemeny and Snell, *Finite Markov
+Chains*, 1960), not an assumed one: a table that breaks the symmetry raises
+ClassUnsound.
 """
 
 from __future__ import annotations
@@ -282,14 +285,14 @@ def _base_label(pattern: Pattern, model: Model) -> str:
 
 
 def build_classes(model: Model, config=None) -> ClassTable:
-    """Partition the pattern space into verified equivalence classes.
+    """Group the pattern space into verified equivalence classes.
 
-    Patterns are first grouped by their correction signature (weight /
-    erasure composition) and the grouping is refined until one attempt's
+    Patterns are grouped by their correction signature (weight / erasure
+    composition), and ``verify_class_soundness`` checks that one attempt's
     class-level outcome distribution is literally identical, as exact
-    polynomials, for every member of every class.  The returned table is
-    therefore already sound (see ``_refine_partition``).  It is built once
-    per (model, FaultModel), ``None`` meaning the default, and shared.
+    polynomials, for every member of every class; a disagreement raises
+    ClassUnsound.  The table is built once per (model, FaultModel),
+    ``None`` meaning the default, and shared.
     """
     from .correction_circuits import DEFAULT_FAULT_MODEL
 
@@ -300,15 +303,9 @@ def build_classes(model: Model, config=None) -> ClassTable:
 def _class_table(model: Model, fault_model) -> ClassTable:
     from .correction_circuits import fail_sink
 
-    params = (
-        ModelParams.ideal() if model is Model.IDEAL else ModelParams.lossy()
-    )
     groups: Dict[str, List[Pattern]] = {}
     for p in all_patterns(model):
         groups.setdefault(_base_label(p, model), []).append(p)
-    partition = _refine_partition(
-        [sorted(g) for _, g in sorted(groups.items())], params, fault_model
-    )
 
     # Stable ordering: clean first, then by (weight, composition), fail last.
     def sort_key(group: List[Pattern]):
@@ -320,54 +317,23 @@ def _class_table(model: Model, fault_model) -> ClassTable:
         m, n, k = pattern_counts(p)
         return (1, pattern_weight(p), (m, n, k), p)
 
-    partition.sort(key=sort_key)
-
     classes: List[EquivClass] = []
-    index: Dict[Pattern, int] = {}
-    label_counts: Dict[str, int] = {}
-    clean_id = fail_id = -1
-    for cid, group in enumerate(partition):
-        rep = group[0]
-        label = _base_label(rep, model)
-        if label == "fail":
-            # Every procedure failure moves to the sink in one attempt, so
-            # refinement never splits the failure group.
-            rep = fail_sink(model)
-            fail_id = cid
-        elif label == "clean":
-            clean_id = cid
-        else:
-            label_counts[label] = label_counts.get(label, 0) + 1
-        classes.append(
-            EquivClass(
-                id=cid,
-                label=label,
-                representative=rep,
-                size=len(group),
-                members=tuple(group),
-            )
-        )
-        for p in group:
-            index[p] = cid
-
-    # Disambiguate labels when refinement split a signature group.
-    seen: Dict[str, int] = {}
-    relabeled: List[EquivClass] = []
-    for c in classes:
-        total = label_counts.get(c.label, 1)
-        if c.label not in ("clean", "fail") and total > 1:
-            n = seen.get(c.label, 0)
-            seen[c.label] = n + 1
-            suffix = chr(ord("a") + n) if n < 26 else f"_{n}"
-            c = EquivClass(c.id, f"{c.label}{suffix}", c.representative, c.size, c.members)
-        relabeled.append(c)
-    classes = relabeled
-
-    if clean_id < 0 or fail_id < 0:
-        raise RuntimeError("pattern space lost its clean or fail class")
-    return ClassTable(
-        model=model, classes=classes, index=index, clean_id=clean_id, fail_id=fail_id
+    for cid, group in enumerate(sorted((sorted(g) for g in groups.values()), key=sort_key)):
+        label = _base_label(group[0], model)
+        # Every procedure failure moves to the sink in one attempt.
+        rep = fail_sink(model) if label == "fail" else group[0]
+        classes.append(EquivClass(cid, label, rep, len(group), tuple(group)))
+    labels = [c.label for c in classes]
+    table = ClassTable(
+        model=model,
+        classes=classes,
+        index={p: c.id for c in classes for p in c.members},
+        clean_id=labels.index("clean"),
+        fail_id=labels.index("fail"),
     )
+    params = ModelParams.ideal() if model is Model.IDEAL else ModelParams.lossy()
+    verify_class_soundness(table, params, fault_model)
+    return table
 
 
 class _Sum(tuple):
@@ -440,45 +406,15 @@ def _projector(index: Dict[Pattern, int], params: ModelParams, fault_model):
     return project
 
 
-def _refine_partition(partition, params, fault_model):
-    """Split classes until class-projected outcome rows match exactly.
-
-    Rows are compared as exact per-class polynomial sums, each built once
-    per round for every distinct (local outcome table, entry grouping); see
-    ``_projector``.  The last round computes every member's projected row
-    and splits nothing, which is exactly the check
-    ``verify_class_soundness`` makes, so the fixed point needs no second
-    pass.  ``attempt`` uses only ring operations on eps and delta, and
-    substituting values for them commutes with the per-class sums, so rows
-    equal as polynomials stay equal under every ``ModelParams`` (numeric
-    rates or the delta = eps diagonal).
-    """
-    while True:
-        project = _projector(
-            {p: cid for cid, group in enumerate(partition) for p in group},
-            params,
-            fault_model,
-        )
-        new_partition: List[List[Pattern]] = []
-        changed = False
-        for group in partition:
-            rows: Dict[tuple, List[Pattern]] = {}
-            for p in group:
-                rows.setdefault(project(p), []).append(p)
-            if len(rows) > 1:
-                changed = True
-            new_partition.extend(sorted(g) for g in rows.values())
-        partition = new_partition
-        if not changed:
-            return partition
-
-
 def verify_class_soundness(table: ClassTable, params: ModelParams, config=None) -> None:
     """Exact check that every member of every class shares one projected row.
 
-    Raises ClassUnsound on the first disagreement.  ``build_chain`` runs it
-    on tables it is given; tables from ``build_classes`` are sound by
-    construction.
+    Raises ClassUnsound on the first disagreement.  ``build_classes`` runs
+    it at symbolic rates on every table it builds, and ``build_chain`` on
+    tables it is given.  ``attempt`` uses only ring operations on eps and
+    delta, and substituting values for them commutes with the per-class
+    sums, so rows equal as polynomials stay equal under every
+    ``ModelParams`` (numeric rates or the delta = eps diagonal).
     """
     from .correction_circuits import DEFAULT_FAULT_MODEL
 

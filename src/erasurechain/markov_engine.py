@@ -84,11 +84,10 @@ def build_chain(
     ``config`` None is the default FaultModel.  A table passed in is
     checked with ``verify_class_soundness`` (a mismatch raises
     ClassUnsound).  A table built here is the shared one from
-    ``build_classes``, whose refinement already proved it sound at symbolic
-    rates, and so at every substitution of them.  Absorbing rows (clean,
-    fail) are identity rows.  Every row must sum to exactly one and, at
-    numeric rates, hold no negative entry; otherwise ValueError names the
-    class.
+    ``build_classes``, which verified it at symbolic rates, and so at
+    every substitution of them.  Absorbing rows (clean, fail) are identity
+    rows.  Every row must sum to exactly one and, at numeric rates, hold no
+    negative entry; otherwise ValueError names the class.
     """
     if config is None:
         config = DEFAULT_FAULT_MODEL

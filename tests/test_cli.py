@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import erasurechain
+from erasurechain.cli import main
 
 RUN = [sys.executable, "-m", "erasurechain.cli"]
 # The CLI subprocess imports the same package as this test run, installed
@@ -268,6 +270,8 @@ class TestConcat:
         (("sweep", "--model", "ideal", "--grid", "1/10:1/100:1/100"), "grid"),
         (("series", "--model", "ideal", "--order", "-1"), "--order"),
         (("series", "--model", "lossy", "--order", "1001"), "--order"),
+        (("threshold", "--model", "ideal", "--tol", "0"), "--tol"),
+        (("threshold", "--model", "ideal", "--tol", "-1"), "--tol"),
     ],
 )
 def test_out_of_domain_argument_rejected(args, flag):
@@ -315,6 +319,82 @@ class TestCircuitConfig:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "error" in json.loads(proc.stderr)
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+PER_TELEPORTATION = "configs/per_teleportation.json"
+ALT_CONFIG = "perfbench/alt_config.json"
+
+
+# (arguments, sha256 of stdout): the default, per_teleportation and
+# alternative configs across every subcommand.
+GOLDEN_STDOUT = [
+    (("classify", "..Z..E."),
+     "f660cffdc1b9a53332914e7913a85119ab67711fbc2fc6d9e696f7a4fbf62b58"),
+    (("classify", "MM.M..."),
+     "38c394e89288395da033d2fae6a9d54a3e74dc00a51099fcb01448ff17264ca4"),
+    (("classes", "--model", "ideal"),
+     "75fbe59dd2226e48dfa69ad85dde967e8ac6b97c6beb433d4a777fd71b902888"),
+    (("classes", "--model", "lossy"),
+     "23d77ab385a687b67a1dacc860a9e9d6c773bbbc1d68bb62d52a795e7f27a1fd"),
+    (("classes", "--model", "lossy", "--circuit-config", PER_TELEPORTATION),
+     "397c30b3a04145f7414d81d4a69f36338ee78f9fdd50629cbff5a4f63fed98de"),
+    (("chain", "--model", "ideal"),
+     "5e3243126140941b3d13262fa4309304010dcb94b2b4e08018e6a623e01d493b"),
+    (("chain", "--model", "lossy", "--circuit-config", ALT_CONFIG),
+     "cbe61d3b000010852e7effe2d38d9088b701f02a379f53b46cd7b9ec2b81ed09"),
+    (("series", "--model", "ideal", "--order", "6"),
+     "ebf4150833b43fec3b2c498be1374ba7dbc3b4c0afb3c77e9501e5a460ef5e08"),
+    (("series", "--model", "lossy", "--order", "6"),
+     "87c646d03a5ba8f8957c4a9a6d8fac0fdcb18431221f8491a5024176654d85bc"),
+    (("series", "--model", "lossy", "--order", "6",
+      "--circuit-config", PER_TELEPORTATION),
+     "b5a82a560f4fe6afae0a8506bcd81a43db2fe80fd81642fa6aad1a512c64ac42"),
+    (("threshold", "--model", "ideal"),
+     "6f1caeae0da77279b98b7e4aced510eca1c41e59e3c0910ac6900546936d0066"),
+    (("threshold", "--model", "lossy"),
+     "bb9d186d27dbf1275da332490083a6bccef91ec0f2c47c0226feb8fb5a8f7098"),
+    (("threshold", "--model", "measurement"),
+     "597f7541ecb089a7f0d59e0dc1f538683871ac9a80e1bab7fd081b27d2e16e04"),
+    (("threshold", "--model", "lossy", "--circuit-config", PER_TELEPORTATION),
+     "17deacffd7050635d7b9c5e6fbd6e6b32aaa6929acfed5ea8e4d95913350788d"),
+    (("threshold", "--model", "lossy", "--circuit-config", ALT_CONFIG),
+     "66292d3a6bf4f7fc1cdddb7301c88f9860803a9fe1336b680a0d240b39ca6907"),
+    (("sweep", "--model", "lossy", "--grid", "1/100:1/10:1/100"),
+     "9f3599884068daf3466213e93b0d1ef86ebfe487c394b56f2ef2b2b11a9775ad"),
+    (("sweep", "--model", "ideal", "--grid", "1/20,1/10", "--trials", "2000",
+      "--seed", "3", "--format", "csv"),
+     "263b78d5fcf7a95830b42bdf41bf8da82cb6eb280d20d5ce1aa3b8f08f67886a"),
+    (("mc", "--model", "ideal", "--eps", "1/10", "--trials", "20000",
+      "--seed", "1"),
+     "8b1362d4200463295083439a3958549a4cbb03456f5b21b739bea2c5c1488d33"),
+    (("mc", "--model", "lossy", "--eps", "1/20", "--delta", "1/50",
+      "--trials", "20000", "--seed", "2", "--circuit-config", ALT_CONFIG),
+     "bfc236132b079e4df1c9698986f83a1b9bca593e34efd1c92d83f4ab638b1e87"),
+    (("concat", "--model", "lossy", "--eps0", "1/100", "--levels", "4",
+      "--circuit-config", PER_TELEPORTATION),
+     "9996664ba71b2e5dae00c3dbb788f5d744294bc5ea327432b6c18a140934b2c6"),
+]
+
+
+class TestGoldenBytes:
+    """Public output bytes stay the same: stdout hashes to its pinned value.
+
+    Run in-process from the repository root, so each config path reaches the
+    manifest as written here, and with no ``SOURCE_DATE_EPOCH``, so the
+    manifest carries no timestamp.
+    """
+
+    @pytest.mark.parametrize(
+        "args, digest", GOLDEN_STDOUT, ids=[" ".join(a) for a, _ in GOLDEN_STDOUT]
+    )
+    def test_stdout_digest(self, args, digest, monkeypatch, capsys):
+        monkeypatch.chdir(REPO_ROOT)
+        monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+        assert main(list(args)) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cold_imports():

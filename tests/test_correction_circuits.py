@@ -10,11 +10,8 @@ from erasurechain.correction_circuits import (
     DONE,
     DEFAULT_FAULT_MODEL,
     Construction,
-    CorrectionStep,
     FaultModel,
     StepKind,
-    apply_full_to_z,
-    apply_z_recovery,
     attempt,
     fail_sink,
     gate_tables,
@@ -105,8 +102,7 @@ class TestZRecoveryIdeal:
 
     def test_helper_faults_mark_z_measured_and_block_recovery(self):
         p = parse_pattern("M......")
-        step = select_step(p)
-        dist = apply_z_recovery(p, step, ModelParams.ideal())
+        dist = attempt(p, ModelParams.ideal())
         for outcome, prob in dist.items():
             if outcome != parse_pattern("......."):
                 # target still erased, new marks are Z measurements
@@ -131,7 +127,7 @@ class TestZRecoveryLossy:
     def test_helper_fault_effects(self):
         p = parse_pattern("Z......")
         step = select_step(p)
-        dist = apply_z_recovery(p, step, ModelParams.lossy())
+        dist = attempt(p, ModelParams.lossy())
         for outcome in dist:
             if outcome in (parse_pattern("......."), parse_pattern("E......")):
                 continue
@@ -143,12 +139,6 @@ class TestZRecoveryLossy:
     def test_zero_noise_recovers(self):
         dist = attempt(parse_pattern("Z......"), ModelParams.lossy(F(0), F(0)))
         assert dist == {parse_pattern("......."): Poly.one()}
-
-    def test_wrong_target_rejected(self):
-        p = parse_pattern("E......")
-        step = CorrectionStep(StepKind.Z_RECOVERY, 1, (2, 3, 4))
-        with pytest.raises(ValueError):
-            apply_z_recovery(p, step, ModelParams.lossy())
 
 
 class TestFullToZ:
@@ -171,7 +161,7 @@ class TestFullToZ:
     def test_coupling_faults_z_mark_helpers(self):
         p = parse_pattern("E......")
         step = select_step(p)
-        dist = apply_full_to_z(p, step, ModelParams.lossy())
+        dist = attempt(p, ModelParams.lossy())
         seen_helper_hit = False
         for outcome in dist:
             for h in step.helpers:
@@ -186,12 +176,6 @@ class TestFullToZ:
         for prob in dist.values():
             assert all(j == 0 for (_, j) in prob.terms)
 
-    def test_ideal_model_rejected(self):
-        p = parse_pattern("E......")
-        step = CorrectionStep(StepKind.FULL_TO_Z, 1, (2, 3, 4))
-        with pytest.raises(ValueError):
-            apply_full_to_z(p, step, ModelParams.ideal())
-
 
 class TestAttempt:
     def test_clean_self_loop(self):
@@ -200,7 +184,11 @@ class TestAttempt:
 
     @pytest.mark.parametrize(
         "text, params",
-        [("M......", ModelParams.lossy()), ("Z......", ModelParams.ideal())],
+        [
+            ("M......", ModelParams.lossy()),
+            ("Z......", ModelParams.ideal()),
+            ("E......", ModelParams.ideal()),
+        ],
     )
     def test_pattern_outside_the_models_alphabet_rejected(self, text, params):
         with pytest.raises(ValueError, match="alphabet"):
@@ -318,7 +306,7 @@ class TestFaultModelConfig:
         p = parse_pattern("E......")
         cfg = FaultModel(coupling_full_fraction=F(1, 2))
         step = select_step(p)
-        dist = apply_full_to_z(p, step, ModelParams.lossy(), cfg)
+        dist = attempt(p, ModelParams.lossy(), cfg)
         statuses = {
             outcome[h - 1]
             for outcome in dist
@@ -352,7 +340,7 @@ class TestPerTeleportation:
         # position is fully erased and that helper Z-erased.
         p = parse_pattern("Z......")
         step = select_step(p)
-        dist = apply_z_recovery(p, step, ModelParams.lossy(), PER_TELEPORTATION)
+        dist = attempt(p, ModelParams.lossy(), PER_TELEPORTATION)
         out = list(p)
         out[0] = Erasure.FULL
         out[step.helpers[0] - 1] = Erasure.Z_ERASED

@@ -1,14 +1,21 @@
+from collections import Counter
 from fractions import Fraction as F
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 
+from erasurechain import correction_circuits, erasure_model
 from erasurechain.correction_circuits import (
+    ABORT,
     DEFAULT_FAULT_MODEL,
+    DONE,
     Construction,
     FaultModel,
     attempt,
     fail_sink,
+    outcome_tables,
+    select_step,
 )
 from erasurechain.exact_arith import Poly
 from erasurechain.erasure_model import (
@@ -17,6 +24,7 @@ from erasurechain.erasure_model import (
     Classification,
     EquivClass,
     Erasure,
+    MODEL_ALPHABET,
     Model,
     ModelParams,
     all_patterns,
@@ -170,7 +178,7 @@ class TestBuildClasses:
             )
 
     def test_soundness_verifier_accepts_reduced_tables(self):
-        # Tables are refined at symbolic rates; they stay sound on the
+        # Tables are verified at symbolic rates; they stay sound on the
         # delta = eps diagonal and at numeric rates.
         per_teleportation = FaultModel(construction=Construction.PER_TELEPORTATION)
         lossy_params = (
@@ -224,6 +232,81 @@ class TestBuildClasses:
         )
         with pytest.raises(ClassUnsound):
             verify_class_soundness(bad, params)
+
+    def test_signature_grouping_lumps_every_helper_symmetric_table(self):
+        # A circuit applies one gate table to each of its three helpers, so
+        # every local table gives a written tuple (target, h1, h2, h3) the
+        # probability of each helper permutation of it.  A group then lumps
+        # under any such table when its members share a step key and, for
+        # every orbit of written tuples, send the same multiset of them to
+        # each signature group.  Entry by entry the members of a weight-2
+        # group differ; orbit by orbit they agree.
+        for params, config in (
+            (ModelParams.ideal(), DEFAULT_FAULT_MODEL),
+            (ModelParams.lossy(), DEFAULT_FAULT_MODEL),
+            (ModelParams.lossy(), ALT_CONFIG),
+            (ModelParams.lossy(), FaultModel(construction=Construction.PER_TELEPORTATION)),
+        ):
+            for outcomes in outcome_tables(params, config).values():
+                probs = dict(outcomes)
+                for written, prob in outcomes:
+                    for helpers in permutations(written[1:]):
+                        assert probs.get(written[:1] + helpers) == prob
+        for model in Model:
+            signature = {p: _signature(p) for p in all_patterns(model)}
+            orbits: dict = {}
+            for written in product(MODEL_ALPHABET[model], repeat=4):
+                orbits.setdefault(written[:1] + tuple(sorted(written[1:])), []).append(written)
+            groups: dict = {}
+            for p in all_patterns(model):
+                step = select_step(p)
+                sends = {}
+                if step is not DONE and step is not ABORT:
+                    out = list(p)
+                    for orbit, tuples in orbits.items():
+                        counts = Counter()
+                        for written in tuples:
+                            for q, status in zip(step.positions, written):
+                                out[q - 1] = status
+                            counts[signature[tuple(out)]] += 1
+                        sends[orbit] = counts
+                    step = (step.kind, p[step.target - 1])
+                groups.setdefault(signature[p], []).append((p, step, sends))
+            assert len(groups) == len(build_classes(model).classes)
+            for members in groups.values():
+                _, step, sends = members[0]
+                for p, other_step, other_sends in members[1:]:
+                    assert (other_step, other_sends) == (step, sends), format_pattern(p)
+
+    def test_helper_asymmetric_table_is_unsound(self, monkeypatch):
+        # A recovery whose failure marks only the first helper breaks the
+        # symmetry the signature grouping rests on: the build refuses it.
+        def first_helper_only(target_status, params, config):
+            none, measured = Erasure.NONE, Erasure.Z_MEASURED
+            return (
+                ((none,) * 4, Poly.one() - params.eps),
+                ((measured, measured, none, none), params.eps),
+            )
+
+        monkeypatch.setattr(correction_circuits, "_z_recovery_outcomes", first_helper_only)
+        correction_circuits.outcome_tables.cache_clear()
+        erasure_model._class_table.cache_clear()
+        try:
+            with pytest.raises(ClassUnsound, match="class 'w2'"):
+                build_classes(Model.IDEAL)
+        finally:
+            correction_circuits.outcome_tables.cache_clear()
+            erasure_model._class_table.cache_clear()
+
+
+def _signature(pattern):
+    """A pattern's signature group, from first principles: clean, fail, or
+    the erasure composition of a correctable pattern."""
+    if pattern_weight(pattern) == 0:
+        return "clean"
+    if classify(pattern) is Classification.PROCEDURE_FAIL:
+        return "fail"
+    return pattern_counts(pattern)
 
 
 def _attempt_row(pattern, index, params, config):

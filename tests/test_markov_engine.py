@@ -422,15 +422,15 @@ class TestEpsPolyRing:
 
 
 class TestSharedClassTable:
-    def test_refined_once_per_model_and_fault_model(self, monkeypatch):
-        refine = erasure_model._refine_partition
+    def test_verified_once_per_model_and_fault_model(self, monkeypatch):
+        verify = erasure_model.verify_class_soundness
         calls = []
 
-        def spy(partition, params, fault_model):
-            calls.append((params.model, fault_model))
-            return refine(partition, params, fault_model)
+        def spy(table, params, config=None):
+            calls.append((params.model, config))
+            return verify(table, params, config)
 
-        monkeypatch.setattr(erasure_model, "_refine_partition", spy)
+        monkeypatch.setattr(erasure_model, "verify_class_soundness", spy)
         erasure_model._class_table.cache_clear()
         try:
             tables = [
