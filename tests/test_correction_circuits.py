@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -10,6 +10,7 @@ from erasurechain.correction_circuits import (
     DONE,
     DEFAULT_FAULT_MODEL,
     Construction,
+    CorrectionStep,
     FaultModel,
     StepKind,
     attempt,
@@ -31,7 +32,7 @@ from erasurechain.erasure_model import (
     pattern_weight,
     qubit_marginals,
 )
-from erasurechain.pauli_algebra import stabilizer_supports_weight4
+from erasurechain.pauli_algebra import stabilizer_supports_weight4, supports_logical
 
 QUADS = [frozenset(s) for s in stabilizer_supports_weight4()]
 
@@ -86,6 +87,72 @@ class TestSelectStep:
                     and all(p[h - 1] == Erasure.NONE for h in q - {step.target})
                 ]
                 assert step.helpers == min(better)
+
+
+# Oracle definitions of the per-pattern helpers: generator sums over the
+# qubits and helper sets filtered and sorted from the stabilizer quads.
+def _oracle_weight(p):
+    return sum(1 for s in p if s != Erasure.NONE)
+
+
+def _oracle_counts(p):
+    m = sum(1 for s in p if s == Erasure.FULL)
+    n = sum(1 for s in p if s == Erasure.Z_ERASED)
+    k = sum(1 for s in p if s == Erasure.Z_MEASURED)
+    return m, n, k
+
+
+def _oracle_classify(p):
+    w = _oracle_weight(p)
+    if w <= 2:
+        return Classification.CORRECTABLE
+    support = frozenset(q + 1 for q in range(7) if p[q] != Erasure.NONE)
+    if w == 3 and not supports_logical(support):
+        return Classification.CORRECTABLE
+    return Classification.PROCEDURE_FAIL
+
+
+def _oracle_select_step(p):
+    if _oracle_weight(p) == 0:
+        return DONE
+    if _oracle_classify(p) is Classification.PROCEDURE_FAIL:
+        return ABORT
+    fulls = [q + 1 for q in range(7) if p[q] == Erasure.FULL]
+    if fulls:
+        kind, target = StepKind.FULL_TO_Z, fulls[0]
+    else:
+        zs = [q + 1 for q in range(7) if p[q] != Erasure.NONE]
+        kind, target = StepKind.Z_RECOVERY, zs[0]
+    intact = {q + 1 for q in range(7) if p[q] == Erasure.NONE}
+    candidates = sorted(
+        tuple(sorted(quad - {target}))
+        for quad in QUADS
+        if target in quad and (quad - {target}) <= intact
+    )
+    return CorrectionStep(kind=kind, target=target, helpers=candidates[0])
+
+
+# The CLI's classify command also takes patterns that mix the two alphabets.
+@pytest.mark.parametrize(
+    "patterns",
+    [
+        all_patterns(Model.IDEAL),
+        all_patterns(Model.LOSSY),
+        list(product(Erasure, repeat=7)),
+    ],
+    ids=["ideal", "lossy", "mixed"],
+)
+def test_per_pattern_helpers_match_oracle(patterns):
+    for p in patterns:
+        assert pattern_weight(p) == _oracle_weight(p)
+        assert pattern_counts(p) == _oracle_counts(p)
+        assert classify(p) is _oracle_classify(p)
+        step, want = select_step(p), _oracle_select_step(p)
+        if want is DONE or want is ABORT:
+            assert step is want
+        else:
+            assert step == want
+            assert type(step.helpers) is tuple
 
 
 class TestZRecoveryIdeal:
