@@ -80,18 +80,18 @@ def _load_config(path: Optional[str]) -> FaultModel:
         return FaultModel.from_json(json.load(fh))
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str, flag: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"invalid rational {text!r}: {exc}") from None
+        raise CliError(f"{flag}: invalid rational {text!r}: {exc}") from None
 
 
 def _parse_rate(text: str, flag: str) -> Fraction:
     """A probability given on the command line, checked against [0, 1]."""
     if not text:
         raise CliError(f"{flag} is empty")
-    value = _parse_fraction(text)
+    value = _parse_fraction(text, flag)
     if not 0 <= value <= 1:
         raise CliError(f"{flag} must lie in [0, 1], got {text}")
     return value
@@ -101,7 +101,7 @@ def _parse_bracket(text: str) -> Tuple[Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
         raise CliError(f"--bracket must be two rationals lo,hi, got {text!r}")
-    lo, hi = (_parse_fraction(p) for p in parts)
+    lo, hi = (_parse_fraction(p, "--bracket") for p in parts)
     # Every rate and target is 0 at 0, and ideal and measurement also meet
     # at 1: a bracket reaching either end would return that trivial root.
     if not 0 < lo < hi < 1:
@@ -120,7 +120,7 @@ def _parse_grid(text: str) -> List[Fraction]:
         parts = text.split(":")
         if len(parts) != 3:
             raise CliError("grid range must be lo:hi:step")
-        lo, hi, step = (_parse_fraction(p) for p in parts)
+        lo, hi, step = (_parse_fraction(p, "--grid") for p in parts)
         if step <= 0:
             raise CliError("grid step must be positive")
         if lo > hi:
@@ -143,7 +143,7 @@ def _parse_grid(text: str) -> List[Fraction]:
     entries = text.split(",")
     if not all(entries):
         raise CliError(f"--grid has an empty entry in {text!r}")
-    grid = [_parse_fraction(p) for p in entries]
+    grid = [_parse_fraction(p, "--grid") for p in entries]
     _check_grid_values(grid)
     return grid
 
@@ -255,7 +255,7 @@ def cmd_series(args, config: FaultModel) -> dict:
 
 
 def cmd_threshold(args, config: FaultModel) -> dict:
-    tol = _parse_fraction(args.tol)
+    tol = _parse_fraction(args.tol, "--tol")
     if tol <= 0:
         raise CliError(f"--tol must be positive, got {args.tol}")
     bracket = _parse_bracket(args.bracket) if args.bracket else None

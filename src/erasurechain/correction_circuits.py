@@ -145,7 +145,7 @@ DONE = Done()
 ABORT = Abort()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorrectionStep:
     kind: StepKind
     target: int
@@ -287,19 +287,27 @@ def select_step(pattern: Pattern):
     (or, when none remain, the lowest-indexed Z erasure / Z measurement)
     with the lexicographically smallest valid helper set.
     """
-    if pattern_weight(pattern) == 0:
+    weight = pattern_weight(pattern)
+    if weight == 0:
         return DONE
-    if classify(pattern) is Classification.PROCEDURE_FAIL:
+    if weight > 2 and classify(pattern) is Classification.PROCEDURE_FAIL:
         return ABORT
 
-    fulls = [q + 1 for q in range(N_QUBITS) if pattern[q] == Erasure.FULL]
-    if fulls:
-        kind, target = StepKind.FULL_TO_Z, fulls[0]
-    else:
-        zs = [q + 1 for q in range(N_QUBITS) if pattern[q] != Erasure.NONE]
-        kind, target = StepKind.Z_RECOVERY, zs[0]
+    erased = 0  # bit q-1 set for each erased qubit q
+    for q, status in enumerate(pattern):
+        if status != Erasure.NONE:
+            erased |= 1 << q
+    if Erasure.FULL in pattern:
+        return _step(StepKind.FULL_TO_Z, pattern.index(Erasure.FULL) + 1, erased)
+    lowest_erased = (erased & -erased).bit_length()
+    return _step(StepKind.Z_RECOVERY, lowest_erased, erased)
 
-    intact = {q + 1 for q in range(N_QUBITS) if pattern[q] == Erasure.NONE}
+
+# Keyed by (kind, target, erased mask): at most 2 * 7 * 128 shared steps.
+@lru_cache(maxsize=None)
+def _step(kind: StepKind, target: int, erased: int) -> CorrectionStep:
+    """The step on ``target`` with the smallest helper set of intact qubits."""
+    intact = {q + 1 for q in range(N_QUBITS) if not erased >> q & 1}
     candidates = sorted(
         tuple(sorted(quad - {target}))
         for quad in stabilizer_supports_weight4()
@@ -308,7 +316,7 @@ def select_step(pattern: Pattern):
     if not candidates:
         # Cannot happen for correctable patterns: any <=2 other erased
         # qubits leave at least one covering stabilizer support free.
-        raise RuntimeError(f"no valid helper set for {pattern}")
+        raise RuntimeError(f"no valid helper set for target {target}, erased mask {erased:07b}")
     return CorrectionStep(kind=kind, target=target, helpers=candidates[0])
 
 

@@ -106,15 +106,16 @@ def pattern_support(pattern: Pattern) -> frozenset:
 
 
 def pattern_weight(pattern: Pattern) -> int:
-    return sum(1 for s in pattern if s != Erasure.NONE)
+    return N_QUBITS - pattern.count(Erasure.NONE)
 
 
 def pattern_counts(pattern: Pattern) -> Tuple[int, int, int]:
     """(full erasures, Z erasures, Z measurements)."""
-    m = sum(1 for s in pattern if s == Erasure.FULL)
-    n = sum(1 for s in pattern if s == Erasure.Z_ERASED)
-    k = sum(1 for s in pattern if s == Erasure.Z_MEASURED)
-    return m, n, k
+    return (
+        pattern.count(Erasure.FULL),
+        pattern.count(Erasure.Z_ERASED),
+        pattern.count(Erasure.Z_MEASURED),
+    )
 
 
 def infer_model(pattern: Pattern) -> Optional[Model]:
@@ -204,10 +205,10 @@ def enumerate_patterns(model: Model) -> PatternCensus:
     n_ok = n_fail = 0
     patterns = all_patterns(model)
     for p in patterns:
-        w = pattern_weight(p)
-        by_weight[w] = by_weight.get(w, 0) + 1
         comp = pattern_counts(p)
         by_comp[comp] = by_comp.get(comp, 0) + 1
+        w = sum(comp)
+        by_weight[w] = by_weight.get(w, 0) + 1
         if classify(p) is Classification.CORRECTABLE:
             n_ok += 1
         else:
@@ -273,15 +274,24 @@ class ClassTable:
         }
 
 
-def _base_label(pattern: Pattern, model: Model) -> str:
-    if pattern_weight(pattern) == 0:
-        return "clean"
+def _signature(pattern: Pattern) -> tuple:
+    """The pattern's correction signature, which is also its class's sort key:
+    (0,) clean first, then (1, weight, counts) by weight and composition,
+    then (2,) for every procedure failure."""
     if classify(pattern) is Classification.PROCEDURE_FAIL:
+        return (2,)
+    counts = pattern_counts(pattern)
+    weight = sum(counts)
+    return (1, weight, counts) if weight else (0,)
+
+
+def _label(signature: tuple, model: Model) -> str:
+    if signature == (0,):
+        return "clean"
+    if signature == (2,):
         return "fail"
-    m, n, k = pattern_counts(pattern)
-    if model is Model.IDEAL:
-        return f"w{k}"
-    return f"[{m},{n}]"
+    m, n, k = signature[2]
+    return f"w{k}" if model is Model.IDEAL else f"[{m},{n}]"
 
 
 def build_classes(model: Model, config=None) -> ClassTable:
@@ -303,23 +313,14 @@ def build_classes(model: Model, config=None) -> ClassTable:
 def _class_table(model: Model, fault_model) -> ClassTable:
     from .correction_circuits import fail_sink
 
-    groups: Dict[str, List[Pattern]] = {}
+    groups: Dict[tuple, List[Pattern]] = {}
     for p in all_patterns(model):
-        groups.setdefault(_base_label(p, model), []).append(p)
-
-    # Stable ordering: clean first, then by (weight, composition), fail last.
-    def sort_key(group: List[Pattern]):
-        p = group[0]
-        if pattern_weight(p) == 0:
-            return (0, 0, (0, 0, 0), ())
-        if classify(p) is Classification.PROCEDURE_FAIL:
-            return (2, pattern_weight(p), (0, 0, 0), p)
-        m, n, k = pattern_counts(p)
-        return (1, pattern_weight(p), (m, n, k), p)
+        groups.setdefault(_signature(p), []).append(p)
 
     classes: List[EquivClass] = []
-    for cid, group in enumerate(sorted((sorted(g) for g in groups.values()), key=sort_key)):
-        label = _base_label(group[0], model)
+    for cid, signature in enumerate(sorted(groups)):
+        group = sorted(groups[signature])
+        label = _label(signature, model)
         # Every procedure failure moves to the sink in one attempt.
         rep = fail_sink(model) if label == "fail" else group[0]
         classes.append(EquivClass(cid, label, rep, len(group), tuple(group)))

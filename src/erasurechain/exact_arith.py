@@ -25,6 +25,8 @@ Exponent = Tuple[int, int]
 
 RationalLike = int | Fraction
 
+_ZERO = Fraction(0)
+
 
 class Poly:
     """Sparse bivariate polynomial with exact rational coefficients."""
@@ -73,12 +75,17 @@ class Poly:
     def __add__(self, other: "Poly | RationalLike") -> "Poly":
         other = _coerce(other)
         out = dict(self.terms)
+        get = out.get
         for exp, coeff in other.terms.items():
-            s = out.get(exp, Fraction(0)) + coeff
-            if s == 0:
-                out.pop(exp, None)
+            prev = get(exp)
+            if prev is None:
+                out[exp] = coeff
             else:
-                out[exp] = s
+                s = prev + coeff
+                if s:
+                    out[exp] = s
+                else:
+                    del out[exp]
         result = Poly.__new__(Poly)
         result.terms = out
         return result
@@ -101,14 +108,19 @@ class Poly:
         if not self.terms or not other.terms:
             return Poly.zero()
         out: Dict[Exponent, Fraction] = {}
+        get = out.get
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 exp = (i1 + i2, j1 + j2)
-                s = out.get(exp, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(exp, None)
+                prev = get(exp)
+                if prev is None:
+                    out[exp] = c1 * c2
                 else:
-                    out[exp] = s
+                    s = prev + c1 * c2
+                    if s:
+                        out[exp] = s
+                    else:
+                        del out[exp]
         result = Poly.__new__(Poly)
         result.terms = out
         return result
@@ -147,7 +159,7 @@ class Poly:
         return min(i + j for i, j in self.terms)
 
     def coefficient(self, eps_deg: int, delta_deg: int = 0) -> Fraction:
-        return self.terms.get((eps_deg, delta_deg), Fraction(0))
+        return self.terms.get((eps_deg, delta_deg), _ZERO)
 
     def key(self) -> tuple:
         """Canonical hashable form, usable as a dict key or for sorting."""

@@ -272,6 +272,11 @@ class TestConcat:
         (("series", "--model", "lossy", "--order", "1001"), "--order"),
         (("threshold", "--model", "ideal", "--tol", "0"), "--tol"),
         (("threshold", "--model", "ideal", "--tol", "-1"), "--tol"),
+        # Unparsable rationals name the flag they were given to.
+        (("mc", "--model", "ideal", "--eps", "abc"), "--eps"),
+        (("threshold", "--model", "ideal", "--tol", "x"), "--tol"),
+        (("concat", "--model", "ideal", "--eps0", "1/0"), "--eps0"),
+        (("threshold", "--model", "ideal", "--bracket", "a,b"), "--bracket"),
     ],
 )
 def test_out_of_domain_argument_rejected(args, flag):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erasurechain.exact_arith import Poly
 
@@ -115,3 +117,67 @@ def test_valuation_and_degree():
     assert p.valuation() == 3
     assert p.total_degree() == 4
     assert Poly.zero().valuation() == -1
+
+
+# Ring operations against a plain dict-of-Fraction oracle.  Coefficients
+# come from a small set of units and halves so that sums and products often
+# cancel exactly.
+_COEFFS = st.sampled_from([F(-2), F(-1), F(-1, 2), F(1, 2), F(1), F(2)])
+_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2)), _COEFFS, max_size=5
+)
+
+
+def _oracle(terms):
+    return {exp: c for exp, c in terms.items() if c != 0}
+
+
+def _oracle_add(a, b):
+    out = dict(a)
+    for exp, c in b.items():
+        out[exp] = out.get(exp, F(0)) + c
+    return _oracle(out)
+
+
+def _oracle_mul(a, b):
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            exp = (i1 + i2, j1 + j2)
+            out[exp] = out.get(exp, F(0)) + c1 * c2
+    return _oracle(out)
+
+
+def _assert_is(got, want):
+    assert got.terms == want
+    assert all(c != 0 for c in got.terms.values())
+    assert got.key() == Poly(want).key()
+    assert hash(got) == hash(Poly(want))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(a=_TERMS, extra=_TERMS, k=st.integers(-2, 2), data=st.data())
+def test_ring_operations_match_dict_oracle(a, extra, k, data):
+    # b repeats some of a's terms with the opposite sign, so a + b cancels them.
+    shared = data.draw(st.sets(st.sampled_from(sorted(a)))) if a else set()
+    b = {**extra, **{exp: -a[exp] for exp in shared}}
+    pa, pb = Poly(a), Poly(b)
+    neg_b = {exp: -c for exp, c in b.items()}
+    _assert_is(pa + pb, _oracle_add(a, b))
+    _assert_is(pa - pb, _oracle_add(a, neg_b))
+    _assert_is(pa * pb, _oracle_mul(a, b))
+    _assert_is(pa * pb - pb * pa, {})
+    _assert_is(pa + k, _oracle_add(a, {(0, 0): F(k)}))
+    _assert_is(k - pa, _oracle_add({(0, 0): F(k)}, {exp: -c for exp, c in a.items()}))
+    _assert_is(k * pa, _oracle_mul({(0, 0): F(k)}, a))
+    assert pa.coefficient(9, 9) == 0
+
+
+def test_exact_cancellation_stores_nothing():
+    one, eps = Poly.one(), Poly.eps()
+    zero = (one - eps) * (one + eps) + eps * eps - 1
+    assert zero.terms == {}
+    assert zero == Poly.zero() and hash(zero) == hash(Poly.zero())
+    assert zero.key() == ()
+    # A cancelled term that comes back is stored afresh.
+    assert (eps - eps + eps).terms == {(1, 0): F(1)}
