@@ -152,7 +152,6 @@ def test_per_pattern_helpers_match_oracle(patterns):
             assert step is want
         else:
             assert step == want
-            assert type(step.helpers) is tuple
 
 
 class TestZRecoveryIdeal:
