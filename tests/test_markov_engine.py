@@ -1,6 +1,9 @@
+import hashlib
+import json
 import random
 import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -406,6 +409,54 @@ class TestFractionFreeSolve:
         assert concat_projection(chain_recursion("ideal"), F(1, 19), 3) == [
             float(x) for x in expected
         ]
+
+
+ALT_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "alt_config.json"
+
+# (degree of N, degree of D, sha256 of N, sha256 of D) of each full-chain
+# rate, a coefficient list hashed as its comma-joined decimal digits.
+PINNED_RATES = {
+    "ideal": (
+        16, 9,
+        "5067256a2eebfa438f3047a0f75c048966e3693f3b89c01369bf55c33ec2ce55",
+        "acf3f6a6f1634cf4a5246db861d4fdc11cf2d9a2cee94fca18027245a7c8c54d",
+    ),
+    "per_gate": (
+        61, 54,
+        "19ea1e0a6124c132ba00013cfe42c497f7752ce45e2860be4188d06b7c7b0bdd",
+        "784f49d87202b3b082841593b6f6a614cdb23a69de8ef47502b08ae1b5cbfe12",
+    ),
+    "alt_config": (
+        70, 63,
+        "4fd43356a30884ffb2e86c8a4640cdcd8361da6026396ca7a9a8e2c131a508aa",
+        "7ff099684f4f14c1adc9ad2af77e65b655827d94cf3055b46f14072a6b172fb6",
+    ),
+    "per_teleportation": (
+        107, 93,
+        "f51052b5cb5762f1ce46b058296eb89c8b68be9c844e758c2b9eefa777e19218",
+        "0d49f6eb360f9e566daba1ba936ef4f10e895bf870751795f00e7eeab45deb26",
+    ),
+}
+
+
+def _pinned_rate(name):
+    if name == "ideal":
+        return chain_recursion("ideal")
+    if name == "alt_config":
+        return chain_recursion("lossy", FaultModel.from_json(json.loads(ALT_CONFIG.read_text())))
+    return chain_recursion("lossy", CONFIGS[name])
+
+
+class TestPinnedRates:
+    @pytest.mark.parametrize("name", sorted(PINNED_RATES))
+    def test_numerator_and_denominator_are_pinned(self, name):
+        def digest(coeffs):
+            return hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest()
+
+        rate = _pinned_rate(name)
+        assert (len(rate.N) - 1, len(rate.D) - 1, digest(rate.N), digest(rate.D)) == (
+            PINNED_RATES[name]
+        )
 
 
 class TestEpsPolyRing:
