@@ -386,11 +386,10 @@ def _projector(index: Dict[Pattern, int], params: ModelParams, fault_model):
         if local is ABORT:
             return ((sink, unit),)
         positions, key, outcomes = local
+        t, a, b, c = (q - 1 for q in positions)
         entries: Dict[int, List[int]] = {}
         out = list(pattern)
-        for i, (statuses, _) in enumerate(outcomes):
-            for q, status in zip(positions, statuses):
-                out[q - 1] = status
+        for i, ((out[t], out[a], out[b], out[c]), _) in enumerate(outcomes):
             entries.setdefault(index[tuple(out)], []).append(i)
         row = []
         for cid in sorted(entries):
@@ -492,7 +491,7 @@ def initial_distribution(
     for cls in table.classes:
         multiplicity: Dict[Tuple[int, ...], int] = {}
         for p in cls.members:
-            comp = tuple(p.count(status) for status in alphabet)
+            comp = tuple(map(p.count, alphabet))
             multiplicity[comp] = multiplicity.get(comp, 0) + 1
         mass = Poly.zero()
         for comp, count in multiplicity.items():

@@ -24,9 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
-from math import lcm
-from operator import mul
+from math import lcm, prod
 from typing import Dict, List, Optional, Tuple
 
 from .exact_arith import Poly
@@ -126,34 +124,55 @@ def _is_numeric(chain: TransitionMatrix) -> bool:
 
 
 def _solve(chain: TransitionMatrix, initial: Optional[Dict[int, Poly]]):
-    """(det M, det A * s) of the bordered absorbing system, in Z[eps].
+    """(det M, det A * s) of the bordered absorbing system, as coefficient
+    lists in eps, lowest degree first, with no trailing zero.
 
     M stacks each transient row [I - Q | r] (r is the column into the fail
     class) on the border row [-c | c0] (the injected mass on the transient
     classes and on the fail class); A is its top-left transient block.
     Each row is scaled to integer coefficients (``_eps_row``); s is the
-    border row's scale.  One fraction-free Bareiss pass (Bareiss 1968) with
-    pivot swaps among the transient rows only leaves det(A) as its m-th
-    pivot and det(M) as its last; every division is exact, so the loop
-    needs only ``*``, ``-``, ``//`` and a nonzero test.  By the Schur
-    complement det(M) / det(A) = s * (c0 + c^T A^-1 r), the absorption
-    probability; a swap flips the sign of both determinants, so the ratio
-    needs no correction.
+    border row's scale.  ``_eliminate`` gives det(M) and det(A).  By the
+    Schur complement det(M) / det(A) = s * (c0 + c^T A^-1 r), the
+    absorption probability.
     """
     if initial is None:
         initial = initial_distribution(chain.params, chain.table, chain.config)
     clean_id, fail_id = chain.absorbing
     transient = [i for i in range(chain.size) if i not in (clean_id, fail_id)]
-    m = len(transient)
 
     zero, one = Poly.zero(), Poly.one()
-    M = []
+    rows = []
     for i in transient:
         row = [(one if i == j else zero) - chain.P[i][j] for j in transient]
-        M.append(_eps_row(row + [chain.P[i][fail_id]])[0])
+        rows.append(_eps_row(row + [chain.P[i][fail_id]])[0])
     border = [-initial.get(j, zero) for j in transient] + [initial.get(fail_id, zero)]
     values, scale = _eps_row(border)
-    M.append(values)
+    rows.append(values)
+    det_m, det_a = _eliminate(rows)
+    return det_m, [c * scale for c in det_a]
+
+
+def _eliminate(rows: List[List[List[int]]]) -> Tuple[List[int], List[int]]:
+    """det(M) and det(A) of a square matrix M of integer polynomials in eps.
+
+    ``rows[r][j]`` is a coefficient list, lowest degree first; A is M
+    without its last row and column.  One fraction-free Bareiss pass
+    (Bareiss 1968) with pivot swaps among the first m = len(rows) - 1 rows
+    only leaves det(A) as its m-th pivot and det(M) as its last; a swap
+    flips the sign of both, so their ratio needs no correction.  The pass
+    runs on plain ints, every entry evaluated at eps = 2^w (Kronecker
+    substitution), and the two determinants are read back from signed
+    w-bit slots.  That is exact: every entry the pass computes is a minor
+    of M, so its coefficients are at most B in size, the product of the
+    rows' l1 coefficient norms, and w = B.bit_length() + 2 gives each slot
+    room for them with a sign.  Signed base-2^w digits of that size are
+    unique, so an entry is 0 exactly when its polynomial is, and each
+    ``//`` is the exact polynomial quotient evaluated at 2^w.
+    """
+    bound = prod(max(1, sum(abs(c) for entry in row for c in entry)) for row in rows)
+    w = bound.bit_length() + 2
+    M = [[_pack(entry, w) for entry in row] for row in rows]
+    m = len(M) - 1
 
     prev = 1
     for k in range(m):
@@ -169,95 +188,32 @@ def _solve(chain: TransitionMatrix, initial: Optional[Dict[int, Poly]]):
             for j in range(k + 1, m + 1):
                 row[j] = (row[j] * p - f * top[j]) // prev
         prev = p
-    return M[m][m], prev * scale
-
-
-class _EpsPoly:
-    """Dense polynomial in eps with integer coefficients, lowest degree first.
-
-    Only the ring operations ``_solve`` uses; ``//`` is exact division,
-    which is all the elimination asks of it.  The ring's constants may also
-    be plain ints, on either side of an operation: ``_eps_row`` writes a
-    constant entry as an int, so a chain built at numeric rates is
-    eliminated in int arithmetic throughout.
-    """
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: List[int]):
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self.c = coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.c)
-
-    def __mul__(self, other: "_EpsPoly | int") -> "_EpsPoly":
-        a, b = self.c, _coefficients(other)
-        if not a or not b:
-            return _EpsPoly([])
-        # Kronecker substitution: multiply the values at eps = 2^w and read
-        # the product's coefficients back from w-bit slots, each wide
-        # enough for min(len) products of the largest coefficients, signed.
-        w = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-        w += min(len(a), len(b)).bit_length() + 1
-        return _EpsPoly(_unpack(_pack(a, w) * _pack(b, w), w, len(a) + len(b) - 1))
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other: "_EpsPoly | int") -> "_EpsPoly":
-        pairs = zip_longest(self.c, _coefficients(other), fillvalue=0)
-        return _EpsPoly([x - y for x, y in pairs])
-
-    def __rsub__(self, other: int) -> "_EpsPoly":
-        return _EpsPoly([other]) - self
-
-    def __floordiv__(self, other: "_EpsPoly | int") -> "_EpsPoly":
-        # Quotient coefficients from the top down; the lower coefficients
-        # of the dividend are not read, since the division is exact.
-        a, rb = self.c, _coefficients(other)[::-1]
-        top = len(rb) - 1
-        q = [0] * max(len(a) - top, 0)
-        for k in range(len(q) - 1, -1, -1):
-            q[k] = (a[k + top] - sum(map(mul, q[k + 1 : k + 1 + top], rb[1:]))) // rb[0]
-        return _EpsPoly(q)
-
-    def __rfloordiv__(self, other: int) -> "_EpsPoly":
-        return _EpsPoly([other]) // self
-
-
-def _coefficients(x: "_EpsPoly | int") -> List[int]:
-    """Coefficients, lowest first, with no trailing zero (none for 0)."""
-    if isinstance(x, _EpsPoly):
-        return x.c
-    return [x] if x else []
+    return _unpack(M[m][m], w), _unpack(prev, w)
 
 
 def _pack(coeffs: List[int], w: int) -> int:
+    """The polynomial's value at eps = 2^w."""
     value = 0
     for c in reversed(coeffs):
         value = (value << w) + c
     return value
 
 
-def _unpack(value: int, w: int, n: int) -> List[int]:
-    """The n signed w-bit slots of ``value``, lowest first."""
+def _unpack(value: int, w: int) -> List[int]:
+    """The signed w-bit slots of ``value``, lowest first, up to the last
+    nonzero one (none for 0)."""
     mask, half = (1 << w) - 1, 1 << (w - 1)
     out = []
-    for _ in range(n):
-        c = value & mask
-        if c >= half:
-            c -= 1 << w
+    while value:
+        c = ((value + half) & mask) - half
         out.append(c)
         value = (value - c) >> w
     return out
 
 
-def _eps_row(row: List[Poly]) -> Tuple[List["_EpsPoly | int"], int]:
-    """The row times the lcm of its coefficient denominators, and that lcm.
-
-    A constant entry is an int.
-    """
+def _eps_row(row: List[Poly]) -> Tuple[List[List[int]], int]:
+    """The row's coefficient lists, lowest degree first, times the lcm of
+    its coefficient denominators, and that lcm."""
     scale = lcm(*(c.denominator for entry in row for c in entry.terms.values()))
     out = []
     for entry in row:
@@ -266,7 +222,7 @@ def _eps_row(row: List[Poly]) -> Tuple[List["_EpsPoly | int"], int]:
             if j:
                 raise ValueError("failure_rate needs a chain in eps alone; it has a delta term")
             coeffs[i] = c.numerator * (scale // c.denominator)
-        out.append(_EpsPoly(coeffs) if len(coeffs) > 1 else sum(coeffs))
+        out.append(coeffs)
     return out, scale
 
 
@@ -364,8 +320,7 @@ def failure_rate(
     (``ModelParams.lossy_diagonal()``) or built at numeric rates; a delta
     term is a ValueError.
     """
-    det_m, det_a = _solve(chain, initial)
-    return FailureRate(_coefficients(det_m), _coefficients(det_a))
+    return FailureRate(*_solve(chain, initial))
 
 
 def encoded_failure_at(

@@ -3,9 +3,12 @@ import json
 import random
 import re
 from fractions import Fraction as F
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dataclasses
 
@@ -459,17 +462,107 @@ class TestPinnedRates:
         )
 
 
-class TestEpsPolyRing:
-    def test_int_constants_on_either_side(self):
-        # A chain built at numeric rates enters the elimination as ints,
-        # and a symbolic one mixes ints and polynomials.
-        P = markov_engine._EpsPoly
-        p = P([2, 0, -3])
-        assert (3 * p).c == (p * 3).c == (P([3]) * p).c == [6, 0, -9]
-        assert (1 - p).c == (P([1]) - p).c == [-1, 0, 3]
-        assert (p - 2).c == [0, 0, -3]
-        assert (0 // p).c == [] and ((p * p) // p).c == p.c
-        assert (6 // P([3])).c == [2]
+def _trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _poly_mul(a, b):
+    """Schoolbook product of coefficient lists, lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _poly_exact_div(a, b):
+    """a / b from the top coefficient down, asserting the division is exact."""
+    rest, q = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        q[k], remainder = divmod(rest[k + len(b) - 1], b[-1])
+        assert remainder == 0
+        for i, y in enumerate(b):
+            rest[k + i] -= q[k] * y
+    assert not any(rest)
+    return _trim(q)
+
+
+def naive_bareiss(rows):
+    """(det M, det A) by the same pivoting as the engine, on coefficient lists."""
+    M = [[_trim(entry) for entry in row] for row in rows]
+    m = len(M) - 1
+    prev = [1]
+    for k in range(m):
+        pivot = next((r for r in range(k, m) if M[r][k]), None)
+        if pivot is None:
+            raise ValueError("singular transient system")
+        M[k], M[pivot] = M[pivot], M[k]
+        top, p = M[k], M[k][k]
+        for r in range(k + 1, m + 1):
+            row, f = M[r], M[r][k]
+            for j in range(k + 1, m + 1):
+                diff = [
+                    x - y
+                    for x, y in zip_longest(_poly_mul(row[j], p), _poly_mul(f, top[j]), fillvalue=0)
+                ]
+                row[j] = _poly_exact_div(_trim(diff), prev)
+        prev = p
+    return M[m][m], prev
+
+
+_COEFFICIENT = st.integers(-(2**40), 2**40)
+_POLY = st.lists(_COEFFICIENT, max_size=7)
+
+
+@st.composite
+def bordered_matrices(draw):
+    """Square matrices of integer polynomials (degrees 0-6), sizes 1-6.
+
+    Some rows repeat a polynomial multiple of another row on a leading
+    run of columns, so pivots cancel mid-elimination and whole systems
+    can be singular.
+    """
+    n = draw(st.integers(1, 6))
+    rows = [draw(st.lists(_POLY, min_size=n, max_size=n)) for _ in range(n)]
+    for r in range(n):
+        if n > 1 and draw(st.integers(0, 3)) == 0:
+            source = draw(st.integers(0, n - 1).filter(lambda s: s != r))
+            factor = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=2))
+            width = draw(st.integers(1, n))
+            rows[r][:width] = [_poly_mul(factor, entry) for entry in rows[source][:width]]
+    return rows
+
+
+class TestIntegerElimination:
+    """``_eliminate`` runs Bareiss on the matrix packed at eps = 2^w."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(rows=bordered_matrices())
+    def test_matches_list_polynomial_bareiss(self, rows):
+        try:
+            expected = naive_bareiss(rows)
+        except ValueError:
+            with pytest.raises(ValueError, match="singular transient system"):
+                markov_engine._eliminate(rows)
+        else:
+            assert markov_engine._eliminate(rows) == expected
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(w=st.integers(2, 200), data=st.data())
+    def test_pack_unpack_round_trip_at_the_slot_limits(self, w, data):
+        limit = 2 ** (w - 1) - 1
+        coeffs = data.draw(st.lists(st.sampled_from([-limit, 0, limit]), max_size=12))
+        coeffs = _trim(coeffs)
+        assert markov_engine._unpack(markov_engine._pack(coeffs, w), w) == coeffs
+
+    def test_singular_lossy_system_still_raises(self):
+        # eps = 0, delta = 1: a class holding a full erasure never leaves itself.
+        chain = build_chain(ModelParams.lossy(F(0), F(1)))
+        with pytest.raises(ValueError, match="singular transient system"):
+            failure_rate(chain)
 
 
 class TestSharedClassTable:
