@@ -9,15 +9,19 @@ ideal hardware, an encoded full erasure under lossy hardware).
 The encoded failure rate is the probability of absorbing into the sink,
 starting from the distribution injected by one encoded gate.  It comes
 from one elimination: a fraction-free (Bareiss) pass over the bordered
-absorbing system, over integer polynomials in eps.  A chain in eps alone
-(ideal, or lossy on the delta = eps diagonal) gives the rate as one
-rational function N/D; series are its Taylor division, numeric rates (what
-threshold searches use) are N(x)/D(x) by Horner on integers, and
-concatenation encloses N/D over an interval of rates by the same Horner on
-the positive and negative coefficient parts.  A rate at any one point
-(eps, delta) is the same elimination of the chain built at that point,
-whose entries are constants; its class table is the symbolic one, which
-``build_classes`` proved sound as polynomials and so at every point.
+absorbing system, scaled to integer polynomials in eps and evaluated at
+the single point eps = 2^w, so the pass runs on plain ints.  Every entry
+it computes is a minor, whose coefficients fit a signed w-bit slot, so
+the determinants are read back exactly from the slots of two ints.  A
+chain in eps alone (ideal, or lossy on the delta = eps diagonal) gives
+the rate as one rational function N/D; series are its Taylor division,
+numeric rates (what threshold searches use) are N(x)/D(x) by Horner on
+integers, and concatenation encloses N/D over an interval of rates by the
+same Horner on the positive and negative coefficient parts.  A rate at
+any one point (eps, delta) is the same elimination of the chain built at
+that point, whose entries are constants; its class table is the symbolic
+one, which ``build_classes`` proved sound as polynomials and so at every
+point.
 """
 
 from __future__ import annotations

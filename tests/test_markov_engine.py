@@ -558,12 +558,6 @@ class TestIntegerElimination:
         coeffs = _trim(coeffs)
         assert markov_engine._unpack(markov_engine._pack(coeffs, w), w) == coeffs
 
-    def test_singular_lossy_system_still_raises(self):
-        # eps = 0, delta = 1: a class holding a full erasure never leaves itself.
-        chain = build_chain(ModelParams.lossy(F(0), F(1)))
-        with pytest.raises(ValueError, match="singular transient system"):
-            failure_rate(chain)
-
 
 class TestSharedClassTable:
     def test_verified_once_per_model_and_fault_model(self, monkeypatch):
