@@ -296,9 +296,10 @@ def cmd_threshold(args, config: FaultModel) -> dict:
     except NoSignChange as exc:
         samples = {}
         lo, hi = bracket
+        target = condition.target(target_config)
         for k in range(5):
             x = lo + (hi - lo) * Fraction(k, 4)
-            samples[f"{float(x):.6g}"] = float(rate(x) - condition.target(x, target_config))
+            samples[f"{float(x):.6g}"] = float(rate(x) - target.evaluate(x))
         raise CliError(
             json.dumps(
                 {
@@ -354,22 +355,16 @@ def cmd_mc(args, config: FaultModel) -> dict:
     delta = _parse_rate(args.delta, "--delta") if args.delta is not None else None
     _check_at_least(args.trials, 1, "--trials")
     _check_at_least(args.seed, 0, "--seed")
-    model = Model(args.model)
-    if model is Model.IDEAL:
-        if args.delta is not None:
-            raise CliError("--delta applies only to --model lossy")
-        numeric = ModelParams.ideal(eps)
-        d = Fraction(0)
-    else:
-        d = delta if delta is not None else eps
-        numeric = ModelParams.lossy(eps, d)
+    if args.model == "ideal" and delta is not None:
+        raise CliError("--delta applies only to --model lossy")
+    numeric = _model_params(args.model, eps, delta)
     est = simulate(numeric, args.trials, seed=args.seed, config=config)
     exact = encoded_failure_at(build_chain(numeric, config=config))
     report = compare(exact, est)
     return {
-        "model": model.value,
+        "model": args.model,
         "eps": float(eps),
-        "delta": float(d),
+        "delta": float(numeric.delta.coefficient(0)),
         "trials": args.trials,
         "seed": args.seed,
         "mean": est.mean,

@@ -165,6 +165,12 @@ class Construction(Enum):
 
 
 _DETECTION_KEYS = ("readout_detections", "helper_detections", "ancilla_detections")
+# Largest detection count a FaultModel accepts.  Each loss probability
+# 1-(1-delta)^n is expanded exactly, and the exact build's cost grows
+# steeply with n: on a 2-CPU host lossy ``threshold`` takes 1-2 s with all
+# three counts at 16 and about 10 s with 100 ancilla detections.  Every
+# shipped config uses at most 4.
+MAX_DETECTIONS = 16
 _CONFIG_KEYS = frozenset(_DETECTION_KEYS) | {"coupling_full_fraction", "construction"}
 # Fields that describe a per_gate detail and mean nothing elsewhere.
 _PER_GATE_ONLY = ("helper_detections", "coupling_full_fraction")
@@ -196,6 +202,8 @@ class FaultModel:
             value = getattr(self, key)
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ValueError(f"{key} must be a nonnegative integer, got {value!r}")
+            if value > MAX_DETECTIONS:
+                raise ValueError(f"{key} must be at most {MAX_DETECTIONS}, got {value}")
         if not 0 <= Fraction(self.coupling_full_fraction) <= 1:
             raise ValueError(
                 f"coupling_full_fraction must lie in [0, 1], got {self.coupling_full_fraction}"
@@ -228,11 +236,11 @@ class FaultModel:
     def from_json(data: dict) -> "FaultModel":
         """Parse a circuit config, rejecting anything not read as written.
 
-        Unknown keys, non-integer or negative detection counts, a
-        ``coupling_full_fraction`` outside [0, 1] or not an exact rational
-        (an integer or a string such as "1/2"), unknown constructions and
-        keys that do not apply to the chosen construction all raise
-        ValueError.
+        Unknown keys, non-integer, negative or over ``MAX_DETECTIONS``
+        detection counts, a ``coupling_full_fraction`` outside [0, 1] or not
+        an exact rational (an integer or a string such as "1/2"), unknown
+        constructions and keys that do not apply to the chosen construction
+        all raise ValueError.
         """
         if not isinstance(data, dict):
             raise ValueError("circuit config must be a JSON object")
@@ -420,7 +428,6 @@ def _fold_gates(pairs, sites: int, gate: GateTable) -> Dict[Tuple[Erasure, ...],
 LocalOutcomes = Tuple[Tuple[Tuple[Erasure, ...], Poly], ...]
 
 
-@lru_cache(maxsize=1024)
 def _z_recovery_outcomes(
     target_status: Erasure, params: ModelParams, config: FaultModel
 ) -> LocalOutcomes:
@@ -441,7 +448,6 @@ def _z_recovery_outcomes(
     return tuple(local.items())
 
 
-@lru_cache(maxsize=1024)
 def _full_to_z_outcomes(params: ModelParams, config: FaultModel) -> LocalOutcomes:
     p_meas_fail = _loss_probability(params.delta, config.ancilla_detections)
     p_meas_ok = Poly.one() - p_meas_fail

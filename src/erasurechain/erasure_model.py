@@ -43,7 +43,7 @@ from itertools import product
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .exact_arith import Poly
+from .exact_arith import Poly, coerce
 from .pauli_algebra import N_QUBITS, supports_logical
 
 
@@ -157,7 +157,7 @@ class ModelParams:
 
     @staticmethod
     def ideal(eps: Poly | Fraction | int | None = None) -> "ModelParams":
-        p = Poly.eps() if eps is None else _as_poly(eps)
+        p = Poly.eps() if eps is None else coerce(eps)
         return ModelParams(Model.IDEAL, p, Poly.zero())
 
     @staticmethod
@@ -165,21 +165,15 @@ class ModelParams:
         eps: Poly | Fraction | int | None = None,
         delta: Poly | Fraction | int | None = None,
     ) -> "ModelParams":
-        e = Poly.eps() if eps is None else _as_poly(eps)
-        d = Poly.delta() if delta is None else _as_poly(delta)
+        e = Poly.eps() if eps is None else coerce(eps)
+        d = Poly.delta() if delta is None else coerce(delta)
         return ModelParams(Model.LOSSY, e, d)
 
     @staticmethod
     def lossy_diagonal(value: Poly | Fraction | int | None = None) -> "ModelParams":
         """Lossy model on the delta = eps line."""
-        e = Poly.eps() if value is None else _as_poly(value)
+        e = Poly.eps() if value is None else coerce(value)
         return ModelParams(Model.LOSSY, e, e)
-
-
-def _as_poly(value) -> Poly:
-    if isinstance(value, Poly):
-        return value
-    return Poly.constant(value)
 
 
 def all_patterns(model: Model) -> List[Pattern]:
@@ -253,9 +247,6 @@ class ClassTable:
 
     def class_of(self, pattern: Pattern) -> int:
         return self.index[pattern]
-
-    def labels(self) -> List[str]:
-        return [c.label for c in self.classes]
 
     def to_json(self) -> dict:
         return {
@@ -337,22 +328,6 @@ def _class_table(model: Model, fault_model) -> ClassTable:
     return table
 
 
-class _Sum(tuple):
-    """A ``Poly.key()`` that computes its hash once.
-
-    A plain key rehashes every Fraction in it on each lookup, and a class
-    build groups thousands of rows made of a few dozen distinct sums.
-    """
-
-    def __new__(cls, key: tuple) -> "_Sum":
-        self = super().__new__(cls, key)
-        self.hash = tuple.__hash__(self)
-        return self
-
-    def __hash__(self) -> int:
-        return self.hash
-
-
 def _projector(index: Dict[Pattern, int], params: ModelParams, fault_model):
     """pattern -> one attempt's outcome distribution summed per class.
 
@@ -363,21 +338,14 @@ def _projector(index: Dict[Pattern, int], params: ModelParams, fault_model):
     class.  Each (table, entries) sum is built once per projector and
     looked up for every later pattern that groups its entries the same way.
     Members of one class may group their entries differently and still have
-    equal sums, so rows compare sums, never groupings: each distinct sum is
-    interned once per projector, keyed by its value, as a ``_Sum``.
+    equal sums, so rows compare sums, never groupings.
     """
     from .correction_circuits import ABORT, DONE, fail_sink, local_attempt, outcome_tables
 
     tables = outcome_tables(params, fault_model)
-    interned: Dict[_Sum, _Sum] = {}
-
-    def intern(key: tuple) -> _Sum:
-        total = _Sum(key)
-        return interned.setdefault(total, total)
-
-    unit = intern(Poly.one().key())
+    unit = Poly.one().key()
     sink = index[fail_sink(params.model)]
-    sums: Dict[tuple, _Sum] = {}
+    sums: Dict[tuple, tuple] = {}
 
     def project(pattern: Pattern) -> tuple:
         local = local_attempt(pattern, tables)
@@ -399,7 +367,7 @@ def _projector(index: Dict[Pattern, int], params: ModelParams, fault_model):
                 acc = Poly.zero()
                 for i in entries[cid]:
                     acc = acc + outcomes[i][1]
-                total = sums[memo] = intern(acc.key())
+                total = sums[memo] = acc.key()
             row.append((cid, total))
         return tuple(row)
 

@@ -73,7 +73,7 @@ class Poly:
     # ring operations
     # ------------------------------------------------------------------
     def __add__(self, other: "Poly | RationalLike") -> "Poly":
-        other = _coerce(other)
+        other = coerce(other)
         out = dict(self.terms)
         get = out.get
         for exp, coeff in other.terms.items():
@@ -98,13 +98,13 @@ class Poly:
         return result
 
     def __sub__(self, other: "Poly | RationalLike") -> "Poly":
-        return self + (-_coerce(other))
+        return self + (-coerce(other))
 
     def __rsub__(self, other: "Poly | RationalLike") -> "Poly":
-        return _coerce(other) + (-self)
+        return coerce(other) + (-self)
 
     def __mul__(self, other: "Poly | RationalLike") -> "Poly":
-        other = _coerce(other)
+        other = coerce(other)
         if not self.terms or not other.terms:
             return Poly.zero()
         out: Dict[Exponent, Fraction] = {}
@@ -223,7 +223,7 @@ class Poly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _coerce(value: "Poly | RationalLike") -> Poly:
+def coerce(value: "Poly | RationalLike") -> Poly:
     if isinstance(value, Poly):
         return value
     return Poly.constant(value)

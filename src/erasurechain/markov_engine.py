@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .exact_arith import Poly
 from .erasure_model import (
@@ -127,7 +127,7 @@ def _is_numeric(chain: TransitionMatrix) -> bool:
     return eps_const and delta_const
 
 
-def _solve(chain: TransitionMatrix, initial: Optional[Dict[int, Poly]]):
+def _solve(chain: TransitionMatrix):
     """(det M, det A * s) of the bordered absorbing system, as coefficient
     lists in eps, lowest degree first, with no trailing zero.
 
@@ -139,8 +139,7 @@ def _solve(chain: TransitionMatrix, initial: Optional[Dict[int, Poly]]):
     Schur complement det(M) / det(A) = s * (c0 + c^T A^-1 r), the
     absorption probability.
     """
-    if initial is None:
-        initial = initial_distribution(chain.params, chain.table, chain.config)
+    initial = initial_distribution(chain.params, chain.table, chain.config)
     clean_id, fail_id = chain.absorbing
     transient = [i for i in range(chain.size) if i not in (clean_id, fail_id)]
 
@@ -315,21 +314,17 @@ class FailureRate:
         return Poly({(k, 0): c for k, c in enumerate(coeffs)})
 
 
-def failure_rate(
-    chain: TransitionMatrix, initial: Optional[Dict[int, Poly]] = None
-) -> FailureRate:
+def failure_rate(chain: TransitionMatrix) -> FailureRate:
     """The exact encoded failure rate of a chain in eps alone, as N/D.
 
     The chain may be ideal, lossy on the delta = eps diagonal
     (``ModelParams.lossy_diagonal()``) or built at numeric rates; a delta
     term is a ValueError.
     """
-    return FailureRate(*_solve(chain, initial))
+    return FailureRate(*_solve(chain))
 
 
-def encoded_failure_at(
-    chain: TransitionMatrix, initial: Optional[Dict[int, Poly]] = None
-) -> Fraction:
+def encoded_failure_at(chain: TransitionMatrix) -> Fraction:
     """Exact absorption probability of a chain built at numeric rates.
 
     The rate at a point is the rate of the chain built at that point:
@@ -338,7 +333,7 @@ def encoded_failure_at(
     """
     if not _is_numeric(chain):
         raise ValueError("encoded_failure_at needs a chain built at numeric rates")
-    return failure_rate(chain, initial).at(Fraction(0))
+    return failure_rate(chain).at(Fraction(0))
 
 
 @dataclass
@@ -346,9 +341,6 @@ class ChainResult:
     encoded_failure: Fraction
 
 
-def run_to_absorption(
-    chain: TransitionMatrix,
-    initial: Optional[Dict[int, Poly]] = None,
-) -> ChainResult:
+def run_to_absorption(chain: TransitionMatrix) -> ChainResult:
     """Encoded failure probability of a chain built at numeric rates."""
-    return ChainResult(encoded_failure_at(chain, initial))
+    return ChainResult(encoded_failure_at(chain))

@@ -30,6 +30,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+from .erasure_model import Erasure, ModelParams, qubit_marginals
+from .exact_arith import Poly
 from .markov_engine import FailureRate, build_chain, failure_rate
 
 
@@ -38,14 +40,13 @@ class BreakEvenCondition(Enum):
     LOSSY_GATE = "lossy_gate"        # eps^(1) = full-erasure marginal
     MEASUREMENT = "measurement"      # delta^(1) = delta
 
-    def target(self, x: Fraction, config=None) -> Fraction:
-        """Break-even value at rate x; ``config`` picks the construction."""
+    def target(self, config=None) -> Poly:
+        """The break-even line as a polynomial in the rate; ``config`` picks
+        the construction."""
         if self is BreakEvenCondition.LOSSY_GATE:
-            from .erasure_model import Erasure, ModelParams, qubit_marginals
-
-            marginals = qubit_marginals(ModelParams.lossy_diagonal(x), config)
-            return marginals[Erasure.FULL].evaluate(0, 0)
-        return x
+            marginals = qubit_marginals(ModelParams.lossy_diagonal(), config)
+            return marginals[Erasure.FULL]
+        return Poly.eps()
 
 
 class NoSignChange(Exception):
@@ -115,8 +116,9 @@ def solve_break_even(
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    g_lo = rate(lo) - condition.target(lo, config)
-    g_hi = rate(hi) - condition.target(hi, config)
+    target = condition.target(config)
+    g_lo = rate(lo) - target.evaluate(lo)
+    g_hi = rate(hi) - target.evaluate(hi)
     if g_lo == 0:
         return ThresholdResult(lo, (lo, lo), 0, condition)
     if g_hi == 0:
@@ -130,7 +132,7 @@ def solve_break_even(
     iterations = 0
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        g_mid = rate(mid) - condition.target(mid, config)
+        g_mid = rate(mid) - target.evaluate(mid)
         iterations += 1
         if g_mid == 0:
             return ThresholdResult(mid, (mid, mid), iterations, condition)
@@ -226,8 +228,6 @@ def _certified_levels(
 
 def chain_recursion(model_name: str, config=None) -> FailureRate:
     """Exact full-chain rate N/D for 'ideal' or 'lossy' (delta = eps)."""
-    from .erasure_model import ModelParams
-
     if model_name == "ideal":
         params = ModelParams.ideal()
     elif model_name == "lossy":

@@ -312,6 +312,7 @@ class TestCircuitConfig:
             {"construction": "per_teleportation", "helper_detections": 2},
             {"construction": "per_teleportation", "coupling_full_fraction": "1/2"},
             ["not", "an", "object"],
+            {"ancilla_detections": 17},  # above MAX_DETECTIONS
         ],
     )
     def test_malformed_config_rejected(self, tmp_path, config):

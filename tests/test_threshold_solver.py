@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from erasurechain import erasure_model, threshold_solver
 from erasurechain.correction_circuits import Construction, FaultModel
 from erasurechain.markov_engine import FailureRate
 from erasurechain.threshold_solver import (
@@ -133,6 +134,24 @@ class TestSolveBreakEven:
         )
         assert result.root == F(1, 2)
         assert result.bracket == (F(1, 2), F(1, 2))
+
+    def test_lossy_target_built_once(self, monkeypatch):
+        # The break-even line is one polynomial, not a marginal rebuilt at
+        # every bisection step.
+        rate = rate_of("lossy")
+        calls = []
+        marginals = erasure_model.qubit_marginals
+
+        def spy(params, config=None):
+            calls.append(params)
+            return marginals(params, config)
+
+        monkeypatch.setattr(erasure_model, "qubit_marginals", spy)
+        monkeypatch.setattr(threshold_solver, "qubit_marginals", spy)
+        condition = BreakEvenCondition.LOSSY_GATE
+        result = solve_break_even(rate, condition, default_bracket(condition))
+        assert result.iterations > 1
+        assert len(calls) == 1
 
 
 class TestConcatProjection:
