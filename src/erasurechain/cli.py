@@ -24,7 +24,6 @@ from .erasure_model import (
     ModelParams,
     build_classes,
     classify,
-    enumerate_patterns,
     format_pattern,
     infer_model,
     parse_pattern,
@@ -201,7 +200,7 @@ def cmd_classify(args, config: FaultModel) -> dict:
         label = None
     else:
         table = build_classes(model or Model.IDEAL, config=config)
-        label = table.classes[table.class_of(pattern)].label
+        label = table.classes[table.index[pattern]].label
     return {
         "pattern": format_pattern(pattern),
         "model": "mixed" if mixed else (model.value if model else None),
@@ -218,11 +217,14 @@ def cmd_classify(args, config: FaultModel) -> dict:
 def cmd_classes(args, config: FaultModel) -> dict:
     model = Model(args.model)
     table = build_classes(model, config=config)
-    census = enumerate_patterns(model)
+    # The verified partition is the census: the fail class holds exactly
+    # the procedure failures.
+    total = sum(c.size for c in table.classes)
+    fail = table.classes[table.fail_id].size
     payload = table.to_json()
-    payload["pattern_total"] = census.total
-    payload["correctable_patterns"] = census.correctable
-    payload["procedure_fail_patterns"] = census.procedure_fail
+    payload["pattern_total"] = total
+    payload["correctable_patterns"] = total - fail
+    payload["procedure_fail_patterns"] = fail
     return payload
 
 
@@ -296,10 +298,9 @@ def cmd_threshold(args, config: FaultModel) -> dict:
     except NoSignChange as exc:
         samples = {}
         lo, hi = bracket
-        target = condition.target(target_config)
         for k in range(5):
             x = lo + (hi - lo) * Fraction(k, 4)
-            samples[f"{float(x):.6g}"] = float(rate(x) - target.evaluate(x))
+            samples[f"{float(x):.6g}"] = float(rate(x) - exc.target(x))
         raise CliError(
             json.dumps(
                 {
@@ -419,6 +420,9 @@ def _csv_mc(payload: dict, manifest: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_CSV_RENDERERS = {"sweep": _csv_sweep, "mc": _csv_mc}
+
+
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
@@ -503,17 +507,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(getattr(args, "circuit_config", None))
+        config = _load_config(args.circuit_config)
+        render_csv = None
+        if args.format == "csv":
+            render_csv = _CSV_RENDERERS.get(args.command)
+            if render_csv is None:
+                raise CliError(f"csv output is not defined for {args.command!r}")
         payload = args.func(args, config)
         manifest = _manifest(args, config)
-        fmt = getattr(args, "format", "json")
-        if fmt == "csv":
-            if args.command == "sweep":
-                text = _csv_sweep(payload, manifest)
-            elif args.command == "mc":
-                text = _csv_mc(payload, manifest)
-            else:
-                raise CliError(f"csv output is not defined for {args.command!r}")
+        if render_csv is not None:
+            text = render_csv(payload, manifest)
         else:
             payload["manifest"] = manifest
             text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

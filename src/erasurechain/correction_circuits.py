@@ -187,7 +187,8 @@ class FaultModel:
     ancilla_detections: detections in the stabilizer-measurement register.
     coupling_full_fraction: fraction of coupling-gate back-action that
         fully erases the data qubit instead of Z-erasing it (0 keeps the
-        pure Z back-action of the control side; per_gate only).
+        pure Z back-action of the control side; per_gate only).  An int
+        or Fraction, stored as a Fraction; a float or bool is rejected.
     construction: how the entangling gates are built.
     """
 
@@ -204,10 +205,13 @@ class FaultModel:
                 raise ValueError(f"{key} must be a nonnegative integer, got {value!r}")
             if value > MAX_DETECTIONS:
                 raise ValueError(f"{key} must be at most {MAX_DETECTIONS}, got {value}")
-        if not 0 <= Fraction(self.coupling_full_fraction) <= 1:
-            raise ValueError(
-                f"coupling_full_fraction must lie in [0, 1], got {self.coupling_full_fraction}"
-            )
+        frac = self.coupling_full_fraction
+        # A float would be hashed as written but computed as its binary value.
+        if isinstance(frac, bool) or not isinstance(frac, (int, Fraction)):
+            raise ValueError(f"coupling_full_fraction must be an int or a Fraction, got {frac!r}")
+        if not 0 <= frac <= 1:
+            raise ValueError(f"coupling_full_fraction must lie in [0, 1], got {frac}")
+        object.__setattr__(self, "coupling_full_fraction", Fraction(frac))
         if not isinstance(self.construction, Construction):
             raise ValueError(f"unknown construction {self.construction!r}")
         if self.construction is not Construction.PER_GATE:
@@ -391,7 +395,7 @@ def gate_tables(params: ModelParams, config: FaultModel = DEFAULT_FAULT_MODEL) -
         return GateTables(gate, gate, gate)
     half = eps * Fraction(1, 2)
     p_helper = _loss_probability(params.delta, config.helper_detections)
-    frac_full = Fraction(config.coupling_full_fraction)
+    frac_full = config.coupling_full_fraction
     return GateTables(
         encoded={(none, none): Poly.one() - eps, (full, z): half, (z, full): half},
         helper={(none, none): Poly.one() - p_helper, (full, z): p_helper},

@@ -31,6 +31,10 @@ tables can express.  The check still runs at every build, so the grouping
 is a verified lumping of the Markov chain (Kemeny and Snell, *Finite Markov
 Chains*, 1960), not an assumed one: a table that breaks the symmetry raises
 ClassUnsound.
+
+The partition is stated once, as each class's members.  A class's size,
+the table's pattern index and the census (every pattern; the fail class
+holds exactly the procedure failures) are read from them.
 """
 
 from __future__ import annotations
@@ -182,41 +186,6 @@ def all_patterns(model: Model) -> List[Pattern]:
     return [tuple(p) for p in product(alphabet, repeat=N_QUBITS)]
 
 
-@dataclass(frozen=True)
-class PatternCensus:
-    model: Model
-    total: int
-    by_weight: Dict[int, int]
-    by_composition: Dict[Tuple[int, int, int], int]
-    correctable: int
-    procedure_fail: int
-
-
-def enumerate_patterns(model: Model) -> PatternCensus:
-    """Counts of the pattern space by weight and composition."""
-    by_weight: Dict[int, int] = {}
-    by_comp: Dict[Tuple[int, int, int], int] = {}
-    n_ok = n_fail = 0
-    patterns = all_patterns(model)
-    for p in patterns:
-        comp = pattern_counts(p)
-        by_comp[comp] = by_comp.get(comp, 0) + 1
-        w = sum(comp)
-        by_weight[w] = by_weight.get(w, 0) + 1
-        if classify(p) is Classification.CORRECTABLE:
-            n_ok += 1
-        else:
-            n_fail += 1
-    return PatternCensus(
-        model=model,
-        total=len(patterns),
-        by_weight=by_weight,
-        by_composition=by_comp,
-        correctable=n_ok,
-        procedure_fail=n_fail,
-    )
-
-
 # ----------------------------------------------------------------------
 # Equivalence classes
 # ----------------------------------------------------------------------
@@ -226,27 +195,30 @@ class EquivClass:
     id: int
     label: str
     representative: Pattern
-    size: int
     members: Tuple[Pattern, ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
 
 
 @dataclass(frozen=True)
 class ClassTable:
-    """Classes in id order and the class id of every pattern; read-only,
-    since ``build_classes`` shares one table among all its callers."""
+    """Classes in id order; their members are the partition of the pattern
+    space.  ``index``, the class id of every member, is read from them.
+    Read-only, since ``build_classes`` shares one table among all its
+    callers."""
 
     model: Model
     classes: Tuple[EquivClass, ...]
-    index: Mapping[Pattern, int] = field(repr=False, hash=False)
     clean_id: int
     fail_id: int
+    index: Mapping[Pattern, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "classes", tuple(self.classes))
-        object.__setattr__(self, "index", MappingProxyType(dict(self.index)))
-
-    def class_of(self, pattern: Pattern) -> int:
-        return self.index[pattern]
+        index = {p: c.id for c in self.classes for p in c.members}
+        object.__setattr__(self, "index", MappingProxyType(index))
 
     def to_json(self) -> dict:
         return {
@@ -314,12 +286,11 @@ def _class_table(model: Model, fault_model) -> ClassTable:
         label = _label(signature, model)
         # Every procedure failure moves to the sink in one attempt.
         rep = fail_sink(model) if label == "fail" else group[0]
-        classes.append(EquivClass(cid, label, rep, len(group), tuple(group)))
+        classes.append(EquivClass(cid, label, rep, tuple(group)))
     labels = [c.label for c in classes]
     table = ClassTable(
         model=model,
         classes=classes,
-        index={p: c.id for c in classes for p in c.members},
         clean_id=labels.index("clean"),
         fail_id=labels.index("fail"),
     )

@@ -13,7 +13,8 @@ A threshold is the noise rate where one level of encoding stops helping:
     measurement   delta^(1) = delta
 
 Every rate is a ``FailureRate`` N/D: the chain's exact rational function,
-the measurement binomial tail, or a reference polynomial (D = 1).  Roots
+the measurement binomial tail, or a reference polynomial (D = 1), and so
+is every break-even line, so both sides are read by integer Horner.  Roots
 are found by exact bisection on Fraction arithmetic, so a sign is never
 ambiguous.
 
@@ -31,8 +32,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .erasure_model import Erasure, ModelParams, qubit_marginals
-from .exact_arith import Poly
-from .markov_engine import FailureRate, build_chain, failure_rate
+from .markov_engine import FailureRate, _eps_row, build_chain, failure_rate
 
 
 class BreakEvenCondition(Enum):
@@ -40,17 +40,23 @@ class BreakEvenCondition(Enum):
     LOSSY_GATE = "lossy_gate"        # eps^(1) = full-erasure marginal
     MEASUREMENT = "measurement"      # delta^(1) = delta
 
-    def target(self, config=None) -> Poly:
-        """The break-even line as a polynomial in the rate; ``config`` picks
-        the construction."""
+    def target(self, config=None) -> FailureRate:
+        """The break-even line as a rate, read by the same integer Horner as
+        the recursion; ``config`` picks the construction."""
         if self is BreakEvenCondition.LOSSY_GATE:
-            marginals = qubit_marginals(ModelParams.lossy_diagonal(), config)
-            return marginals[Erasure.FULL]
-        return Poly.eps()
+            full = qubit_marginals(ModelParams.lossy_diagonal(), config)[Erasure.FULL]
+            (coeffs,), scale = _eps_row([full])
+            return FailureRate(coeffs, [scale])
+        return FailureRate([0, 1], [1])
 
 
 class NoSignChange(Exception):
-    """The bracket does not straddle a fixed point of the recursion."""
+    """The bracket does not straddle a fixed point of the recursion;
+    ``target`` is the break-even line the recursion was compared with."""
+
+    def __init__(self, message: str, target: FailureRate):
+        super().__init__(message)
+        self.target = target
 
 
 @dataclass(frozen=True)
@@ -117,8 +123,8 @@ def solve_break_even(
         raise ValueError("tol must be positive")
 
     target = condition.target(config)
-    g_lo = rate(lo) - target.evaluate(lo)
-    g_hi = rate(hi) - target.evaluate(hi)
+    g_lo = rate(lo) - target(lo)
+    g_hi = rate(hi) - target(hi)
     if g_lo == 0:
         return ThresholdResult(lo, (lo, lo), 0, condition)
     if g_hi == 0:
@@ -126,13 +132,14 @@ def solve_break_even(
     if (g_lo < 0) == (g_hi < 0):
         raise NoSignChange(
             f"no sign change on [{float(lo):.6g}, {float(hi):.6g}]: "
-            f"g(lo)={float(g_lo):.6g}, g(hi)={float(g_hi):.6g}"
+            f"g(lo)={float(g_lo):.6g}, g(hi)={float(g_hi):.6g}",
+            target,
         )
 
     iterations = 0
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        g_mid = rate(mid) - target.evaluate(mid)
+        g_mid = rate(mid) - target(mid)
         iterations += 1
         if g_mid == 0:
             return ThresholdResult(mid, (mid, mid), iterations, condition)

@@ -41,16 +41,14 @@ def ideal_singleton_table():
     """The unreduced ideal chain's table: one class per pattern (128)."""
     patterns = all_patterns(Model.IDEAL)
     classes = [
-        EquivClass(id=i, label=format_pattern(p), representative=p, size=1, members=(p,))
+        EquivClass(id=i, label=format_pattern(p), representative=p, members=(p,))
         for i, p in enumerate(patterns)
     ]
-    index = {p: i for i, p in enumerate(patterns)}
     return ClassTable(
         model=Model.IDEAL,
         classes=classes,
-        index=index,
-        clean_id=index[CLEAN_PATTERN],
-        fail_id=index[fail_sink(Model.IDEAL)],
+        clean_id=patterns.index(CLEAN_PATTERN),
+        fail_id=patterns.index(fail_sink(Model.IDEAL)),
     )
 
 

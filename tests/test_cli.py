@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import erasurechain
+from erasurechain import cli
 from erasurechain.cli import main
+from erasurechain.erasure_model import Classification, Model, all_patterns, classify
 
 RUN = [sys.executable, "-m", "erasurechain.cli"]
 # The CLI subprocess imports the same package as this test run, installed
@@ -381,6 +383,57 @@ GOLDEN_STDOUT = [
       "--circuit-config", PER_TELEPORTATION),
      "9996664ba71b2e5dae00c3dbb788f5d744294bc5ea327432b6c18a140934b2c6"),
 ]
+
+
+class TestCensus:
+    @pytest.mark.parametrize(
+        "model, config",
+        [("ideal", None), ("lossy", None), ("lossy", PER_TELEPORTATION), ("lossy", ALT_CONFIG)],
+        ids=["ideal", "lossy", "per_teleportation", "alt_config"],
+    )
+    def test_counts_match_brute_force(self, model, config, monkeypatch, capsys):
+        # The counts are read from the class table; count them pattern by
+        # pattern instead.
+        monkeypatch.chdir(REPO_ROOT)
+        args = ["classes", "--model", model]
+        if config is not None:
+            args += ["--circuit-config", config]
+        assert main(args) == 0
+        data = json.loads(capsys.readouterr().out)
+        patterns = all_patterns(Model(model))
+        fail = sum(classify(p) is Classification.PROCEDURE_FAIL for p in patterns)
+        assert data["pattern_total"] == len(patterns)
+        assert data["procedure_fail_patterns"] == fail
+        assert data["correctable_patterns"] == len(patterns) - fail
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("chain", "--model", "lossy"),
+        ("classes", "--model", "lossy"),
+        ("classify", "..Z..E."),
+        ("series", "--model", "lossy"),
+        ("threshold", "--model", "lossy"),
+        ("concat", "--model", "lossy", "--eps0", "1/100", "--levels", "10"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_csv_rejected_before_the_command_runs(args, monkeypatch, capsys):
+    calls = []
+    for name in ("build_chain", "build_classes", "chain_recursion"):
+        real = getattr(cli, name)
+
+        def spy(*a, real=real, name=name, **k):
+            calls.append(name)
+            return real(*a, **k)
+
+        monkeypatch.setattr(cli, name, spy)
+    assert main([*args, "--format", "csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": f"csv output is not defined for {args[0]!r}"}
+    assert calls == []
 
 
 class TestGoldenBytes:

@@ -358,6 +358,24 @@ class TestFaultModelConfig:
         per_teleportation = FaultModel(construction=Construction.PER_TELEPORTATION)
         assert per_teleportation.config_hash() != DEFAULT_FAULT_MODEL.config_hash()
 
+    @pytest.mark.parametrize("value", [0.5, 0.1, True, "1/2"])
+    def test_inexact_coupling_full_fraction_rejected(self, value):
+        # A float is recorded as written but would be computed as its
+        # binary value; a bool is not a fraction.
+        with pytest.raises(ValueError, match="coupling_full_fraction"):
+            FaultModel(coupling_full_fraction=value)
+
+    def test_equal_models_hash_equal(self):
+        as_int = FaultModel(coupling_full_fraction=1)
+        as_fraction = FaultModel(coupling_full_fraction=F(1))
+        assert as_int == as_fraction
+        assert as_int.config_hash() == as_fraction.config_hash()
+        assert isinstance(as_int.coupling_full_fraction, F)
+        parsed = FaultModel.from_json({"helper_detections": 2, "coupling_full_fraction": "1/2"})
+        built = FaultModel(helper_detections=2, coupling_full_fraction=F(1, 2))
+        assert parsed == built
+        assert parsed.config_hash() == built.config_hash() == "05383ce7d736"
+
     def test_detection_counts_shape_probabilities(self):
         p = parse_pattern("Z......")
         cfg = FaultModel(readout_detections=2)

@@ -30,7 +30,6 @@ from erasurechain.erasure_model import (
     all_patterns,
     build_classes,
     classify,
-    enumerate_patterns,
     format_pattern,
     infer_model,
     initial_distribution,
@@ -119,23 +118,25 @@ class TestClassify:
 
 class TestCensus:
     def test_ideal_totals(self):
-        census = enumerate_patterns(Model.IDEAL)
-        assert census.total == 128
-        assert census.by_weight[3] == 35
-        assert census.by_weight == {k: v for k, v in zip(range(8), (1, 7, 21, 35, 35, 21, 7, 1))}
+        patterns = all_patterns(Model.IDEAL)
+        assert len(patterns) == 128
+        by_weight = Counter(map(pattern_weight, patterns))
+        assert by_weight[3] == 35
+        assert by_weight == {k: v for k, v in zip(range(8), (1, 7, 21, 35, 35, 21, 7, 1))}
 
     def test_lossy_totals(self):
-        census = enumerate_patterns(Model.LOSSY)
-        assert census.total == 3**7
+        patterns = all_patterns(Model.LOSSY)
+        assert len(patterns) == 3**7
         # weight w splits over full/Z assignments
-        assert census.by_weight[3] == 35 * 8
-        assert census.by_composition[(1, 1, 0)] == 42
+        assert Counter(map(pattern_weight, patterns))[3] == 35 * 8
+        assert Counter(map(pattern_counts, patterns))[(1, 1, 0)] == 42
 
     def test_correctable_counts(self):
-        ideal = enumerate_patterns(Model.IDEAL)
-        assert ideal.correctable == 1 + 7 + 21 + 28
-        lossy = enumerate_patterns(Model.LOSSY)
-        assert lossy.correctable == 1 + 7 * 2 + 21 * 4 + 28 * 8
+        def correctable(model):
+            return sum(classify(p) is Classification.CORRECTABLE for p in all_patterns(model))
+
+        assert correctable(Model.IDEAL) == 1 + 7 + 21 + 28
+        assert correctable(Model.LOSSY) == 1 + 7 * 2 + 21 * 4 + 28 * 8
 
 
 class TestBuildClasses:
@@ -212,24 +213,22 @@ class TestBuildClasses:
             id=first.id,
             label="bogus",
             representative=first.representative,
-            size=first.size + second.size,
             members=first.members + second.members,
         )
         bad_classes = [merged if c is first else c for c in table.classes if c is not second]
-        bad_index = {}
-        for new_id, c in enumerate(bad_classes):
-            for p in c.members:
-                bad_index[p] = new_id
+        bad_classes = [
+            EquivClass(new_id, c.label, c.representative, c.members)
+            for new_id, c in enumerate(bad_classes)
+        ]
+        labels = [c.label for c in bad_classes]
         bad = type(table)(
             model=table.model,
-            classes=[
-                EquivClass(new_id, c.label, c.representative, c.size, c.members)
-                for new_id, c in enumerate(bad_classes)
-            ],
-            index=bad_index,
-            clean_id=bad_index[CLEAN_PATTERN],
-            fail_id=bad_index[fail_sink(model)],
+            classes=bad_classes,
+            clean_id=labels.index("clean"),
+            fail_id=labels.index("fail"),
         )
+        assert bad.index[CLEAN_PATTERN] == bad.clean_id
+        assert bad.index[fail_sink(model)] == bad.fail_id
         with pytest.raises(ClassUnsound):
             verify_class_soundness(bad, params)
 

@@ -87,17 +87,13 @@ class TestBuildChain:
     def test_unsound_table_rejected(self):
         table = build_classes(Model.IDEAL)
         w1, w2 = table.classes[1], table.classes[2]
-        merged = EquivClass(1, "bogus", w1.representative, w1.size + w2.size,
-                            w1.members + w2.members)
+        merged = EquivClass(1, "bogus", w1.representative, w1.members + w2.members)
         classes = [table.classes[0], merged, table.classes[3], table.classes[4]]
         classes = [
-            EquivClass(i, c.label, c.representative, c.size, c.members)
+            EquivClass(i, c.label, c.representative, c.members)
             for i, c in enumerate(classes)
         ]
-        index = {p: c.id for c in classes for p in c.members}
-        bad = type(table)(
-            model=table.model, classes=classes, index=index, clean_id=0, fail_id=3
-        )
+        bad = type(table)(model=table.model, classes=classes, clean_id=0, fail_id=3)
         with pytest.raises(ClassUnsound):
             build_chain(ModelParams.ideal(), table=bad)
 
@@ -595,7 +591,7 @@ class TestSharedClassTable:
             table.index[CLEAN_PATTERN] = table.fail_id
         with pytest.raises(TypeError):
             table.classes[0] = table.classes[1]
-        assert table.class_of(CLEAN_PATTERN) == table.clean_id
+        assert table.index[CLEAN_PATTERN] == table.clean_id
         assert hash(table) == hash(build_classes(Model.LOSSY, DEFAULT_FAULT_MODEL))
 
 

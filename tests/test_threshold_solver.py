@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from erasurechain import erasure_model, threshold_solver
 from erasurechain.correction_circuits import Construction, FaultModel
+from erasurechain.exact_arith import Poly
 from erasurechain.markov_engine import FailureRate
 from erasurechain.threshold_solver import (
     MEASUREMENT_TAIL,
@@ -152,6 +153,35 @@ class TestSolveBreakEven:
         result = solve_break_even(rate, condition, default_bracket(condition))
         assert result.iterations > 1
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "model, condition, config",
+        [
+            ("ideal", BreakEvenCondition.IDEAL_GATE, None),
+            ("lossy", BreakEvenCondition.LOSSY_GATE, None),
+            (
+                "lossy",
+                BreakEvenCondition.LOSSY_GATE,
+                FaultModel(construction=Construction.PER_TELEPORTATION),
+            ),
+            ("measurement", BreakEvenCondition.MEASUREMENT, None),
+        ],
+        ids=["ideal", "lossy", "per_teleportation", "measurement"],
+    )
+    def test_bisection_reads_target_on_integers(self, model, condition, config, monkeypatch):
+        # Both sides of g = rate - target are FailureRates, so no step
+        # substitutes into a Poly.
+        rate = rate_of(model) if config is None else chain_recursion(model, config)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Poly.evaluate called")
+
+        monkeypatch.setattr(Poly, "evaluate", forbidden)
+        result = solve_break_even(rate, condition, default_bracket(condition), config=config)
+        assert result.iterations > 1
+        with pytest.raises(NoSignChange) as raised:
+            solve_break_even(rate, condition, (F(1, 1000), F(1, 999)), config=config)
+        assert raised.value.target == condition.target(config)
 
 
 class TestConcatProjection:
