@@ -20,6 +20,8 @@ from typing import List, Optional, Tuple
 from . import __version__
 from .correction_circuits import DEFAULT_FAULT_MODEL, FaultModel, select_step, DONE, ABORT
 from .erasure_model import (
+    _label,
+    _signature,
     Model,
     ModelParams,
     build_classes,
@@ -196,11 +198,8 @@ def cmd_classify(args, config: FaultModel) -> dict:
             "helpers": list(step.helpers),
         }
     m, n, k = pattern_counts(pattern)
-    if mixed:
-        label = None
-    else:
-        table = build_classes(model or Model.IDEAL, config=config)
-        label = table.classes[table.index[pattern]].label
+    # A class is the patterns of one signature, so the label needs no table.
+    label = None if mixed else _label(_signature(pattern), model or Model.IDEAL)
     return {
         "pattern": format_pattern(pattern),
         "model": "mixed" if mixed else (model.value if model else None),
@@ -427,85 +426,87 @@ _CSV_RENDERERS = {"sweep": _csv_sweep, "mc": _csv_mc}
 # parser
 # ----------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+_MODEL = {"choices": ("ideal", "lossy"), "required": True}
+_MODEL_OR_MEASUREMENT = {"choices": ("ideal", "lossy", "measurement"), "required": True}
+
+# name: (help, handler, (add_argument names and keywords, ...)); every
+# subcommand then takes --circuit-config and --format.
+SUBCOMMANDS = {
+    "classify": ("classify a 7-character pattern", cmd_classify, (
+        ("pattern", {"help": "e.g. '..M..E.' with . M Z E"}),
+    )),
+    "classes": ("equivalence-class table", cmd_classes, (("--model", _MODEL),)),
+    "chain": ("export the symbolic transition matrix", cmd_chain, (("--model", _MODEL),)),
+    "series": ("encoded failure series in eps", cmd_series, (
+        ("--model", _MODEL),
+        ("--order", {"type": int, "default": 6}),
+    )),
+    "threshold": ("solve a break-even condition", cmd_threshold, (
+        ("--model", _MODEL_OR_MEASUREMENT),
+        ("--tol", {"default": "1/1000000"}),
+        ("--bracket", {"default": None, "help": "lo,hi as rationals"}),
+        ("--fixture", {
+            "choices": ("full-chain", "ideal-ref", "lossy-ref"),
+            "default": "full-chain",
+            "help": "recursion source: the exact chain or a reference polynomial",
+        }),
+    )),
+    "sweep": ("encoded failure over an eps grid", cmd_sweep, (
+        ("--model", _MODEL),
+        ("--grid", {"required": True, "help": "comma list or lo:hi:step"}),
+        ("--trials", {"type": int, "default": 0, "help": "MC overlay trials"}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--output", {"default": None, "help": "write CSV/JSON to a file"}),
+    )),
+    "mc": ("Monte Carlo estimate vs the exact chain", cmd_mc, (
+        ("--model", _MODEL),
+        ("--eps", {"required": True}),
+        ("--delta", {"default": None}),
+        ("--trials", {"type": int, "default": 100_000}),
+        ("--seed", {"type": int, "default": 0}),
+    )),
+    "concat": ("per-level rates under concatenation", cmd_concat, (
+        ("--model", _MODEL_OR_MEASUREMENT),
+        ("--eps0", {"required": True}),
+        ("--levels", {"type": int, "default": 3}),
+    )),
+}
+
+
+def build_parser(argv: Optional[List[str]] = None) -> argparse.ArgumentParser:
+    """The CLI parser; only the subcommand ``argv[0]`` names, if it names one.
+
+    Otherwise (help, version, no or an unknown subcommand) every subcommand
+    is added.  The usage line names all of them either way.
+    """
+    named = argv[0] if argv and argv[0] in SUBCOMMANDS else None
     parser = argparse.ArgumentParser(
         prog="erasurechain",
         description="Exact thresholds and Monte Carlo checks for erasure "
         "noise on the [[7,1,3]] code",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    # Spelled out only when one subcommand is added, for the usage line of an
+    # unrecognized-argument error: the full parser's errors name "command".
+    metavar = None if named is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, func, arguments) in SUBCOMMANDS.items():
+        if named not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
         p.add_argument("--circuit-config", dest="circuit_config", default=None,
                        help="JSON file overriding fault-location counts")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("classify", help="classify a 7-character pattern")
-    p.add_argument("pattern", help="e.g. '..M..E.' with . M Z E")
-    add_common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("classes", help="equivalence-class table")
-    p.add_argument("--model", choices=("ideal", "lossy"), required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_classes)
-
-    p = sub.add_parser("chain", help="export the symbolic transition matrix")
-    p.add_argument("--model", choices=("ideal", "lossy"), required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_chain)
-
-    p = sub.add_parser("series", help="encoded failure series in eps")
-    p.add_argument("--model", choices=("ideal", "lossy"), required=True)
-    p.add_argument("--order", type=int, default=6)
-    add_common(p)
-    p.set_defaults(func=cmd_series)
-
-    p = sub.add_parser("threshold", help="solve a break-even condition")
-    p.add_argument("--model", choices=("ideal", "lossy", "measurement"), required=True)
-    p.add_argument("--tol", default="1/1000000")
-    p.add_argument("--bracket", default=None, help="lo,hi as rationals")
-    p.add_argument(
-        "--fixture",
-        choices=("full-chain", "ideal-ref", "lossy-ref"),
-        default="full-chain",
-        help="recursion source: the exact chain or a reference polynomial",
-    )
-    add_common(p)
-    p.set_defaults(func=cmd_threshold)
-
-    p = sub.add_parser("sweep", help="encoded failure over an eps grid")
-    p.add_argument("--model", choices=("ideal", "lossy"), required=True)
-    p.add_argument("--grid", required=True, help="comma list or lo:hi:step")
-    p.add_argument("--trials", type=int, default=0, help="MC overlay trials")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None, help="write CSV/JSON to a file")
-    add_common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("mc", help="Monte Carlo estimate vs the exact chain")
-    p.add_argument("--model", choices=("ideal", "lossy"), required=True)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--delta", default=None)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    add_common(p)
-    p.set_defaults(func=cmd_mc)
-
-    p = sub.add_parser("concat", help="per-level rates under concatenation")
-    p.add_argument("--model", choices=("ideal", "lossy", "measurement"), required=True)
-    p.add_argument("--eps0", required=True)
-    p.add_argument("--levels", type=int, default=3)
-    add_common(p)
-    p.set_defaults(func=cmd_concat)
-
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         config = _load_config(args.circuit_config)
         render_csv = None

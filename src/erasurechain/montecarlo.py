@@ -2,23 +2,30 @@
 
 Each trial samples an injected erasure pattern, then one-attempt outcomes
 until the block is clean or a procedure failure.  Outcome rows come from
-``correction_circuits.attempt`` at the numeric rates, not from the class
-lumping, so a disagreement with the chain points at lumping or assembly.
+the local outcome tables (``correction_circuits.local_attempt``) at the
+numeric rates, the tables ``attempt`` writes into a pattern, not from the
+class lumping, so a disagreement with the chain points at lumping or
+assembly.
 
 A pattern is the base-b integer of its digits over ``MODEL_ALPHABET`` (b =
 2 ideal, 3 lossy; qubit 1 most significant).  The first trial to reach a
 state has it flagged clean, failed or live and, if live, its outcome row
-filled.  A qubit's injected status is read from its uniform draw u by
-comparison: the number of the marginals' cumulative thresholds below u
-picks the status, and a draw past them all leaves the qubit intact.  Each
-step draws one uniform u for every live trial and moves it to the outcome
-at the number of cumulative entries <= u; absorbed trials are counted and
+filled.  A row is shared by every state that takes the same step (local
+table and qubit positions): the code offsets of its outcomes and their
+cumulative probabilities, so a state's row is its code plus the offsets.
+A qubit's injected status is read from its uniform draw u by comparison:
+the number of the marginals' cumulative thresholds below u picks the
+status, and a draw past them all leaves the qubit intact.  Each step draws
+one uniform u for every live trial and moves it to the outcome at the
+number of cumulative entries <= u; absorbed trials are counted and
 retired.
 
 Shard k (at most 2**20 trials) draws from Philox seeded with
 ``SeedSequence(entropy=seed, spawn_key=(k,))``: the (n, 7) injection, then
-one draw per live trial per step.  Failures are folded in shard order, so
-an estimate depends only on (seed, trials, parameters).  The per-trial
+one draw per live trial per step.  The injection is drawn and encoded in
+blocks of ``CHUNK`` trials into one reused buffer; a Philox stream drawn in
+blocks gives the values of one draw.  Failures are folded in shard order,
+so an estimate depends only on (seed, trials, parameters).  The per-trial
 walk this replaced drew in another order, so seeds now give other estimates.
 """
 
@@ -30,7 +37,9 @@ from math import sqrt
 
 import numpy as np
 
-from .correction_circuits import DEFAULT_FAULT_MODEL, FaultModel, attempt
+from .correction_circuits import (
+    DEFAULT_FAULT_MODEL, FaultModel, LocalOutcomes, local_attempt, outcome_tables,
+)
 from .erasure_model import (
     MODEL_ALPHABET, Classification, Erasure, ModelParams, Pattern, classify,
     pattern_weight, qubit_marginals,
@@ -38,6 +47,8 @@ from .erasure_model import (
 from .pauli_algebra import N_QUBITS
 
 SHARD_SIZE = 1 << 20
+# Trials whose injection is drawn and encoded at once (two 458 kB buffers).
+CHUNK = 1 << 13
 # A trial still live after this many attempts means a broken procedure.
 MAX_STEPS = 10_000
 # Largest |z| that compare() accepts.
@@ -73,22 +84,32 @@ class PatternTable:
     """
 
     def __init__(self, params: ModelParams, config: FaultModel):
-        self.params, self.config = params, config
         self.alphabet = MODEL_ALPHABET[params.model]
         self.digit = {status: d for d, status in enumerate(self.alphabet)}
         self.powers = len(self.alphabet) ** np.arange(N_QUBITS - 1, -1, -1)
+        self.tables = outcome_tables(params, config)
+        # (table key, positions) -> (code offsets, cumulative probabilities)
+        self.rows = {}
+        depth = max(len(local) for local in self.tables.values())
         states = len(self.alphabet) ** N_QUBITS
         self.flag = np.full(states, UNSEEN, dtype=np.int8)
-        self.next = np.zeros((1, states), dtype=np.intp)
-        self.cum = np.ones((1, states))
+        self.next = np.zeros((depth, states), dtype=np.intp)
+        self.cum = np.ones((depth, states))
 
-    def visit(self, states: np.ndarray) -> None:
-        """Flag, and fill the row of, every state not reached before."""
+    def visit(self, states: np.ndarray) -> np.ndarray:
+        """Flag, and fill the row of, every state not reached before; the
+        flags of ``states``."""
+        flags = self.flag[states]
+        new = flags == UNSEEN
+        if not new.any():
+            return flags
         # A mark over the states, not np.unique, whose first call imports numpy.ma.
         unseen = np.zeros(len(self.flag), dtype=bool)
-        unseen[states[self.flag[states] == UNSEEN]] = True
-        for code in np.flatnonzero(unseen).tolist():
-            pattern = tuple(self.alphabet[d] for d in code // self.powers % len(self.alphabet))
+        unseen[states[new]] = True
+        codes = np.flatnonzero(unseen)
+        digits = (codes[:, None] // self.powers % len(self.alphabet)).tolist()
+        for code, row in zip(codes.tolist(), digits):
+            pattern = tuple(self.alphabet[d] for d in row)
             if pattern_weight(pattern) == 0:
                 self.flag[code] = CLEAN
             elif classify(pattern) is Classification.PROCEDURE_FAIL:
@@ -96,19 +117,33 @@ class PatternTable:
             else:
                 self.flag[code] = LIVE
                 self._fill(code, pattern)
+        return self.flag[states]
 
     def _fill(self, code: int, pattern: Pattern) -> None:
-        outcomes = sorted(attempt(pattern, self.params, self.config).items())
-        extra = len(outcomes) - len(self.cum)
-        if extra > 0:
-            self.next = np.vstack([self.next, np.zeros((extra, self.next.shape[1]), np.intp)])
-            self.cum = np.vstack([self.cum, np.ones((extra, self.cum.shape[1]))])
+        positions, key, outcomes = local_attempt(pattern, self.tables)
+        # The helpers are intact and the target's status is part of the key,
+        # so every pattern taking this step shares its offsets.
+        row = self.rows.get((key, positions))
+        if row is None:
+            row = self.rows[key, positions] = self._row(pattern, positions, outcomes)
+        offsets, cum = row
+        self.next[: len(offsets), code] = code + offsets
+        self.cum[: len(cum), code] = cum
+
+    def _row(self, pattern: Pattern, positions, outcomes: LocalOutcomes):
+        """The outcomes' code offsets in ascending order, which is pattern
+        order, and their cumulative probabilities."""
+        places = [int(self.powers[q - 1]) for q in positions]
+        start = sum(self.digit[pattern[q - 1]] * p for q, p in zip(positions, places))
+        # Outcomes differ at the positions, so no two offsets tie.
+        row = sorted(
+            (sum(self.digit[s] * p for s, p in zip(statuses, places)) - start, prob)
+            for statuses, prob in outcomes
+        )
         # At numeric rates the constant term is the probability.
-        cum = np.cumsum([float(p.coefficient(0, 0)) for _, p in outcomes])
+        cum = np.cumsum([float(prob.coefficient(0, 0)) for _, prob in row])
         cum[-1] = 1.0  # guard against float round-off at the top
-        digits = [[self.digit[s] for s in q] for q, _ in outcomes]
-        self.next[: len(outcomes), code] = np.array(digits) @ self.powers
-        self.cum[: len(outcomes), code] = cum
+        return np.array([offset for offset, _ in row], dtype=np.intp), cum
 
 
 def simulate(
@@ -125,27 +160,30 @@ def simulate(
     # Per-qubit cumulative thresholds; a draw past them all leaves the qubit intact.
     statuses = [s for s in (Erasure.Z_MEASURED, Erasure.Z_ERASED, Erasure.FULL) if s in marginals]
     thresholds = np.cumsum([float(marginals[s].evaluate(0, 0)) for s in statuses])
-    digits = np.array(
-        [table.digit[s] for s in statuses] + [table.digit[Erasure.NONE]], dtype=np.int8
-    )
+    # A draw's digit is the first status's digit plus one step at each
+    # threshold below it, so a block's codes are a float product with the
+    # place values, exact below 2**53.
+    levels = [table.digit[s] for s in statuses] + [table.digit[Erasure.NONE]]
+    places = table.powers.astype(float)
+    base = levels[0] * places.sum()
+    steps = [(t, (b - a) * places) for t, a, b in zip(thresholds, levels, levels[1:])]
+    draw = np.empty((min(CHUNK, trials), N_QUBITS))
+    above = np.empty_like(draw)
 
     failures = 0
     for shard, start in enumerate(range(0, trials, SHARD_SIZE)):
         n = min(SHARD_SIZE, trials - start)
         sequence = np.random.SeedSequence(entropy=seed, spawn_key=(shard,))
         rng = np.random.Generator(np.random.Philox(sequence))
-        u = rng.random((n, N_QUBITS))
-        # Each draw's index is the number of thresholds below it; int8 keeps
-        # the (n, 7) temporaries at one byte per qubit.
-        index = np.zeros((n, N_QUBITS), dtype=np.int8)
-        for t in thresholds:
-            index += u > t
-        del u  # the walk keeps only O(live trials) arrays
-        index = digits[index]
-        states = np.zeros(n, dtype=np.intp)
-        for q in range(N_QUBITS):
-            states += index[:, q] * table.powers[q]
-        del index
+        states = np.empty(n, dtype=np.intp)
+        for first in range(0, n, CHUNK):
+            u, mask = draw[: n - first], above[: n - first]
+            rng.random(out=u)
+            codes = np.full(len(u), base)
+            for t, step in steps:
+                np.greater(u, t, out=mask)
+                codes += mask @ step
+            states[first : first + len(u)] = codes
         failures += _absorb(states, table, rng)
 
     mean = failures / trials
@@ -157,8 +195,7 @@ def _absorb(states: np.ndarray, table: PatternTable, rng) -> int:
     """Step every live trial until all absorb; the number that fail."""
     failures = 0
     for _ in range(MAX_STEPS):
-        table.visit(states)
-        flag = table.flag[states]
+        flag = table.visit(states)
         failures += int(np.count_nonzero(flag == FAIL))
         states = states[flag == LIVE]
         if not states.size:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -11,7 +12,9 @@ import pytest
 import erasurechain
 from erasurechain import cli
 from erasurechain.cli import main
-from erasurechain.erasure_model import Classification, Model, all_patterns, classify
+from erasurechain.erasure_model import (
+    Classification, Model, all_patterns, build_classes, classify, format_pattern,
+)
 
 RUN = [sys.executable, "-m", "erasurechain.cli"]
 # The CLI subprocess imports the same package as this test run, installed
@@ -434,6 +437,118 @@ def test_csv_rejected_before_the_command_runs(args, monkeypatch, capsys):
     assert out == ""
     assert json.loads(err) == {"error": f"csv output is not defined for {args[0]!r}"}
     assert calls == []
+
+
+class TestClassifyLabel:
+    @pytest.mark.parametrize("config", [None, PER_TELEPORTATION, ALT_CONFIG],
+                             ids=["default", "per_teleportation", "alt_config"])
+    @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+    def test_label_is_the_class_tables(self, model, config):
+        # classify reads the label from the pattern's signature alone; the
+        # verified class table must agree for every pattern.
+        fault_model = cli._load_config(None if config is None else str(REPO_ROOT / config))
+        table = build_classes(model, config=fault_model)
+        for p in all_patterns(model):
+            args = argparse.Namespace(pattern=format_pattern(p))
+            label = cli.cmd_classify(args, fault_model)["class_label"]
+            assert label == table.classes[table.index[p]].label, format_pattern(p)
+
+
+# A representative command line per subcommand.
+PARSER_ARGV = {
+    "classify": ["classify", "..Z..E.", "--format", "csv"],
+    "classes": ["classes", "--model", "lossy", "--circuit-config", "c.json"],
+    "chain": ["chain", "--model", "ideal"],
+    "series": ["series", "--model", "lossy", "--order", "3"],
+    "threshold": ["threshold", "--model", "measurement", "--tol", "1/100",
+                  "--bracket", "1/10,1/5", "--fixture", "full-chain"],
+    "sweep": ["sweep", "--model", "ideal", "--grid", "0:1/10:1/20", "--trials", "5",
+              "--seed", "2", "--output", "out.csv"],
+    "mc": ["mc", "--model", "lossy", "--eps", "1/50", "--delta", "1/30",
+           "--trials", "10", "--seed", "4"],
+    "concat": ["concat", "--model", "measurement", "--eps0", "1/10", "--levels", "2"],
+}
+
+HELP = """\
+usage: erasurechain [-h] [--version]
+                    {classify,classes,chain,series,threshold,sweep,mc,concat}
+                    ...
+
+Exact thresholds and Monte Carlo checks for erasure noise on the [[7,1,3]]
+code
+
+positional arguments:
+  {classify,classes,chain,series,threshold,sweep,mc,concat}
+    classify            classify a 7-character pattern
+    classes             equivalence-class table
+    chain               export the symbolic transition matrix
+    series              encoded failure series in eps
+    threshold           solve a break-even condition
+    sweep               encoded failure over an eps grid
+    mc                  Monte Carlo estimate vs the exact chain
+    concat              per-level rates under concatenation
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+USAGE = """\
+usage: erasurechain [-h] [--version]
+                    {classify,classes,chain,series,threshold,sweep,mc,concat}
+                    ...
+"""
+
+
+def _exit_output(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a command line that argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+class TestParser:
+    @pytest.fixture(autouse=True)
+    def _width(self, monkeypatch):
+        # argparse wraps its usage and help at the terminal's width.
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_every_subcommand_has_a_command_line(self):
+        assert list(PARSER_ARGV) == list(cli.SUBCOMMANDS)
+
+    @pytest.mark.parametrize("name", PARSER_ARGV)
+    def test_one_subcommand_parses_as_all_eight(self, name, capsys):
+        argv = PARSER_ARGV[name]
+        one = cli.build_parser(argv)
+        (sub,) = [a for a in one._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == [name]
+        full = cli.build_parser()
+        assert one.parse_args(argv) == full.parse_args(argv)
+        help_argv = [name, "--help"]
+        assert _exit_output(cli.build_parser(help_argv).parse_args, help_argv, capsys) == \
+            _exit_output(full.parse_args, help_argv, capsys)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"]])
+    def test_help_bytes(self, argv, capsys):
+        assert _exit_output(main, argv, capsys) == (0, HELP, "")
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            ([], "the following arguments are required: command"),
+            (["bogus"], "argument command: invalid choice: 'bogus' (choose from "
+             "'classify', 'classes', 'chain', 'series', 'threshold', 'sweep', 'mc', "
+             "'concat')"),
+            # Parsed by the one-subcommand parser; the usage still names all eight.
+            (["mc", "--model", "ideal", "--eps", "1/10", "--bogus"],
+             "unrecognized arguments: --bogus"),
+        ],
+        ids=["bare", "unknown", "unrecognized"],
+    )
+    def test_error_bytes(self, argv, error, capsys):
+        assert _exit_output(main, argv, capsys) == (
+            2, "", f"{USAGE}erasurechain: error: {error}\n"
+        )
 
 
 class TestGoldenBytes:

@@ -1,5 +1,7 @@
+import json
 from fractions import Fraction as F
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,13 +17,16 @@ from erasurechain.correction_circuits import (
 )
 from erasurechain.erasure_model import (
     Classification,
+    Erasure,
     ModelParams,
     all_patterns,
     classify,
     pattern_weight,
+    qubit_marginals,
 )
 from erasurechain.markov_engine import build_chain, encoded_failure_at
 from erasurechain.montecarlo import McEstimate, PatternTable, compare, simulate
+from erasurechain.pauli_algebra import N_QUBITS
 
 from conftest import fault_models
 
@@ -85,25 +90,45 @@ class TestSimulate:
             simulate(ModelParams.ideal(F(0)), trials=0, seed=0)
 
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = {
+    "default": DEFAULT_FAULT_MODEL,
+    "per_teleportation": FaultModel(construction=Construction.PER_TELEPORTATION),
+    "alt_config": FaultModel.from_json(
+        json.loads((REPO_ROOT / "perfbench" / "alt_config.json").read_text())
+    ),
+}
+RATES = {
+    "ideal-0": ModelParams.ideal(F(0)),
+    "ideal-1/10": ModelParams.ideal(F(1, 10)),
+    "lossy-0-1/10": ModelParams.lossy(F(0), F(1, 10)),
+    "lossy-1/10-0": ModelParams.lossy(F(1, 10), F(0)),
+    "lossy-1/10-1/10": ModelParams.lossy(F(1, 10), F(1, 10)),
+    "lossy-1/50-1/30": ModelParams.lossy(F(1, 50), F(1, 30)),
+}
+ROW_CASES = {
+    "ideal": (ModelParams.ideal(F(1, 10)), DEFAULT_FAULT_MODEL),
+    "lossy-per_gate": (ModelParams.lossy(F(1, 50), F(1, 30)), DEFAULT_FAULT_MODEL),
+    "lossy-per_teleportation": (
+        ModelParams.lossy(F(1, 50), F(1, 50)), CONFIGS["per_teleportation"]
+    ),
+}
+for rate, params in RATES.items():
+    for name, config in CONFIGS.items():
+        if (params, config) not in ROW_CASES.values():
+            ROW_CASES[f"{rate}-{name}"] = (params, config)
+
+
 class TestPatternTable:
-    @pytest.mark.parametrize(
-        "params, config",
-        [
-            (ModelParams.ideal(F(1, 10)), DEFAULT_FAULT_MODEL),
-            (ModelParams.lossy(F(1, 50), F(1, 30)), DEFAULT_FAULT_MODEL),
-            (
-                ModelParams.lossy(F(1, 50), F(1, 50)),
-                FaultModel(construction=Construction.PER_TELEPORTATION),
-            ),
-        ],
-        ids=["ideal", "lossy-per_gate", "lossy-per_teleportation"],
-    )
+    @pytest.mark.parametrize("params, config", ROW_CASES.values(), ids=ROW_CASES)
     def test_rows_are_the_attempt_tables(self, params, config):
         # State i is the i-th pattern in enumeration order, which is the
         # base-b reading with qubit 1 most significant.
         patterns = all_patterns(params.model)
+        code_of = {p: i for i, p in enumerate(patterns)}
         table = PatternTable(params, config)
-        table.visit(np.arange(len(patterns)))
+        states = np.arange(len(patterns))
+        assert np.array_equal(table.visit(states), table.flag[states])
         for code, pattern in enumerate(patterns):
             if pattern_weight(pattern) == 0:
                 assert table.flag[code] == mc.CLEAN
@@ -114,12 +139,53 @@ class TestPatternTable:
             assert table.flag[code] == mc.LIVE
             outcomes = sorted(attempt(pattern, params, config).items())
             width = len(outcomes)
-            assert [patterns[c] for c in table.next[:width, code]] == [q for q, _ in outcomes]
+            codes = [code_of[q] for q, _ in outcomes]
+            assert table.next[:width, code].tolist() == codes
             cum = np.cumsum([float(p.evaluate(0, 0)) for _, p in outcomes])
             assert cum[-1] == pytest.approx(1.0, abs=1e-12)
             cum[-1] = 1.0
             assert np.array_equal(table.cum[:width, code], cum)
             assert np.all(table.cum[width:, code] == 1.0)
+
+
+def _one_shot_states(params, trials, seed, config=DEFAULT_FAULT_MODEL):
+    """Shard 0's injection as one (trials, 7) draw, encoded qubit by qubit,
+    and the generator after it."""
+    table = PatternTable(params, config)
+    marginals = qubit_marginals(params, config)
+    statuses = [s for s in (Erasure.Z_MEASURED, Erasure.Z_ERASED, Erasure.FULL) if s in marginals]
+    thresholds = np.cumsum([float(marginals[s].evaluate(0, 0)) for s in statuses])
+    digits = np.array([table.digit[s] for s in statuses] + [table.digit[Erasure.NONE]])
+    sequence = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
+    rng = np.random.Generator(np.random.Philox(sequence))
+    u = rng.random((trials, N_QUBITS))
+    index = np.zeros(u.shape, dtype=np.intp)
+    for t in thresholds:
+        index += u > t
+    return digits[index] @ table.powers, table, rng
+
+
+@pytest.mark.parametrize(
+    "params",
+    [ModelParams.ideal(F(1, 10)), ModelParams.lossy(F(1, 20), F(1, 30))],
+    ids=["ideal", "lossy"],
+)
+@pytest.mark.parametrize(
+    "trials", [1, mc.CHUNK - 1, mc.CHUNK, mc.CHUNK + 1, 3 * mc.CHUNK + 5]
+)
+def test_chunked_injection_matches_one_draw(params, trials, monkeypatch):
+    states, table, rng = _one_shot_states(params, trials, seed=41)
+    expected = mc._absorb(states, table, rng)
+    injected = []
+    real = mc._absorb
+
+    def spy(states, table, rng):
+        injected.append(states.copy())
+        return real(states, table, rng)
+
+    monkeypatch.setattr(mc, "_absorb", spy)
+    assert simulate(params, trials, seed=41).failures == expected
+    assert np.array_equal(injected[0], states)
 
 
 # A correct sampler lands beyond 4 standard errors about once in 16,000
