@@ -30,11 +30,16 @@ helpers, and the signature grouping lumps every construction the gate
 tables can express.  The check still runs at every build, so the grouping
 is a verified lumping of the Markov chain (Kemeny and Snell, *Finite Markov
 Chains*, 1960), not an assumed one: a table that breaks the symmetry raises
-ClassUnsound.
+ClassUnsound.  The check yields each class's row, one exact polynomial per
+target class, and the build keeps those symbolic rows beside the table
+(``class_rows``): every chain substitutes its rates into them, so the
+attempt tables are expanded once per (model, FaultModel).
 
 The partition is stated once, as each class's members.  A class's size,
 the table's pattern index and the census (every pattern; the fail class
-holds exactly the procedure failures) are read from them.
+holds exactly the procedure failures) are read from them.  Because the
+classes partition the pattern space and the injected marginals sum to
+one, the fail class's initial mass is one minus the other classes'.
 """
 
 from __future__ import annotations
@@ -174,6 +179,11 @@ class ModelParams:
         return ModelParams(Model.LOSSY, e, d)
 
     @staticmethod
+    def symbolic(model: Model) -> "ModelParams":
+        """The model at its symbolic rates: eps, and delta for lossy."""
+        return ModelParams.ideal() if model is Model.IDEAL else ModelParams.lossy()
+
+    @staticmethod
     def lossy_diagonal(value: Poly | Fraction | int | None = None) -> "ModelParams":
         """Lossy model on the delta = eps line."""
         e = Poly.eps() if value is None else coerce(value)
@@ -237,6 +247,10 @@ class ClassTable:
         }
 
 
+# One attempt from each class, in class-id order, as {target class id: Poly}.
+ClassRows = Tuple[Mapping[int, Poly], ...]
+
+
 def _signature(pattern: Pattern) -> tuple:
     """The pattern's correction signature, which is also its class's sort key:
     (0,) clean first, then (1, weight, counts) by weight and composition,
@@ -267,13 +281,27 @@ def build_classes(model: Model, config=None) -> ClassTable:
     ClassUnsound.  The table is built once per (model, FaultModel),
     ``None`` meaning the default, and shared.
     """
+    return _class_table(model, _fault_model(config))[0]
+
+
+def class_rows(model: Model, config=None) -> ClassRows:
+    """The rows ``build_classes`` verified its table with, at symbolic rates.
+
+    Row ``c`` is one attempt from class ``c`` as ``{class id: Poly}``, the
+    row every member of the class shares.  Built with the table, once per
+    (model, FaultModel), and shared read-only.
+    """
+    return _class_table(model, _fault_model(config))[1]
+
+
+def _fault_model(config):
     from .correction_circuits import DEFAULT_FAULT_MODEL
 
-    return _class_table(model, config if config is not None else DEFAULT_FAULT_MODEL)
+    return config if config is not None else DEFAULT_FAULT_MODEL
 
 
 @lru_cache(maxsize=8)
-def _class_table(model: Model, fault_model) -> ClassTable:
+def _class_table(model: Model, fault_model) -> Tuple[ClassTable, ClassRows]:
     from .correction_circuits import fail_sink
 
     groups: Dict[tuple, List[Pattern]] = {}
@@ -294,29 +322,27 @@ def _class_table(model: Model, fault_model) -> ClassTable:
         clean_id=labels.index("clean"),
         fail_id=labels.index("fail"),
     )
-    params = ModelParams.ideal() if model is Model.IDEAL else ModelParams.lossy()
-    verify_class_soundness(table, params, fault_model)
-    return table
+    return table, verify_class_soundness(table, ModelParams.symbolic(model), fault_model)
 
 
-def _projector(index: Dict[Pattern, int], params: ModelParams, fault_model):
+def _projector(index: Mapping[Pattern, int], params: ModelParams, fault_model):
     """pattern -> one attempt's outcome distribution summed per class.
 
-    A row is a tuple of (class id, ``Poly.key()`` of the exact class sum),
-    sorted by class id.  An attempt writes one of a few local outcome
-    tables into the pattern (``correction_circuits.local_attempt``), so a
-    row is fixed by the table and by which of its entries land in each
-    class.  Each (table, entries) sum is built once per projector and
-    looked up for every later pattern that groups its entries the same way.
-    Members of one class may group their entries differently and still have
-    equal sums, so rows compare sums, never groupings.
+    A row is a tuple of (class id, exact class sum), sorted by class id.
+    An attempt writes one of a few local outcome tables into the pattern
+    (``correction_circuits.local_attempt``), so a row is fixed by the table
+    and by which of its entries land in each class.  Each (table, entries)
+    sum is built once per projector and shared by every later pattern that
+    groups its entries the same way.  Members of one class may group their
+    entries differently and still have equal sums, so rows compare sums,
+    never groupings.
     """
     from .correction_circuits import ABORT, DONE, fail_sink, local_attempt, outcome_tables
 
     tables = outcome_tables(params, fault_model)
-    unit = Poly.one().key()
+    unit = Poly.one()
     sink = index[fail_sink(params.model)]
-    sums: Dict[tuple, tuple] = {}
+    sums: Dict[tuple, Poly] = {}
 
     def project(pattern: Pattern) -> tuple:
         local = local_attempt(pattern, tables)
@@ -335,42 +361,43 @@ def _projector(index: Dict[Pattern, int], params: ModelParams, fault_model):
             memo = (key, tuple(entries[cid]))
             total = sums.get(memo)
             if total is None:
-                acc = Poly.zero()
+                total = Poly.zero()
                 for i in entries[cid]:
-                    acc = acc + outcomes[i][1]
-                total = sums[memo] = acc.key()
+                    total = total + outcomes[i][1]
+                sums[memo] = total
             row.append((cid, total))
         return tuple(row)
 
     return project
 
 
-def verify_class_soundness(table: ClassTable, params: ModelParams, config=None) -> None:
-    """Exact check that every member of every class shares one projected row.
+def verify_class_soundness(table: ClassTable, params: ModelParams, config=None) -> ClassRows:
+    """Exact check that every member of every class shares its
+    representative's projected row; returns those rows.
 
-    Raises ClassUnsound on the first disagreement.  ``build_classes`` runs
-    it at symbolic rates on every table it builds, and ``build_chain`` on
-    tables it is given.  ``attempt`` uses only ring operations on eps and
-    delta, and substituting values for them commutes with the per-class
-    sums, so rows equal as polynomials stay equal under every
-    ``ModelParams`` (numeric rates or the delta = eps diagonal).
+    Row ``c`` is a read-only ``{class id: Poly}``, one attempt from class
+    ``c`` summed per target class.  Raises ClassUnsound on the first
+    disagreement.
+    ``build_classes`` runs it at symbolic rates on every table it builds
+    and keeps the rows (``class_rows``); ``build_chain`` runs it at
+    symbolic rates on tables it is given.  ``attempt`` uses only ring
+    operations on eps and delta, and substituting values for them commutes
+    with the per-class sums, so rows equal as polynomials stay equal under
+    every ``ModelParams`` (numeric rates or the delta = eps diagonal), and
+    a row at those rates is the symbolic row with the rates substituted.
     """
-    from .correction_circuits import DEFAULT_FAULT_MODEL
-
-    project = _projector(
-        table.index, params, config if config is not None else DEFAULT_FAULT_MODEL
-    )
+    project = _projector(table.index, params, _fault_model(config))
+    rows = []
     for cls in table.classes:
-        reference = None
+        reference = project(cls.representative)
         for p in cls.members:
-            row = project(p)
-            if reference is None:
-                reference = row
-            elif row != reference:
+            if project(p) != reference:
                 raise ClassUnsound(
                     f"class {cls.label!r}: {format_pattern(p)} disagrees with "
                     f"{format_pattern(cls.representative)}"
                 )
+        rows.append(MappingProxyType(dict(reference)))
+    return tuple(rows)
 
 
 # ----------------------------------------------------------------------
@@ -413,30 +440,46 @@ def initial_distribution(
     A pattern's probability depends only on how many of its qubits carry
     each status, so a class's mass is a sum over the distinct compositions
     among its members, each weighted by how many members share it.  The
-    powers 0..7 of each status's marginal are built once and shared by every
+    powers of each status's marginal are built once and shared by every
     class, so a composition's product is one product of those powers;
-    ``pattern_probability`` is the per-pattern form.
+    ``pattern_probability`` is the per-pattern form.  The fail class's mass
+    is one minus the others': the pattern probabilities sum to (sum of the
+    marginals)^7, which is one, and the classes partition the pattern
+    space.  ValueError if either of those does not hold.
     """
     if table.model is not params.model:
         raise ValueError("class table and params disagree on the model")
     marginals = qubit_marginals(params, config)
+    total = Poly.zero()
+    for prob in marginals.values():
+        total = total + prob
+    if total != Poly.one():
+        raise ValueError(f"the qubit marginals sum to {total}, not 1")
     alphabet = MODEL_ALPHABET[params.model]
+    if not len(table.index) == sum(c.size for c in table.classes) == len(alphabet) ** N_QUBITS:
+        raise ValueError("the classes' members do not partition the model's pattern space")
+
     powers: Dict[Erasure, List[Poly]] = {}
     for status in alphabet:
         powers[status] = [Poly.one()]
         for _ in range(N_QUBITS):
             powers[status].append(powers[status][-1] * marginals[status])
     dist: Dict[int, Poly] = {}
+    rest = Poly.one()
     for cls in table.classes:
-        multiplicity: Dict[Tuple[int, ...], int] = {}
-        for p in cls.members:
-            comp = tuple(map(p.count, alphabet))
-            multiplicity[comp] = multiplicity.get(comp, 0) + 1
         mass = Poly.zero()
-        for comp, count in multiplicity.items():
-            product = Poly.one()
-            for status, k in zip(alphabet, comp):
-                product = product * powers[status][k]
-            mass = mass + count * product
+        if cls.id != table.fail_id:
+            multiplicity: Dict[Tuple[int, ...], int] = {}
+            for p in cls.members:
+                comp = tuple(map(p.count, alphabet))
+                multiplicity[comp] = multiplicity.get(comp, 0) + 1
+            for comp, count in multiplicity.items():
+                product = Poly.one()
+                for status, k in zip(alphabet, comp):
+                    if k:
+                        product = product * powers[status][k]
+                mass = mass + count * product
+            rest = rest - mass
         dist[cls.id] = mass
+    dist[table.fail_id] = rest
     return dist

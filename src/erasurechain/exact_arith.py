@@ -13,13 +13,14 @@ transition matrix can be asserted with ``==`` rather than a tolerance.
 
 Single-variable polynomials (for runs that substitute delta = eps, or for
 the ideal model where delta = 0) are just the special case where every
-stored delta_degree is zero.
+stored delta_degree is zero.  ``Substitution`` maps many polynomials
+through one pair of values for eps and delta, sharing the powers it builds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 Exponent = Tuple[int, int]
 
@@ -221,6 +222,51 @@ class Poly:
                 factors.append(f"delta^{j}")
             parts.append("*".join(factors))
         return " + ".join(parts).replace("+ -", "- ")
+
+
+class Substitution:
+    """The ring map p(eps, delta) -> p(x, y) for fixed polynomials x and y.
+
+    Each monomial x^i * y^j is expanded once, on its first use, from powers
+    of x and y that are also built once, and shared by every polynomial the
+    map is applied to.  Applying it is one pass over the polynomial's terms
+    into one terms dict; no zero coefficient is stored.
+    """
+
+    __slots__ = ("_powers", "_monomials")
+
+    def __init__(self, x: "Poly | RationalLike", y: "Poly | RationalLike"):
+        self._powers: Tuple[List[Poly], List[Poly]] = (
+            [Poly.one(), coerce(x)],
+            [Poly.one(), coerce(y)],
+        )
+        self._monomials: Dict[Exponent, Dict[Exponent, Fraction]] = {}
+
+    def _power(self, axis: int, k: int) -> Poly:
+        powers = self._powers[axis]
+        while len(powers) <= k:
+            powers.append(powers[-1] * powers[1])
+        return powers[k]
+
+    def _monomial(self, exp: Exponent) -> Dict[Exponent, Fraction]:
+        terms = (self._power(0, exp[0]) * self._power(1, exp[1])).terms
+        self._monomials[exp] = terms
+        return terms
+
+    def __call__(self, p: Poly) -> Poly:
+        monomials = self._monomials
+        out: Dict[Exponent, Fraction] = {}
+        get = out.get
+        for exp, coeff in p.terms.items():
+            terms = monomials.get(exp)
+            if terms is None:
+                terms = self._monomial(exp)
+            for e, c in terms.items():
+                prev = get(e)
+                out[e] = coeff * c if prev is None else prev + coeff * c
+        result = Poly.__new__(Poly)
+        result.terms = {e: c for e, c in out.items() if c}
+        return result
 
 
 def coerce(value: "Poly | RationalLike") -> Poly:

@@ -17,11 +17,16 @@ chain in eps alone (ideal, or lossy on the delta = eps diagonal) gives
 the rate as one rational function N/D; series are its Taylor division,
 numeric rates (what threshold searches use) are N(x)/D(x) by Horner on
 integers, and concatenation encloses N/D over an interval of rates by the
-same Horner on the positive and negative coefficient parts.  A rate at
-any one point (eps, delta) is the same elimination of the chain built at
-that point, whose entries are constants; its class table is the symbolic
-one, which ``build_classes`` proved sound as polynomials and so at every
-point.
+same Horner on the positive and negative coefficient parts.
+
+Every chain is one substitution.  ``build_classes`` verifies the class
+table at symbolic rates and keeps the rows it verified, one exact
+polynomial per target class (``class_rows``); a chain at any rates, the
+delta = eps diagonal or one numeric point (eps, delta), is those rows with
+the rates substituted.  ``attempt`` uses only ring operations on eps and
+delta, so this equals the chain assembled from attempts at those rates,
+and a rate at one point is the elimination of a chain whose entries are
+constants.
 """
 
 from __future__ import annotations
@@ -31,15 +36,16 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import List, Optional, Tuple
 
-from .exact_arith import Poly
+from .exact_arith import Poly, Substitution
 from .erasure_model import (
     ClassTable,
     ModelParams,
     build_classes,
+    class_rows,
     initial_distribution,
     verify_class_soundness,
 )
-from .correction_circuits import DEFAULT_FAULT_MODEL, FaultModel, attempt
+from .correction_circuits import DEFAULT_FAULT_MODEL, FaultModel
 
 
 @dataclass
@@ -83,33 +89,36 @@ def build_chain(
 ) -> TransitionMatrix:
     """Assemble the class-level transition matrix for one attempt.
 
-    ``config`` None is the default FaultModel.  A table passed in is
-    checked with ``verify_class_soundness`` (a mismatch raises
-    ClassUnsound).  A table built here is the shared one from
-    ``build_classes``, which verified it at symbolic rates, and so at
-    every substitution of them.  Absorbing rows (clean, fail) are identity
-    rows.  Every row must sum to exactly one and, at numeric rates, hold no
-    negative entry; otherwise ValueError names the class.
+    ``config`` None is the default FaultModel.  The rows are the table's
+    verified rows at symbolic rates with ``params.eps`` and ``params.delta``
+    substituted.  A table built here is the shared one from
+    ``build_classes``, whose rows ``class_rows`` keeps; a table passed in is
+    verified here at its model's symbolic rates, which proves it sound at
+    every substitution of them (a mismatch raises ClassUnsound).  Absorbing
+    rows (clean, fail) are identity rows.  Every row must sum to exactly one
+    and, at numeric rates, hold no negative entry; otherwise ValueError
+    names the class.
     """
     if config is None:
         config = DEFAULT_FAULT_MODEL
     if table is None:
         table = build_classes(params.model, config=config)
+        rows = class_rows(params.model, config=config)
     elif table.model is not params.model:
         raise ValueError("class table and params disagree on the model")
     else:
-        verify_class_soundness(table, params, config)
+        rows = verify_class_soundness(table, ModelParams.symbolic(table.model), config)
 
+    at = Substitution(params.eps, params.delta)
     n = len(table.classes)
     P: List[List[Poly]] = []
-    for cls in table.classes:
+    for cls, projected in zip(table.classes, rows):
         row = [Poly.zero() for _ in range(n)]
         if cls.id in (table.clean_id, table.fail_id):
             row[cls.id] = Poly.one()
         else:
-            for q, prob in attempt(cls.representative, params, config).items():
-                cid = table.index[q]
-                row[cid] = row[cid] + prob
+            for cid, prob in projected.items():
+                row[cid] = at(prob)
         P.append(row)
     chain = TransitionMatrix(table=table, P=P, params=params, config=config)
     numeric = _is_numeric(chain)

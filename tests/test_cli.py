@@ -352,6 +352,10 @@ GOLDEN_STDOUT = [
      "397c30b3a04145f7414d81d4a69f36338ee78f9fdd50629cbff5a4f63fed98de"),
     (("chain", "--model", "ideal"),
      "5e3243126140941b3d13262fa4309304010dcb94b2b4e08018e6a623e01d493b"),
+    (("chain", "--model", "lossy"),
+     "9e687617444918f563f13dab0d5a4ca5bbd646e70bf40639faea2c1ad459408d"),
+    (("chain", "--model", "lossy", "--circuit-config", PER_TELEPORTATION),
+     "e3fe4ee3dbfc4ffa66246708dd1d9b37928d70cc2de1ab4246bb4573cb667f8c"),
     (("chain", "--model", "lossy", "--circuit-config", ALT_CONFIG),
      "cbe61d3b000010852e7effe2d38d9088b701f02a379f53b46cd7b9ec2b81ed09"),
     (("series", "--model", "ideal", "--order", "6"),

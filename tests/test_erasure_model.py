@@ -314,7 +314,7 @@ def _attempt_row(pattern, index, params, config):
     for q, prob in attempt(pattern, params, config).items():
         cid = index[q]
         projected[cid] = projected.get(cid, Poly.zero()) + prob
-    return tuple((cid, projected[cid].key()) for cid in sorted(projected))
+    return tuple((cid, projected[cid]) for cid in sorted(projected))
 
 
 def _assert_rows_are_attempt_sums(model, config, params_list):
@@ -393,6 +393,43 @@ class TestInitialDistribution:
                 for p in cls.members:
                     expected = expected + pattern_probability(p, params, config)
                 assert dist[cls.id] == expected, cls.label
+
+    def test_fail_mass_is_the_complement_on_a_singleton_table(self, ideal_singleton_table):
+        params = ModelParams.ideal()
+        dist = initial_distribution(params, ideal_singleton_table)
+        sink = ideal_singleton_table.fail_id
+        assert dist[sink] == pattern_probability(fail_sink(Model.IDEAL), params)
+        assert list(dist) == [c.id for c in ideal_singleton_table.classes]
+
+    def test_marginals_not_summing_to_one_rejected(self, monkeypatch):
+        real_marginals = erasure_model.qubit_marginals
+
+        def leaky(params, config=None):
+            marginals = dict(real_marginals(params, config))
+            marginals[Erasure.NONE] = marginals[Erasure.NONE] - Poly.monomial(2, 0)
+            return marginals
+
+        monkeypatch.setattr(erasure_model, "qubit_marginals", leaky)
+        with pytest.raises(ValueError, match="qubit marginals sum to"):
+            initial_distribution(ModelParams.lossy(), build_classes(Model.LOSSY))
+
+    @pytest.mark.parametrize("defect", ["missing", "overlapping"])
+    def test_classes_not_partitioning_the_pattern_space_rejected(self, defect):
+        table = build_classes(Model.LOSSY)
+        fail = table.classes[table.fail_id]
+        if defect == "missing":
+            members = fail.members[1:]
+        else:
+            members = fail.members + (table.classes[table.clean_id].representative,)
+        classes = [
+            EquivClass(c.id, c.label, c.representative, members) if c is fail else c
+            for c in table.classes
+        ]
+        bad = type(table)(
+            model=table.model, classes=classes, clean_id=table.clean_id, fail_id=table.fail_id
+        )
+        with pytest.raises(ValueError, match="do not partition the model's pattern space"):
+            initial_distribution(ModelParams.lossy(), bad)
 
     def test_ideal_clean_mass(self):
         params = ModelParams.ideal()

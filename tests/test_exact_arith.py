@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erasurechain.exact_arith import Poly
+from erasurechain.exact_arith import Poly, Substitution
 
 
 def eps_poly(*coeffs):
@@ -181,3 +181,31 @@ def test_exact_cancellation_stores_nothing():
     assert zero.key() == ()
     # A cancelled term that comes back is stored afresh.
     assert (eps - eps + eps).terms == {(1, 0): F(1)}
+
+
+_POINTS = st.sampled_from([F(0), F(1), F(-1), F(1, 3), F(-5, 7), F(9, 4)])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(ps=st.lists(_TERMS, min_size=1, max_size=3), x=_TERMS, y=_TERMS, data=st.data())
+def test_substitution_is_evaluation_at_the_substituted_values(ps, x, y, data):
+    # One map serves every polynomial; constants for x and y (a single
+    # (0, 0) term, or none) make cancellation to zero common.
+    px, py = Poly(x), Poly(y)
+    at = Substitution(px, py)
+    a, b = data.draw(_POINTS), data.draw(_POINTS)
+    for terms in ps:
+        p = Poly(terms)
+        got = at(p)
+        assert all(c != 0 for c in got.terms.values())
+        assert got.evaluate(a, b) == p.evaluate(px.evaluate(a, b), py.evaluate(a, b))
+
+
+def test_substitution_at_rationals_and_on_the_diagonal():
+    p = Poly({(0, 0): F(1), (1, 0): F(-2), (1, 2): F(3)})
+    assert Substitution(F(1, 2), F(1, 3))(p).terms == {(0, 0): F(1, 6)}
+    assert Substitution(F(1, 2), 0)(p) == Poly.zero()
+    assert Substitution(Poly.eps(), Poly.eps())(p) == Poly(
+        {(0, 0): F(1), (1, 0): F(-2), (3, 0): F(3)}
+    )
+    assert Substitution(Poly.eps(), Poly.delta())(p) == p

@@ -14,7 +14,12 @@ import dataclasses
 
 import erasurechain.erasure_model as erasure_model
 import erasurechain.markov_engine as markov_engine
-from erasurechain.correction_circuits import DEFAULT_FAULT_MODEL, Construction, FaultModel
+from erasurechain.correction_circuits import (
+    DEFAULT_FAULT_MODEL,
+    Construction,
+    FaultModel,
+    attempt,
+)
 from erasurechain.exact_arith import Poly
 from erasurechain.erasure_model import (
     CLEAN_PATTERN,
@@ -98,32 +103,40 @@ class TestBuildChain:
             build_chain(ModelParams.ideal(), table=bad)
 
     def test_row_missing_an_outcome_rejected(self, monkeypatch):
-        real_attempt = markov_engine.attempt
+        # Rows come from the class table's verified rows: drop one target
+        # class from each.
+        real_rows = markov_engine.class_rows
 
-        def drop_one_outcome(pattern, params, config):
-            outcomes = dict(real_attempt(pattern, params, config))
-            outcomes.pop(next(iter(outcomes)))
-            return outcomes
+        def drop_one_outcome(model, config=None):
+            rows = [dict(row) for row in real_rows(model, config)]
+            for row in rows:
+                row.pop(next(iter(row)))
+            return tuple(rows)
 
-        monkeypatch.setattr(markov_engine, "attempt", drop_one_outcome)
+        monkeypatch.setattr(markov_engine, "class_rows", drop_one_outcome)
         table = build_classes(Model.LOSSY)
         first = next(c for c in table.classes if c.id not in (table.clean_id, table.fail_id))
         with pytest.raises(ValueError, match=re.escape(f"class {first.label} sums to")):
             build_chain(ModelParams.lossy())
 
     def test_negative_entry_at_numeric_rates_rejected(self, monkeypatch):
-        # Moving unit mass onto the clean pattern keeps each row summing to
+        # Moving unit mass onto the clean class keeps each row summing to
         # one but leaves a negative entry.
-        real_attempt = markov_engine.attempt
+        real_rows = markov_engine.class_rows
 
-        def move_mass(pattern, params, config):
-            outcomes = dict(real_attempt(pattern, params, config))
-            other = next(q for q in outcomes if q != CLEAN_PATTERN)
-            outcomes[other] = outcomes[other] + 1
-            outcomes[CLEAN_PATTERN] = outcomes.get(CLEAN_PATTERN, Poly.zero()) - 1
-            return outcomes
+        def move_mass(model, config=None):
+            table = build_classes(model, config)
+            clean_id = table.clean_id
+            rows = [dict(row) for row in real_rows(model, config)]
+            for i, row in enumerate(rows):
+                if i in (clean_id, table.fail_id):
+                    continue
+                other = next(cid for cid in row if cid != clean_id)
+                row[other] = row[other] + 1
+                row[clean_id] = row.get(clean_id, Poly.zero()) - 1
+            return tuple(rows)
 
-        monkeypatch.setattr(markov_engine, "attempt", move_mass)
+        monkeypatch.setattr(markov_engine, "class_rows", move_mass)
         with pytest.raises(ValueError, match="has a negative entry"):
             build_chain(ModelParams.ideal(F(1, 10)))
 
@@ -135,6 +148,58 @@ class TestBuildChain:
                     for e in grid:
                         for d in (F(0), F(1, 8), F(1, 4)):
                             assert 0 <= entry.evaluate(e, d) <= 1
+
+
+def _attempt_chain(params, table, config):
+    """Reference assembly: each representative's ``attempt`` summed per
+    class, with identity rows for the absorbing classes."""
+    n = len(table.classes)
+    P = []
+    for cls in table.classes:
+        row = [Poly.zero() for _ in range(n)]
+        if cls.id in (table.clean_id, table.fail_id):
+            row[cls.id] = Poly.one()
+        else:
+            for q, prob in attempt(cls.representative, params, config).items():
+                cid = table.index[q]
+                row[cid] = row[cid] + prob
+        P.append(row)
+    return P
+
+
+def _config_file(path):
+    root = Path(__file__).resolve().parents[1]
+    return FaultModel.from_json(json.loads((root / path).read_text()))
+
+
+class TestChainFromVerifiedRows:
+    """``build_chain`` substitutes the rates into the verified symbolic rows;
+    the result equals the rows ``attempt`` gives at those rates."""
+
+    @pytest.mark.parametrize(
+        "config_path", [None, "configs/per_teleportation.json", "perfbench/alt_config.json"]
+    )
+    def test_matches_attempt_rows(self, config_path):
+        config = DEFAULT_FAULT_MODEL if config_path is None else _config_file(config_path)
+        for params in (
+            ModelParams.ideal(),
+            ModelParams.ideal(F(0)),
+            ModelParams.ideal(F(1, 50)),
+            ModelParams.ideal(F(1, 10)),
+            ModelParams.lossy(),
+            ModelParams.lossy_diagonal(),
+            ModelParams.lossy(eps=F(0)),
+            ModelParams.lossy(delta=F(0)),
+            ModelParams.lossy(F(1, 50), F(1, 30)),
+            ModelParams.lossy(F(1, 10), F(1, 10)),
+        ):
+            chain = build_chain(params, config=config)
+            assert chain.P == _attempt_chain(params, chain.table, config), params
+
+    def test_given_table_matches_attempt_rows(self, ideal_singleton_table):
+        for params in (ModelParams.ideal(), ModelParams.ideal(F(1, 10))):
+            chain = build_chain(params, table=ideal_singleton_table)
+            assert chain.P == _attempt_chain(params, ideal_singleton_table, DEFAULT_FAULT_MODEL)
 
 
 class TestAbsorption:
