@@ -78,7 +78,11 @@ def _load_config(path: Optional[str]) -> FaultModel:
     if path is None:
         return DEFAULT_FAULT_MODEL
     with open(path, "r", encoding="utf-8") as fh:
-        return FaultModel.from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise CliError(f"--circuit-config {path}: {exc}") from None
+    return FaultModel.from_json(data)
 
 
 def _parse_fraction(text: str, flag: str) -> Fraction:

@@ -426,9 +426,9 @@ def _fold_gates(pairs, sites: int, gate: GateTable) -> Dict[Tuple[Erasure, ...],
 
 
 # Local outcomes of one circuit: ((target, helper, helper, helper), prob)
-# with the helpers in step order.  They depend only on the step kind, the
-# target's status, the rates and the config, never on the rest of the
-# pattern, so each is computed once and written into every pattern.
+# with the helpers in step order.  They depend only on the target's status
+# (which fixes the step kind), the rates and the config, never on the rest
+# of the pattern, so each is computed once and written into every pattern.
 LocalOutcomes = Tuple[Tuple[Tuple[Erasure, ...], Poly], ...]
 
 
@@ -484,8 +484,10 @@ def _place(pattern: Pattern, positions: Tuple[int, ...], local: LocalOutcomes) -
     return dist
 
 
-# The local tables of one (params, config), keyed by (step kind, target status).
-OutcomeTables = Dict[Tuple[StepKind, Erasure], LocalOutcomes]
+# The local tables of one (params, config), keyed by the target's status:
+# a fully erased target is converted (FULL_TO_Z), any other is recovered
+# (Z_RECOVERY), as ``select_step`` decides.
+OutcomeTables = Dict[Erasure, LocalOutcomes]
 
 
 @lru_cache(maxsize=1024)
@@ -500,14 +502,10 @@ def outcome_tables(
     """
     if params.model is Model.IDEAL:
         measured = Erasure.Z_MEASURED
-        return {
-            (StepKind.Z_RECOVERY, measured): _z_recovery_outcomes(measured, params, config)
-        }
+        return {measured: _z_recovery_outcomes(measured, params, config)}
     return {
-        (StepKind.Z_RECOVERY, Erasure.Z_ERASED): _z_recovery_outcomes(
-            Erasure.Z_ERASED, params, config
-        ),
-        (StepKind.FULL_TO_Z, Erasure.FULL): _full_to_z_outcomes(params, config),
+        Erasure.Z_ERASED: _z_recovery_outcomes(Erasure.Z_ERASED, params, config),
+        Erasure.FULL: _full_to_z_outcomes(params, config),
     }
 
 
@@ -515,13 +513,14 @@ class LocalAttempt(NamedTuple):
     """One attempt before it is written into the pattern.
 
     positions: the qubits it writes, target first, then the helpers;
-    key: the (step kind, target status) key of its local table;
+    key: the target's status, which keys its local table and fixes the
+    step kind;
     outcomes: that table, the statuses written at ``positions`` with their
     probabilities.
     """
 
     positions: Tuple[int, ...]
-    key: Tuple[StepKind, Erasure]
+    key: Erasure
     outcomes: LocalOutcomes
 
 
@@ -535,7 +534,7 @@ def local_attempt(pattern: Pattern, tables: OutcomeTables) -> Done | Abort | Loc
     step = select_step(pattern)
     if step is DONE or step is ABORT:
         return step
-    key = (step.kind, pattern[step.target - 1])
+    key = pattern[step.target - 1]
     if key not in tables:
         raise ValueError(
             f"pattern {format_pattern(pattern)} is not over the alphabet of the tables' model"

@@ -31,9 +31,10 @@ tables can express.  The check still runs at every build, so the grouping
 is a verified lumping of the Markov chain (Kemeny and Snell, *Finite Markov
 Chains*, 1960), not an assumed one: a table that breaks the symmetry raises
 ClassUnsound.  The check yields each class's row, one exact polynomial per
-target class, and the build keeps those symbolic rows beside the table
-(``class_rows``): every chain substitutes its rates into them, so the
-attempt tables are expanded once per (model, FaultModel).
+target class, and proves that each row sums to one.  The build keeps those
+symbolic rows beside the table (``class_rows``): every chain substitutes
+its rates into them, so the attempt tables are expanded, and the rows
+checked, once per (model, FaultModel).
 
 The partition is stated once, as each class's members.  A class's size,
 the table's pattern index and the census (every pattern; the fail class
@@ -183,6 +184,10 @@ class ModelParams:
         """The model at its symbolic rates: eps, and delta for lossy."""
         return ModelParams.ideal() if model is Model.IDEAL else ModelParams.lossy()
 
+    def is_numeric(self) -> bool:
+        """Whether both rates are constants, with no eps or delta term."""
+        return self.eps.total_degree() <= 0 and self.delta.total_degree() <= 0
+
     @staticmethod
     def lossy_diagonal(value: Poly | Fraction | int | None = None) -> "ModelParams":
         """Lossy model on the delta = eps line."""
@@ -322,11 +327,12 @@ def _class_table(model: Model, fault_model) -> Tuple[ClassTable, ClassRows]:
         clean_id=labels.index("clean"),
         fail_id=labels.index("fail"),
     )
-    return table, verify_class_soundness(table, ModelParams.symbolic(model), fault_model)
+    return table, verify_class_soundness(table, fault_model)
 
 
-def _projector(index: Mapping[Pattern, int], params: ModelParams, fault_model):
-    """pattern -> one attempt's outcome distribution summed per class.
+def _projector(table: ClassTable, fault_model):
+    """pattern -> one attempt's outcome distribution at the table's model's
+    symbolic rates, summed per class of the table.
 
     A row is a tuple of (class id, exact class sum), sorted by class id.
     An attempt writes one of a few local outcome tables into the pattern
@@ -339,9 +345,10 @@ def _projector(index: Mapping[Pattern, int], params: ModelParams, fault_model):
     """
     from .correction_circuits import ABORT, DONE, fail_sink, local_attempt, outcome_tables
 
-    tables = outcome_tables(params, fault_model)
+    tables = outcome_tables(ModelParams.symbolic(table.model), fault_model)
+    index = table.index
     unit = Poly.one()
-    sink = index[fail_sink(params.model)]
+    sink = index[fail_sink(table.model)]
     sums: Dict[tuple, Poly] = {}
 
     def project(pattern: Pattern) -> tuple:
@@ -371,22 +378,26 @@ def _projector(index: Mapping[Pattern, int], params: ModelParams, fault_model):
     return project
 
 
-def verify_class_soundness(table: ClassTable, params: ModelParams, config=None) -> ClassRows:
-    """Exact check that every member of every class shares its
-    representative's projected row; returns those rows.
+def verify_class_soundness(table: ClassTable, config=None) -> ClassRows:
+    """Exact check, at the table's model's symbolic rates, that every
+    member of every class shares its representative's projected row, and
+    that the row sums to one; returns those rows.
 
     Row ``c`` is a read-only ``{class id: Poly}``, one attempt from class
-    ``c`` summed per target class.  Raises ClassUnsound on the first
-    disagreement.
-    ``build_classes`` runs it at symbolic rates on every table it builds
-    and keeps the rows (``class_rows``); ``build_chain`` runs it at
-    symbolic rates on tables it is given.  ``attempt`` uses only ring
-    operations on eps and delta, and substituting values for them commutes
-    with the per-class sums, so rows equal as polynomials stay equal under
-    every ``ModelParams`` (numeric rates or the delta = eps diagonal), and
-    a row at those rates is the symbolic row with the rates substituted.
+    ``c`` summed per target class.  The first disagreement raises
+    ClassUnsound and a row whose sum is not exactly ``Poly.one()`` raises
+    ValueError naming its class.  ``build_classes`` runs it on every table
+    it builds and keeps the rows (``class_rows``); ``build_chain`` runs it
+    on tables it is given.  ``attempt`` uses only ring operations on eps
+    and delta, and substituting values for them commutes with the
+    per-class sums, so a row at any ``ModelParams`` (numeric rates or the
+    delta = eps diagonal) is the symbolic row with the rates substituted:
+    members that agree, and rows that sum to one, as polynomials do so at
+    every substitution.  An attempt leaves the clean pattern as it is and
+    sends a procedure failure to the fail sink, so the clean and fail rows
+    are identity rows.
     """
-    project = _projector(table.index, params, _fault_model(config))
+    project = _projector(table, _fault_model(config))
     rows = []
     for cls in table.classes:
         reference = project(cls.representative)
@@ -396,6 +407,11 @@ def verify_class_soundness(table: ClassTable, params: ModelParams, config=None) 
                     f"class {cls.label!r}: {format_pattern(p)} disagrees with "
                     f"{format_pattern(cls.representative)}"
                 )
+        total = Poly.zero()
+        for _, prob in reference:
+            total = total + prob
+        if total != Poly.one():
+            raise ValueError(f"transition row of class {cls.label} sums to {total}, not 1")
         rows.append(MappingProxyType(dict(reference)))
     return tuple(rows)
 

@@ -21,12 +21,13 @@ same Horner on the positive and negative coefficient parts.
 
 Every chain is one substitution.  ``build_classes`` verifies the class
 table at symbolic rates and keeps the rows it verified, one exact
-polynomial per target class (``class_rows``); a chain at any rates, the
-delta = eps diagonal or one numeric point (eps, delta), is those rows with
-the rates substituted.  ``attempt`` uses only ring operations on eps and
-delta, so this equals the chain assembled from attempts at those rates,
-and a rate at one point is the elimination of a chain whose entries are
-constants.
+polynomial per target class (``class_rows``), each proved to sum to one;
+a chain at any rates, the delta = eps diagonal or one numeric point (eps,
+delta), is those rows with the rates substituted.  ``attempt`` uses only
+ring operations on eps and delta, so this equals the chain assembled from
+attempts at those rates, its rows still sum to one, and a rate at one
+point is the elimination of a chain whose entries are constants.  Only
+nonnegativity depends on the point, so a numeric chain checks it.
 """
 
 from __future__ import annotations
@@ -63,15 +64,6 @@ class TransitionMatrix:
     def absorbing(self) -> Tuple[int, int]:
         return (self.table.clean_id, self.table.fail_id)
 
-    def row_sums(self) -> List[Poly]:
-        sums = []
-        for row in self.P:
-            total = Poly.zero()
-            for entry in row:
-                total = total + entry
-            sums.append(total)
-        return sums
-
     def to_json(self) -> dict:
         return {
             "model": self.params.model.value,
@@ -93,11 +85,11 @@ def build_chain(
     verified rows at symbolic rates with ``params.eps`` and ``params.delta``
     substituted.  A table built here is the shared one from
     ``build_classes``, whose rows ``class_rows`` keeps; a table passed in is
-    verified here at its model's symbolic rates, which proves it sound at
-    every substitution of them (a mismatch raises ClassUnsound).  Absorbing
-    rows (clean, fail) are identity rows.  Every row must sum to exactly one
-    and, at numeric rates, hold no negative entry; otherwise ValueError
-    names the class.
+    verified here.  ``verify_class_soundness`` proves the symbolic rows
+    sound and summing to exactly one, with identity rows for the clean and
+    fail classes, so every substitution keeps all of that (a mismatch
+    raises ClassUnsound, a bad sum ValueError).  At numeric rates a row
+    holding a negative entry is a ValueError naming the class.
     """
     if config is None:
         config = DEFAULT_FAULT_MODEL
@@ -107,33 +99,20 @@ def build_chain(
     elif table.model is not params.model:
         raise ValueError("class table and params disagree on the model")
     else:
-        rows = verify_class_soundness(table, ModelParams.symbolic(table.model), config)
+        rows = verify_class_soundness(table, config)
 
     at = Substitution(params.eps, params.delta)
+    numeric = params.is_numeric()
     n = len(table.classes)
     P: List[List[Poly]] = []
     for cls, projected in zip(table.classes, rows):
         row = [Poly.zero() for _ in range(n)]
-        if cls.id in (table.clean_id, table.fail_id):
-            row[cls.id] = Poly.one()
-        else:
-            for cid, prob in projected.items():
-                row[cid] = at(prob)
-        P.append(row)
-    chain = TransitionMatrix(table=table, P=P, params=params, config=config)
-    numeric = _is_numeric(chain)
-    for cls, row, total in zip(table.classes, P, chain.row_sums()):
-        if total != Poly.one():
-            raise ValueError(f"transition row of class {cls.label} sums to {total}, not 1")
+        for cid, prob in projected.items():
+            row[cid] = at(prob)
         if numeric and any(entry.coefficient(0, 0) < 0 for entry in row):
             raise ValueError(f"transition row of class {cls.label} has a negative entry")
-    return chain
-
-
-def _is_numeric(chain: TransitionMatrix) -> bool:
-    eps_const = chain.params.eps.total_degree() <= 0
-    delta_const = chain.params.delta.total_degree() <= 0
-    return eps_const and delta_const
+        P.append(row)
+    return TransitionMatrix(table=table, P=P, params=params, config=config)
 
 
 def _solve(chain: TransitionMatrix):
@@ -340,7 +319,7 @@ def encoded_failure_at(chain: TransitionMatrix) -> Fraction:
     ``failure_rate`` of a chain whose entries are constants, read at 0.
     A chain with a symbolic rate is a ValueError.
     """
-    if not _is_numeric(chain):
+    if not chain.params.is_numeric():
         raise ValueError("encoded_failure_at needs a chain built at numeric rates")
     return failure_rate(chain).at(Fraction(0))
 

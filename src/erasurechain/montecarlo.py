@@ -8,11 +8,13 @@ class lumping, so a disagreement with the chain points at lumping or
 assembly.
 
 A pattern is the base-b integer of its digits over ``MODEL_ALPHABET`` (b =
-2 ideal, 3 lossy; qubit 1 most significant).  The first trial to reach a
-state has it flagged clean, failed or live and, if live, its outcome row
-filled.  A row is shared by every state that takes the same step (local
-table and qubit positions): the code offsets of its outcomes and their
-cumulative probabilities, so a state's row is its code plus the offsets.
+2 ideal, 3 lossy; qubit 1 most significant).  Before the walk, every
+state is flagged clean, failed or live, from this module's own
+``pattern_weight`` and ``classify`` calls, and every live state's outcome
+row is filled, so a walk step only reads the table.  A row is shared by
+every state that takes the same step (local table and qubit positions):
+the code offsets of its outcomes and their cumulative probabilities, so a
+state's row is its code plus the offsets.
 A qubit's injected status is read from its uniform draw u by comparison:
 the number of the marginals' cumulative thresholds below u picks the
 status, and a draw past them all leaves the qubit intact.  Each step draws
@@ -41,8 +43,8 @@ from .correction_circuits import (
     DEFAULT_FAULT_MODEL, FaultModel, LocalOutcomes, local_attempt, outcome_tables,
 )
 from .erasure_model import (
-    MODEL_ALPHABET, Classification, Erasure, ModelParams, Pattern, classify,
-    pattern_weight, qubit_marginals,
+    MODEL_ALPHABET, Classification, Erasure, ModelParams, Pattern, all_patterns,
+    classify, pattern_weight, qubit_marginals,
 )
 from .pauli_algebra import N_QUBITS
 
@@ -53,8 +55,8 @@ CHUNK = 1 << 13
 MAX_STEPS = 10_000
 # Largest |z| that compare() accepts.
 Z_LIMIT = 3.0
-# Terminal flags of a state; UNSEEN until a trial first reaches it.
-UNSEEN, CLEAN, FAIL, LIVE = -1, 0, 1, 2
+# Terminal flags of a state.
+CLEAN, FAIL, LIVE = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -75,54 +77,39 @@ class CompareReport:
 
 
 class PatternTable:
-    """Terminal flags and outcome rows of every pattern, filled on first visit.
+    """Terminal flags and outcome rows of every pattern, filled at once.
 
-    ``flag[code]`` is UNSEEN, CLEAN, FAIL or LIVE.  A live state's row is
-    column ``code`` of ``next`` and ``cum``: slot j holds the j-th outcome of
+    ``flag[code]`` is CLEAN, FAIL or LIVE.  A live state's row is column
+    ``code`` of ``next`` and ``cum``: slot j holds the j-th outcome of
     ``sorted(attempt(pattern).items())`` and the cumulative probability up to
     it.  Slots past a row's end hold 1.0, which no uniform draw reaches.
+    The states are filled in ``all_patterns`` order, which is code order.
     """
 
     def __init__(self, params: ModelParams, config: FaultModel):
-        self.alphabet = MODEL_ALPHABET[params.model]
-        self.digit = {status: d for d, status in enumerate(self.alphabet)}
-        self.powers = len(self.alphabet) ** np.arange(N_QUBITS - 1, -1, -1)
+        alphabet = MODEL_ALPHABET[params.model]
+        self.digit = {status: d for d, status in enumerate(alphabet)}
+        self.powers = len(alphabet) ** np.arange(N_QUBITS - 1, -1, -1)
         self.tables = outcome_tables(params, config)
         # (table key, positions) -> (code offsets, cumulative probabilities)
         self.rows = {}
         depth = max(len(local) for local in self.tables.values())
-        states = len(self.alphabet) ** N_QUBITS
-        self.flag = np.full(states, UNSEEN, dtype=np.int8)
-        self.next = np.zeros((depth, states), dtype=np.intp)
-        self.cum = np.ones((depth, states))
-
-    def visit(self, states: np.ndarray) -> np.ndarray:
-        """Flag, and fill the row of, every state not reached before; the
-        flags of ``states``."""
-        flags = self.flag[states]
-        new = flags == UNSEEN
-        if not new.any():
-            return flags
-        # A mark over the states, not np.unique, whose first call imports numpy.ma.
-        unseen = np.zeros(len(self.flag), dtype=bool)
-        unseen[states[new]] = True
-        codes = np.flatnonzero(unseen)
-        digits = (codes[:, None] // self.powers % len(self.alphabet)).tolist()
-        for code, row in zip(codes.tolist(), digits):
-            pattern = tuple(self.alphabet[d] for d in row)
+        patterns = all_patterns(params.model)
+        self.flag = np.full(len(patterns), LIVE, dtype=np.int8)
+        self.next = np.zeros((depth, len(patterns)), dtype=np.intp)
+        self.cum = np.ones((depth, len(patterns)))
+        for code, pattern in enumerate(patterns):
             if pattern_weight(pattern) == 0:
                 self.flag[code] = CLEAN
             elif classify(pattern) is Classification.PROCEDURE_FAIL:
                 self.flag[code] = FAIL
             else:
-                self.flag[code] = LIVE
                 self._fill(code, pattern)
-        return self.flag[states]
 
     def _fill(self, code: int, pattern: Pattern) -> None:
         positions, key, outcomes = local_attempt(pattern, self.tables)
-        # The helpers are intact and the target's status is part of the key,
-        # so every pattern taking this step shares its offsets.
+        # The helpers are intact and the target's status is the key, so
+        # every pattern taking this step shares its offsets.
         row = self.rows.get((key, positions))
         if row is None:
             row = self.rows[key, positions] = self._row(pattern, positions, outcomes)
@@ -152,7 +139,7 @@ def simulate(
     """Fraction of trials whose correction ends in a procedure failure."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if params.eps.total_degree() > 0 or params.delta.total_degree() > 0:
+    if not params.is_numeric():
         raise ValueError("Monte Carlo needs numeric rates")
 
     table = PatternTable(params, config)
@@ -195,7 +182,7 @@ def _absorb(states: np.ndarray, table: PatternTable, rng) -> int:
     """Step every live trial until all absorb; the number that fail."""
     failures = 0
     for _ in range(MAX_STEPS):
-        flag = table.visit(states)
+        flag = table.flag[states]
         failures += int(np.count_nonzero(flag == FAIL))
         states = states[flag == LIVE]
         if not states.size:

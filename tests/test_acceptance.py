@@ -235,7 +235,7 @@ def _full_chain_root(model, config=DEFAULT_FAULT_MODEL, verify=False):
         params = ModelParams.lossy_diagonal
         condition = BreakEvenCondition.LOSSY_GATE
     if verify:
-        verify_class_soundness(build_chain(params(), config=config).table, params(), config)
+        verify_class_soundness(build_chain(params(), config=config).table, config)
 
     def rate(x):
         return encoded_failure_at(build_chain(params(x), config=config))

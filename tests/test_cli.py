@@ -331,6 +331,18 @@ class TestCircuitConfig:
         assert proc.stdout == ""
         assert "error" in json.loads(proc.stderr)
 
+    @pytest.mark.parametrize(
+        "content", [b"", b"\xff\xfe{}"], ids=["not-json", "not-utf8"],
+    )
+    def test_unreadable_config_names_the_flag_and_file(self, tmp_path, content):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(content)
+        proc = run_cli("threshold", "--model", "lossy", "--circuit-config", str(cfg),
+                       check=False)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"].startswith(f"--circuit-config {cfg}: ")
+
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PER_TELEPORTATION = "configs/per_teleportation.json"

@@ -1,6 +1,9 @@
+import json
+import re
 from collections import Counter
 from fractions import Fraction as F
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -179,34 +182,25 @@ class TestBuildClasses:
             )
 
     def test_soundness_verifier_accepts_reduced_tables(self):
-        # Tables are verified at symbolic rates; they stay sound on the
-        # delta = eps diagonal and at numeric rates.
+        # Tables are verified at symbolic rates, which proves them sound on
+        # the delta = eps diagonal and at numeric rates.
         per_teleportation = FaultModel(construction=Construction.PER_TELEPORTATION)
-        lossy_params = (
-            ModelParams.lossy(),
-            ModelParams.lossy_diagonal(),
-            ModelParams.lossy(F(1, 20), F(1, 7)),
-        )
-        for model, params_list, config in (
-            (Model.IDEAL, (ModelParams.ideal(), ModelParams.ideal(F(1, 20))), None),
-            (Model.LOSSY, lossy_params, None),
-            (Model.LOSSY, lossy_params, per_teleportation),
+        for model, config in (
+            (Model.IDEAL, None),
+            (Model.LOSSY, None),
+            (Model.LOSSY, per_teleportation),
         ):
             table = build_classes(model, config=config)
-            for params in params_list:
-                verify_class_soundness(table, params, config)
+            verify_class_soundness(table, config)
             if model is Model.LOSSY:
                 assert len(table.classes) == 11
 
     @pytest.mark.parametrize(
-        "model, params, labels",
-        [
-            (Model.IDEAL, ModelParams.ideal(), ("w1", "w2")),
-            (Model.LOSSY, ModelParams.lossy(), ("[1,1]", "[2,0]")),
-        ],
+        "model, labels",
+        [(Model.IDEAL, ("w1", "w2")), (Model.LOSSY, ("[1,1]", "[2,0]"))],
         ids=["ideal", "lossy"],
     )
-    def test_soundness_verifier_rejects_bad_merge(self, model, params, labels):
+    def test_soundness_verifier_rejects_bad_merge(self, model, labels):
         table = build_classes(model)
         first, second = (c for c in table.classes if c.label in labels)
         merged = EquivClass(
@@ -230,7 +224,7 @@ class TestBuildClasses:
         assert bad.index[CLEAN_PATTERN] == bad.clean_id
         assert bad.index[fail_sink(model)] == bad.fail_id
         with pytest.raises(ClassUnsound):
-            verify_class_soundness(bad, params)
+            verify_class_soundness(bad)
 
     def test_signature_grouping_lumps_every_helper_symmetric_table(self):
         # A circuit applies one gate table to each of its three helpers, so
@@ -317,43 +311,90 @@ def _attempt_row(pattern, index, params, config):
     return tuple((cid, projected[cid]) for cid in sorted(projected))
 
 
-def _assert_rows_are_attempt_sums(model, config, params_list):
+def _assert_rows_are_attempt_sums(model, config):
+    # The projector works at symbolic rates; a row at other rates is the
+    # symbolic row substituted (``TestChainFromVerifiedRows``).
     table = build_classes(model, config=config)
-    for params in params_list:
-        project = _projector(table.index, params, config)
-        for p in all_patterns(model):
-            assert project(p) == _attempt_row(p, table.index, params, config), (
-                format_pattern(p)
-            )
+    params = ModelParams.symbolic(model)
+    project = _projector(table, config)
+    for p in all_patterns(model):
+        assert project(p) == _attempt_row(p, table.index, params, config), format_pattern(p)
 
 
 # The README's alternative circuit config.
 ALT_CONFIG = FaultModel(helper_detections=2, coupling_full_fraction=F(1, 2))
-LOSSY_PARAMS = (
-    ModelParams.lossy(),
-    ModelParams.lossy_diagonal(),
-    ModelParams.lossy(F(1, 20), F(1, 7)),
-)
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _config_file(path):
+    return FaultModel.from_json(json.loads((REPO_ROOT / path).read_text()))
+
+
+class TestVerifiedRows:
+    """``verify_class_soundness`` proves each symbolic row sums to one."""
+
+    @pytest.mark.parametrize(
+        "model, config_path",
+        [
+            (Model.IDEAL, None),
+            (Model.LOSSY, None),
+            (Model.LOSSY, "configs/per_teleportation.json"),
+            (Model.LOSSY, "perfbench/alt_config.json"),
+        ],
+        ids=["ideal", "lossy", "lossy-per_teleportation", "lossy-alt"],
+    )
+    def test_absorbing_rows_are_unit_mass(self, model, config_path):
+        config = None if config_path is None else _config_file(config_path)
+        table = build_classes(model, config=config)
+        rows = verify_class_soundness(table, config)
+        for cid in (table.clean_id, table.fail_id):
+            assert dict(rows[cid]) == {cid: Poly.one()}
+
+    def test_absorbing_rows_of_the_singleton_table_are_unit_mass(self, ideal_singleton_table):
+        rows = verify_class_soundness(ideal_singleton_table)
+        for cid in (ideal_singleton_table.clean_id, ideal_singleton_table.fail_id):
+            assert dict(rows[cid]) == {cid: Poly.one()}
+
+    def test_row_missing_an_outcome_rejected(self, monkeypatch):
+        # Without the target-readout loss a Z-erasure recovery's outcomes
+        # sum to one minus that loss; every member still agrees, so only
+        # the sum check can catch it.
+        real = correction_circuits._z_recovery_outcomes
+        readout_loss = (Erasure.FULL,) + (Erasure.NONE,) * 3
+
+        def without_readout_loss(target_status, params, config):
+            outcomes = real(target_status, params, config)
+            return tuple(o for o in outcomes if o[0] != readout_loss)
+
+        monkeypatch.setattr(correction_circuits, "_z_recovery_outcomes", without_readout_loss)
+        correction_circuits.outcome_tables.cache_clear()
+        erasure_model._class_table.cache_clear()
+        try:
+            with pytest.raises(ValueError, match=re.escape("class [0,1] sums to")):
+                build_classes(Model.LOSSY)
+        finally:
+            correction_circuits.outcome_tables.cache_clear()
+            erasure_model._class_table.cache_clear()
 
 
 class TestProjection:
     @pytest.mark.parametrize(
-        "model, config, params_list",
+        "model, config",
         [
-            (Model.IDEAL, DEFAULT_FAULT_MODEL, (ModelParams.ideal(), ModelParams.ideal(F(1, 20)))),
-            (Model.LOSSY, DEFAULT_FAULT_MODEL, LOSSY_PARAMS),
-            (Model.LOSSY, ALT_CONFIG, LOSSY_PARAMS),
-            (Model.LOSSY, FaultModel(construction=Construction.PER_TELEPORTATION), LOSSY_PARAMS),
+            (Model.IDEAL, DEFAULT_FAULT_MODEL),
+            (Model.LOSSY, DEFAULT_FAULT_MODEL),
+            (Model.LOSSY, ALT_CONFIG),
+            (Model.LOSSY, FaultModel(construction=Construction.PER_TELEPORTATION)),
         ],
         ids=["ideal", "lossy", "lossy-alt", "lossy-per_teleportation"],
     )
-    def test_rows_are_attempt_sums(self, model, config, params_list):
-        _assert_rows_are_attempt_sums(model, config, params_list)
+    def test_rows_are_attempt_sums(self, model, config):
+        _assert_rows_are_attempt_sums(model, config)
 
     @settings(max_examples=10, derandomize=True, database=None, deadline=None)
     @given(config=fault_models())
     def test_rows_are_attempt_sums_for_random_fault_models(self, config):
-        _assert_rows_are_attempt_sums(Model.LOSSY, config, (ModelParams.lossy(),))
+        _assert_rows_are_attempt_sums(Model.LOSSY, config)
 
 
 class TestInitialDistribution:
@@ -494,3 +535,11 @@ class TestModelParams:
     def test_lossy_diagonal_shares_variable(self):
         params = ModelParams.lossy_diagonal()
         assert params.eps == params.delta == Poly.eps()
+
+    def test_is_numeric(self):
+        assert ModelParams.ideal(F(1, 10)).is_numeric()
+        assert ModelParams.lossy(F(0), F(1, 30)).is_numeric()
+        assert not ModelParams.ideal().is_numeric()
+        assert not ModelParams.lossy(F(1, 10)).is_numeric()
+        assert not ModelParams.lossy(delta=F(1, 10)).is_numeric()
+        assert not ModelParams.lossy_diagonal().is_numeric()

@@ -127,8 +127,6 @@ class TestPatternTable:
         patterns = all_patterns(params.model)
         code_of = {p: i for i, p in enumerate(patterns)}
         table = PatternTable(params, config)
-        states = np.arange(len(patterns))
-        assert np.array_equal(table.visit(states), table.flag[states])
         for code, pattern in enumerate(patterns):
             if pattern_weight(pattern) == 0:
                 assert table.flag[code] == mc.CLEAN
@@ -146,6 +144,32 @@ class TestPatternTable:
             cum[-1] = 1.0
             assert np.array_equal(table.cum[:width, code], cum)
             assert np.all(table.cum[width:, code] == 1.0)
+
+
+@pytest.mark.parametrize(
+    "params", [ModelParams.ideal(F(1, 10)), ModelParams.lossy(F(1, 50), F(1, 30))],
+    ids=["ideal", "lossy"],
+)
+def test_every_state_is_flagged_before_the_walk(params):
+    patterns = all_patterns(params.model)
+    fails = sum(classify(p) is Classification.PROCEDURE_FAIL for p in patterns)
+    table = PatternTable(params, DEFAULT_FAULT_MODEL)
+    counts = [int(np.count_nonzero(table.flag == f)) for f in (mc.CLEAN, mc.FAIL, mc.LIVE)]
+    assert counts == [1, fails, len(patterns) - 1 - fails]
+
+
+def test_walk_reads_only_the_table(monkeypatch):
+    params = ModelParams.lossy(F(1, 20), F(1, 30))
+    states, table, rng = _one_shot_states(params, 5000, seed=41)
+
+    def rederive(*args, **kwargs):
+        raise AssertionError("the walk re-derived a state")
+
+    for name in ("local_attempt", "classify", "pattern_weight"):
+        monkeypatch.setattr(mc, name, rederive)
+    failures = mc._absorb(states, table, rng)
+    monkeypatch.undo()
+    assert failures == simulate(params, 5000, seed=41).failures
 
 
 def _one_shot_states(params, trials, seed, config=DEFAULT_FAULT_MODEL):
