@@ -202,8 +202,9 @@ def cmd_classify(args, config: FaultModel) -> dict:
             "helpers": list(step.helpers),
         }
     m, n, k = pattern_counts(pattern)
-    # A class is the patterns of one signature, so the label needs no table.
-    label = None if mixed else _label(_signature(pattern), model or Model.IDEAL)
+    # A class is the patterns of one signature, read from the step as the
+    # class build reads it, so the label needs no table.
+    label = None if mixed else _label(_signature(pattern, step), model or Model.IDEAL)
     return {
         "pattern": format_pattern(pattern),
         "model": "mixed" if mixed else (model.value if model else None),

@@ -100,7 +100,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -108,14 +108,18 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 from .exact_arith import Poly
 from .erasure_model import (
+    ABORT,
+    DONE,
+    Abort,
     Classification,
+    Done,
     Erasure,
     Model,
     ModelParams,
     Pattern,
-    classify,
+    classify_erased,
+    erased_mask,
     format_pattern,
-    pattern_weight,
 )
 from .pauli_algebra import N_QUBITS, stabilizer_supports_weight4
 
@@ -127,34 +131,17 @@ class StepKind(Enum):
     Z_RECOVERY = "z_recovery"
 
 
-class Done:
-    """Sentinel: nothing left to correct."""
-
-    def __repr__(self) -> str:
-        return "Done"
-
-
-class Abort:
-    """Sentinel: the pattern is a procedure failure."""
-
-    def __repr__(self) -> str:
-        return "Abort"
-
-
-DONE = Done()
-ABORT = Abort()
-
-
 @dataclass(frozen=True, slots=True)
 class CorrectionStep:
     kind: StepKind
     target: int
     helpers: Tuple[int, int, int]
+    # The qubits the step writes: the target, then the helpers.  Built once
+    # per step, which ``_step`` shares among all the patterns taking it.
+    positions: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def positions(self) -> Tuple[int, ...]:
-        """The qubits the step writes: the target, then the helpers."""
-        return (self.target,) + self.helpers
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "positions", (self.target,) + self.helpers)
 
 
 class Construction(Enum):
@@ -299,37 +286,42 @@ def select_step(pattern: Pattern):
     (or, when none remain, the lowest-indexed Z erasure / Z measurement)
     with the lexicographically smallest valid helper set.
     """
-    weight = pattern_weight(pattern)
-    if weight == 0:
+    erased = erased_mask(pattern)
+    if not erased:
         return DONE
-    if weight > 2 and classify(pattern) is Classification.PROCEDURE_FAIL:
+    if classify_erased(erased) is Classification.PROCEDURE_FAIL:
         return ABORT
-
-    erased = 0  # bit q-1 set for each erased qubit q
-    for q, status in enumerate(pattern):
-        if status != Erasure.NONE:
-            erased |= 1 << q
     if Erasure.FULL in pattern:
         return _step(StepKind.FULL_TO_Z, pattern.index(Erasure.FULL) + 1, erased)
     lowest_erased = (erased & -erased).bit_length()
     return _step(StepKind.Z_RECOVERY, lowest_erased, erased)
 
 
+def _helper_sets(target: int):
+    """The target's helper sets in lexicographic order, each with its
+    qubit mask: the other three qubits of each weight-4 stabilizer support
+    holding the target."""
+    sets = sorted(
+        tuple(sorted(quad - {target}))
+        for quad in stabilizer_supports_weight4()
+        if target in quad
+    )
+    return [(helpers, sum(1 << (q - 1) for q in helpers)) for helpers in sets]
+
+
+_HELPER_SETS = {target: _helper_sets(target) for target in range(1, N_QUBITS + 1)}
+
+
 # Keyed by (kind, target, erased mask): at most 2 * 7 * 128 shared steps.
 @lru_cache(maxsize=None)
 def _step(kind: StepKind, target: int, erased: int) -> CorrectionStep:
-    """The step on ``target`` with the smallest helper set of intact qubits."""
-    intact = {q + 1 for q in range(N_QUBITS) if not erased >> q & 1}
-    candidates = sorted(
-        tuple(sorted(quad - {target}))
-        for quad in stabilizer_supports_weight4()
-        if target in quad and (quad - {target}) <= intact
-    )
-    if not candidates:
-        # Cannot happen for correctable patterns: any <=2 other erased
-        # qubits leave at least one covering stabilizer support free.
-        raise RuntimeError(f"no valid helper set for target {target}, erased mask {erased:07b}")
-    return CorrectionStep(kind=kind, target=target, helpers=candidates[0])
+    """The step on ``target`` with the first helper set of intact qubits."""
+    for helpers, mask in _HELPER_SETS[target]:
+        if not mask & erased:
+            return CorrectionStep(kind=kind, target=target, helpers=helpers)
+    # Cannot happen for correctable patterns: any <=2 other erased qubits
+    # leave at least one covering stabilizer support free.
+    raise RuntimeError(f"no valid helper set for target {target}, erased mask {erased:07b}")
 
 
 def _loss_probability(delta: Poly, detections: int) -> Poly:

@@ -18,23 +18,28 @@ logical operators exist but the single-target recovery circuits do not
 apply to them, so all weight >= 4 patterns are counted as procedure
 failures.
 
-``build_classes`` groups the pattern space by correction signature (weight
-for the ideal model, full/Z-erasure counts for the lossy model) and checks,
-exactly as polynomials, that every member of every class has the identical
-class-level outcome distribution under one correction attempt.  A row's
-per-class sums are built once per local outcome table and grouping of its
-entries into classes, not once per pattern (a few dozen sums for 2187 lossy
-patterns).  Each circuit applies one gate table to every helper, so a local
-outcome's probability depends only on its orbit under permuting the
-helpers, and the signature grouping lumps every construction the gate
-tables can express.  The check still runs at every build, so the grouping
-is a verified lumping of the Markov chain (Kemeny and Snell, *Finite Markov
-Chains*, 1960), not an assumed one: a table that breaks the symmetry raises
-ClassUnsound.  The check yields each class's row, one exact polynomial per
-target class, and proves that each row sums to one.  The build keeps those
-symbolic rows beside the table (``class_rows``): every chain substitutes
-its rates into them, so the attempt tables are expanded, and the rows
-checked, once per (model, FaultModel).
+``build_classes`` decides each pattern's next step once
+(``correction_circuits.select_step``), groups the pattern space by the
+correction signature read from it (weight for the ideal model,
+full/Z-erasure counts for the lossy model), and checks from the same
+attempts, exactly as polynomials, that every member of every class has the
+identical class-level outcome distribution under one correction attempt.
+Each outcome of an attempt moves the pattern's code by an offset fixed by
+the step (``code_offsets``), so the classes the outcomes land in are read by
+code.  A row is built once per target status and those classes, and a
+per-class sum once per local outcome table and grouping of its entries, not
+once per pattern (15 rows and a few dozen sums for 2187 lossy patterns).
+Each circuit applies one gate table to every helper, so a local outcome's
+probability depends only on its orbit under permuting the helpers, and the
+signature grouping lumps every construction the gate tables can express.
+The check still runs at every build, so the grouping is a verified lumping
+of the Markov chain (Kemeny and Snell, *Finite Markov Chains*, 1960), not an
+assumed one: a table that breaks the symmetry raises ClassUnsound.  The
+check yields each class's row, one exact polynomial per target class, and
+proves that each row sums to one.  The build keeps those symbolic rows
+beside the table (``class_rows``): every chain substitutes its rates into
+them, so the attempt tables are expanded, and the rows checked, once per
+(model, FaultModel).
 
 The partition is stated once, as each class's members.  A class's size,
 the table's pattern index and the census (every pattern; the fail class
@@ -49,9 +54,9 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exact_arith import Poly, coerce
 from .pauli_algebra import N_QUBITS, supports_logical
@@ -98,6 +103,25 @@ class ClassUnsound(Exception):
     """Two members of one equivalence class disagree on outgoing distributions."""
 
 
+class Done:
+    """Sentinel: nothing left to correct."""
+
+    def __repr__(self) -> str:
+        return "Done"
+
+
+class Abort:
+    """Sentinel: the pattern is a procedure failure."""
+
+    def __repr__(self) -> str:
+        return "Abort"
+
+
+# What ``correction_circuits.select_step`` returns in place of a step.
+DONE = Done()
+ABORT = Abort()
+
+
 def parse_pattern(text: str) -> Pattern:
     if len(text) != N_QUBITS:
         raise ValueError(f"pattern must have {N_QUBITS} characters, got {text!r}")
@@ -141,14 +165,35 @@ def infer_model(pattern: Pattern) -> Optional[Model]:
     return None
 
 
-def classify(pattern: Pattern) -> Classification:
-    """Correctable iff weight <= 2, or weight 3 with no covered logical."""
-    w = pattern_weight(pattern)
-    if w <= 2:
-        return Classification.CORRECTABLE
-    if w == 3 and not supports_logical(pattern_support(pattern)):
+# Bit q-1 of an erased mask stands for qubit q.
+_BITS = tuple(1 << q for q in range(N_QUBITS))
+
+
+def erased_mask(pattern: Pattern) -> int:
+    """The mask of the pattern's erased qubits (``Erasure.NONE`` is 0)."""
+    return sum(compress(_BITS, pattern))
+
+
+def _classification(mask: int) -> Classification:
+    support = frozenset(q + 1 for q in range(N_QUBITS) if mask >> q & 1)
+    weight = len(support)
+    if weight <= 2 or (weight == 3 and not supports_logical(support)):
         return Classification.CORRECTABLE
     return Classification.PROCEDURE_FAIL
+
+
+# Correctability depends only on which qubits are erased.
+_CLASSIFICATION = tuple(map(_classification, range(1 << N_QUBITS)))
+
+
+def classify_erased(mask: int) -> Classification:
+    """``classify`` of the patterns whose erased mask is ``mask``."""
+    return _CLASSIFICATION[mask]
+
+
+def classify(pattern: Pattern) -> Classification:
+    """Correctable iff weight <= 2, or weight 3 with no covered logical."""
+    return _CLASSIFICATION[erased_mask(pattern)]
 
 
 @dataclass(frozen=True)
@@ -199,6 +244,34 @@ def all_patterns(model: Model) -> List[Pattern]:
     """Every pattern over the model's alphabet (128 ideal, 2187 lossy)."""
     alphabet = MODEL_ALPHABET[model]
     return [tuple(p) for p in product(alphabet, repeat=N_QUBITS)]
+
+
+def code_layout(model: Model) -> Tuple[Dict[Erasure, int], Tuple[int, ...]]:
+    """A pattern's code, its index in ``all_patterns``, is the sum over
+    qubits of the digit of its status (the status's place in the model's
+    alphabet) times the qubit's place value, qubit 1 most significant.
+    Returns the digits and the place values of qubits 1 to 7."""
+    alphabet = MODEL_ALPHABET[model]
+    digit = {status: d for d, status in enumerate(alphabet)}
+    return digit, tuple(len(alphabet) ** (N_QUBITS - q) for q in range(1, N_QUBITS + 1))
+
+
+def code_offsets(model: Model, local) -> List[int]:
+    """How far each outcome of a step moves a pattern's code, in outcome order.
+
+    ``local`` is a ``correction_circuits.LocalAttempt``: each outcome writes
+    statuses at its positions, the target, whose status is its key, then
+    three intact helpers, whose digit is 0.  So the offsets are fixed by
+    the step, whatever else the pattern holds.
+    """
+    positions, key, outcomes = local
+    digit, places = code_layout(model)
+    target, first, second, third = (places[q - 1] for q in positions)
+    start = digit[key] * target
+    return [
+        digit[t] * target + digit[a] * first + digit[b] * second + digit[c] * third - start
+        for (t, a, b, c), _ in outcomes
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -256,15 +329,17 @@ class ClassTable:
 ClassRows = Tuple[Mapping[int, Poly], ...]
 
 
-def _signature(pattern: Pattern) -> tuple:
-    """The pattern's correction signature, which is also its class's sort key:
-    (0,) clean first, then (1, weight, counts) by weight and composition,
-    then (2,) for every procedure failure."""
-    if classify(pattern) is Classification.PROCEDURE_FAIL:
+def _signature(pattern: Pattern, step) -> tuple:
+    """The pattern's correction signature, read from its ``select_step``,
+    which is also its class's sort key: (0,) clean first, then (1, weight,
+    counts) by weight and composition, then (2,) for every procedure
+    failure."""
+    if step is DONE:
+        return (0,)
+    if step is ABORT:
         return (2,)
     counts = pattern_counts(pattern)
-    weight = sum(counts)
-    return (1, weight, counts) if weight else (0,)
+    return (1, sum(counts), counts)
 
 
 def _label(signature: tuple, model: Model) -> str:
@@ -279,12 +354,14 @@ def _label(signature: tuple, model: Model) -> str:
 def build_classes(model: Model, config=None) -> ClassTable:
     """Group the pattern space into verified equivalence classes.
 
-    Patterns are grouped by their correction signature (weight / erasure
-    composition), and ``verify_class_soundness`` checks that one attempt's
-    class-level outcome distribution is literally identical, as exact
-    polynomials, for every member of every class; a disagreement raises
-    ClassUnsound.  The table is built once per (model, FaultModel),
-    ``None`` meaning the default, and shared.
+    Every pattern's next step is decided once
+    (``correction_circuits.select_step``).  Patterns are grouped by the
+    correction signature read from it (weight / erasure composition), and
+    the same attempts check that one attempt's class-level outcome
+    distribution is literally identical, as exact polynomials, for every
+    member of every class; a disagreement raises ClassUnsound.  The table
+    is built once per (model, FaultModel), ``None`` meaning the default,
+    and shared.
     """
     return _class_table(model, _fault_model(config))[0]
 
@@ -307,73 +384,106 @@ def _fault_model(config):
 
 @lru_cache(maxsize=8)
 def _class_table(model: Model, fault_model) -> Tuple[ClassTable, ClassRows]:
+    patterns = all_patterns(model)
+    steps = _steps(patterns)
+    table = _grouped(model, patterns, steps)
+    return table, _verified_rows(table, patterns, steps, fault_model)
+
+
+def _grouped(model: Model, patterns: Sequence[Pattern], steps) -> ClassTable:
+    """The table of the patterns grouped by the signature of their steps."""
     from .correction_circuits import fail_sink
 
     groups: Dict[tuple, List[Pattern]] = {}
-    for p in all_patterns(model):
-        groups.setdefault(_signature(p), []).append(p)
-
+    for p in patterns:
+        groups.setdefault(_signature(p, steps.get(p, ABORT)), []).append(p)
     classes: List[EquivClass] = []
     for cid, signature in enumerate(sorted(groups)):
-        group = sorted(groups[signature])
+        # Code order is sorted order, so each group is sorted.
+        group = groups[signature]
         label = _label(signature, model)
         # Every procedure failure moves to the sink in one attempt.
         rep = fail_sink(model) if label == "fail" else group[0]
         classes.append(EquivClass(cid, label, rep, tuple(group)))
     labels = [c.label for c in classes]
-    table = ClassTable(
+    return ClassTable(
         model=model,
         classes=classes,
         clean_id=labels.index("clean"),
         fail_id=labels.index("fail"),
     )
-    return table, verify_class_soundness(table, fault_model)
 
 
-def _projector(table: ClassTable, fault_model):
-    """pattern -> one attempt's outcome distribution at the table's model's
-    symbolic rates, summed per class of the table.
+def _steps(patterns: Sequence[Pattern]) -> Dict[Pattern, object]:
+    """Each pattern's ``select_step``, one call per pattern; the procedure
+    failures (ABORT), most of the lossy patterns, are left out.  Steps are
+    shared objects, so the map holds no object per pattern."""
+    from .correction_circuits import select_step
 
-    A row is a tuple of (class id, exact class sum), sorted by class id.
-    An attempt writes one of a few local outcome tables into the pattern
-    (``correction_circuits.local_attempt``), so a row is fixed by the table
-    and by which of its entries land in each class.  Each (table, entries)
-    sum is built once per projector and shared by every later pattern that
-    groups its entries the same way.  Members of one class may group their
-    entries differently and still have equal sums, so rows compare sums,
-    never groupings.
+    steps = {}
+    for p in patterns:
+        step = select_step(p)
+        if step is not ABORT:
+            steps[p] = step
+    return steps
+
+
+def _projector(
+    table: ClassTable, patterns: Sequence[Pattern], steps: Mapping[Pattern, object], fault_model
+) -> Callable[[Pattern], tuple]:
+    """pattern -> one attempt's outcome distribution, summed per class of
+    the table.
+
+    ``patterns`` is ``all_patterns(table.model)`` and ``steps`` is
+    ``_steps``' map; a step's local outcome table is read at symbolic rates
+    as ``correction_circuits.local_attempt`` reads it.  A row is a tuple of
+    (class id, exact class sum), sorted by class id.  It is fixed by the
+    target's status, which keys the local table, and by the classes the
+    outcomes land in: it is built once per (status, classes) and shared, and
+    each class's sum once per (status, entries of the table).  Members of
+    one class may group their entries differently and still have equal sums,
+    so rows compare sums, never groupings.
     """
-    from .correction_circuits import ABORT, DONE, fail_sink, local_attempt, outcome_tables
+    from .correction_circuits import fail_sink, outcome_tables
 
     tables = outcome_tables(ModelParams.symbolic(table.model), fault_model)
     index = table.index
+    cls = [index[p] for p in patterns]  # the class id of every code
+    digit, places = code_layout(table.model)
     unit = Poly.one()
-    sink = index[fail_sink(table.model)]
+    sink_row = ((index[fail_sink(table.model)], unit),)
+    offsets: Dict[tuple, List[int]] = {}
+    rows: Dict[tuple, tuple] = {}
     sums: Dict[tuple, Poly] = {}
 
     def project(pattern: Pattern) -> tuple:
-        local = local_attempt(pattern, tables)
-        if local is DONE:
+        step = steps.get(pattern, ABORT)
+        if step is ABORT:
+            return sink_row
+        if step is DONE:
             return ((index[pattern], unit),)
-        if local is ABORT:
-            return ((sink, unit),)
-        positions, key, outcomes = local
-        t, a, b, c = (q - 1 for q in positions)
-        entries: Dict[int, List[int]] = {}
-        out = list(pattern)
-        for i, ((out[t], out[a], out[b], out[c]), _) in enumerate(outcomes):
-            entries.setdefault(index[tuple(out)], []).append(i)
-        row = []
-        for cid in sorted(entries):
-            memo = (key, tuple(entries[cid]))
-            total = sums.get(memo)
-            if total is None:
-                total = Poly.zero()
-                for i in entries[cid]:
-                    total = total + outcomes[i][1]
-                sums[memo] = total
-            row.append((cid, total))
-        return tuple(row)
+        positions = step.positions
+        key = pattern[step.target - 1]
+        outcomes = tables[key]
+        shifts = offsets.get((key, positions))
+        if shifts is None:
+            shifts = offsets[key, positions] = code_offsets(table.model, (positions, key, outcomes))
+        code = sum([digit[status] * place for status, place in zip(pattern, places)])
+        classes = tuple([cls[code + shift] for shift in shifts])
+        row = rows.get((key, classes))
+        if row is None:
+            entries: Dict[int, List[int]] = {}
+            for i, cid in enumerate(classes):
+                entries.setdefault(cid, []).append(i)
+            row = []
+            for cid in sorted(entries):
+                memo = (key, tuple(entries[cid]))
+                total = sums.get(memo)
+                if total is None:
+                    total = sums[memo] = sum([outcomes[i][1] for i in entries[cid]], Poly.zero())
+                row.append((cid, total))
+            row = rows[key, classes] = tuple(row)
+        return row
 
     return project
 
@@ -384,25 +494,36 @@ def verify_class_soundness(table: ClassTable, config=None) -> ClassRows:
     that the row sums to one; returns those rows.
 
     Row ``c`` is a read-only ``{class id: Poly}``, one attempt from class
-    ``c`` summed per target class.  The first disagreement raises
-    ClassUnsound and a row whose sum is not exactly ``Poly.one()`` raises
-    ValueError naming its class.  ``build_classes`` runs it on every table
-    it builds and keeps the rows (``class_rows``); ``build_chain`` runs it
-    on tables it is given.  ``attempt`` uses only ring operations on eps
-    and delta, and substituting values for them commutes with the
-    per-class sums, so a row at any ``ModelParams`` (numeric rates or the
-    delta = eps diagonal) is the symbolic row with the rates substituted:
-    members that agree, and rows that sum to one, as polynomials do so at
-    every substitution.  An attempt leaves the clean pattern as it is and
-    sends a procedure failure to the fail sink, so the clean and fail rows
-    are identity rows.
+    ``c`` summed per target class.  Classes are checked in id order and
+    members in table order; the first disagreement raises ClassUnsound and
+    a row whose sum is not exactly ``Poly.one()`` raises ValueError naming
+    its class.  Every member's row is read from one ``select_step`` per
+    pattern.  ``build_classes`` runs the same check on the attempts it
+    grouped its table with and keeps the rows (``class_rows``);
+    ``build_chain`` runs this on tables it is given.  ``attempt`` uses
+    only ring operations on eps and delta, and substituting values for
+    them commutes with the per-class sums, so a row at any ``ModelParams``
+    (numeric rates or the delta = eps diagonal) is the symbolic row with
+    the rates substituted: members that agree, and rows that sum to one,
+    as polynomials do so at every substitution.  An attempt leaves the
+    clean pattern as it is and sends a procedure failure to the fail sink,
+    so the clean and fail rows are identity rows.
     """
-    project = _projector(table, _fault_model(config))
+    patterns = all_patterns(table.model)
+    return _verified_rows(table, patterns, _steps(patterns), _fault_model(config))
+
+
+def _verified_rows(
+    table: ClassTable, patterns: Sequence[Pattern], steps: Mapping[Pattern, object], fault_model
+) -> ClassRows:
+    project = _projector(table, patterns, steps, fault_model)
     rows = []
     for cls in table.classes:
         reference = project(cls.representative)
         for p in cls.members:
-            if project(p) != reference:
+            # Patterns with the same (status, classes) share one row object.
+            row = project(p)
+            if row is not reference and row != reference:
                 raise ClassUnsound(
                     f"class {cls.label!r}: {format_pattern(p)} disagrees with "
                     f"{format_pattern(cls.representative)}"

@@ -7,14 +7,14 @@ numeric rates, the tables ``attempt`` writes into a pattern, not from the
 class lumping, so a disagreement with the chain points at lumping or
 assembly.
 
-A pattern is the base-b integer of its digits over ``MODEL_ALPHABET`` (b =
-2 ideal, 3 lossy; qubit 1 most significant).  Before the walk, every
-state is flagged clean, failed or live, from this module's own
+A state is a pattern's code (``erasure_model.code_layout``).  Before the
+walk, every state is flagged clean, failed or live, from this module's own
 ``pattern_weight`` and ``classify`` calls, and every live state's outcome
 row is filled, so a walk step only reads the table.  A row is shared by
 every state that takes the same step (local table and qubit positions):
-the code offsets of its outcomes and their cumulative probabilities, so a
-state's row is its code plus the offsets.
+the code offsets of its outcomes (``erasure_model.code_offsets``) and
+their cumulative probabilities, so a state's row is its code plus the
+offsets; a row is written into all of its states' columns at once.
 A qubit's injected status is read from its uniform draw u by comparison:
 the number of the marginals' cumulative thresholds below u picks the
 status, and a draw past them all leaves the qubit intact.  Each step draws
@@ -40,11 +40,11 @@ from math import sqrt
 import numpy as np
 
 from .correction_circuits import (
-    DEFAULT_FAULT_MODEL, FaultModel, LocalOutcomes, local_attempt, outcome_tables,
+    DEFAULT_FAULT_MODEL, FaultModel, LocalAttempt, local_attempt, outcome_tables,
 )
 from .erasure_model import (
-    MODEL_ALPHABET, Classification, Erasure, ModelParams, Pattern, all_patterns,
-    classify, pattern_weight, qubit_marginals,
+    Classification, Erasure, ModelParams, all_patterns, classify, code_layout,
+    code_offsets, pattern_weight, qubit_marginals,
 )
 from .pauli_algebra import N_QUBITS
 
@@ -83,50 +83,46 @@ class PatternTable:
     ``code`` of ``next`` and ``cum``: slot j holds the j-th outcome of
     ``sorted(attempt(pattern).items())`` and the cumulative probability up to
     it.  Slots past a row's end hold 1.0, which no uniform draw reaches.
-    The states are filled in ``all_patterns`` order, which is code order.
+    The states are flagged in ``all_patterns`` order, which is code order.
     """
 
     def __init__(self, params: ModelParams, config: FaultModel):
-        alphabet = MODEL_ALPHABET[params.model]
-        self.digit = {status: d for d, status in enumerate(alphabet)}
-        self.powers = len(alphabet) ** np.arange(N_QUBITS - 1, -1, -1)
-        self.tables = outcome_tables(params, config)
-        # (table key, positions) -> (code offsets, cumulative probabilities)
-        self.rows = {}
-        depth = max(len(local) for local in self.tables.values())
+        self.digit, places = code_layout(params.model)
+        self.powers = np.array(places)
+        tables = outcome_tables(params, config)
+        depth = max(len(local) for local in tables.values())
         patterns = all_patterns(params.model)
         self.flag = np.full(len(patterns), LIVE, dtype=np.int8)
         self.next = np.zeros((depth, len(patterns)), dtype=np.intp)
         self.cum = np.ones((depth, len(patterns)))
+        failed = []
+        # (table key, positions) -> (its row, the live codes taking the step)
+        steps = {}
         for code, pattern in enumerate(patterns):
             if pattern_weight(pattern) == 0:
                 self.flag[code] = CLEAN
             elif classify(pattern) is Classification.PROCEDURE_FAIL:
-                self.flag[code] = FAIL
+                failed.append(code)
             else:
-                self._fill(code, pattern)
-
-    def _fill(self, code: int, pattern: Pattern) -> None:
-        positions, key, outcomes = local_attempt(pattern, self.tables)
+                local = local_attempt(pattern, tables)
+                step = steps.get((local.key, local.positions))
+                if step is None:
+                    step = steps[local.key, local.positions] = (self._row(params.model, local), [])
+                step[1].append(code)
+        self.flag[failed] = FAIL
         # The helpers are intact and the target's status is the key, so
-        # every pattern taking this step shares its offsets.
-        row = self.rows.get((key, positions))
-        if row is None:
-            row = self.rows[key, positions] = self._row(pattern, positions, outcomes)
-        offsets, cum = row
-        self.next[: len(offsets), code] = code + offsets
-        self.cum[: len(cum), code] = cum
+        # every state taking a step shares its offsets: one write per step.
+        for (offsets, cum), codes in steps.values():
+            codes = np.array(codes, dtype=np.intp)
+            self.next[: len(offsets), codes] = codes + offsets[:, None]
+            self.cum[: len(cum), codes] = cum[:, None]
 
-    def _row(self, pattern: Pattern, positions, outcomes: LocalOutcomes):
+    @staticmethod
+    def _row(model, local: LocalAttempt):
         """The outcomes' code offsets in ascending order, which is pattern
         order, and their cumulative probabilities."""
-        places = [int(self.powers[q - 1]) for q in positions]
-        start = sum(self.digit[pattern[q - 1]] * p for q, p in zip(positions, places))
         # Outcomes differ at the positions, so no two offsets tie.
-        row = sorted(
-            (sum(self.digit[s] * p for s, p in zip(statuses, places)) - start, prob)
-            for statuses, prob in outcomes
-        )
+        row = sorted(zip(code_offsets(model, local), (prob for _, prob in local.outcomes)))
         # At numeric rates the constant term is the probability.
         cum = np.cumsum([float(prob.coefficient(0, 0)) for _, prob in row])
         cum[-1] = 1.0  # guard against float round-off at the top

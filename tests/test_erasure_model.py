@@ -42,6 +42,7 @@ from erasurechain.erasure_model import (
     pattern_support,
     pattern_weight,
     verify_class_soundness,
+    _grouped,
     _projector,
 )
 from erasurechain.pauli_algebra import all_supports, supports_logical
@@ -312,12 +313,17 @@ def _attempt_row(pattern, index, params, config):
 
 
 def _assert_rows_are_attempt_sums(model, config):
-    # The projector works at symbolic rates; a row at other rates is the
-    # symbolic row substituted (``TestChainFromVerifiedRows``).
-    table = build_classes(model, config=config)
+    # The projector reads each pattern's row from its step's local table at
+    # symbolic rates; a row at other rates is the symbolic row substituted
+    # (``TestChainFromVerifiedRows``).
     params = ModelParams.symbolic(model)
-    project = _projector(table, config)
-    for p in all_patterns(model):
+    patterns = all_patterns(model)
+    steps = {p: select_step(p) for p in patterns}
+    # The signature grouping before any row is checked, so a wrong row
+    # fails here and not in the build's own check.
+    table = _grouped(model, patterns, steps)
+    project = _projector(table, patterns, steps, config)
+    for p in patterns:
         assert project(p) == _attempt_row(p, table.index, params, config), format_pattern(p)
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import dataclasses
 
+import erasurechain.correction_circuits as correction_circuits
 import erasurechain.erasure_model as erasure_model
 import erasurechain.markov_engine as markov_engine
 from erasurechain.correction_circuits import (
@@ -26,6 +27,7 @@ from erasurechain.erasure_model import (
     EquivClass,
     Model,
     ModelParams,
+    all_patterns,
     build_classes,
     initial_distribution,
     pattern_weight,
@@ -607,14 +609,16 @@ class TestIntegerElimination:
 
 class TestSharedClassTable:
     def test_verified_once_per_model_and_fault_model(self, monkeypatch):
-        verify = erasure_model.verify_class_soundness
+        # A build decides each pattern's step once, in code order, and
+        # groups and verifies its table from those steps.
+        select = correction_circuits.select_step
         calls = []
 
-        def spy(table, config=None):
-            calls.append((table.model, config))
-            return verify(table, config)
+        def spy(pattern):
+            calls.append(pattern)
+            return select(pattern)
 
-        monkeypatch.setattr(erasure_model, "verify_class_soundness", spy)
+        monkeypatch.setattr(correction_circuits, "select_step", spy)
         erasure_model._class_table.cache_clear()
         try:
             tables = [
@@ -629,7 +633,10 @@ class TestSharedClassTable:
             ]
         finally:
             erasure_model._class_table.cache_clear()
-        assert calls == [(Model.IDEAL, DEFAULT_FAULT_MODEL), (Model.LOSSY, DEFAULT_FAULT_MODEL)]
+        # One build per (model, FaultModel): None, the default and an equal
+        # FaultModel are one key.
+        assert len(calls) == 128 + 2187
+        assert calls == all_patterns(Model.IDEAL) + all_patterns(Model.LOSSY)
         assert len({id(t) for t in tables[0::4] + tables[1::4]}) == 1
         assert len({id(t) for t in tables[2::4] + tables[3::4]}) == 1
 
