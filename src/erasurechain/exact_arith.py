@@ -1,13 +1,17 @@
 """Exact sparse polynomial arithmetic over the rationals in two noise variables.
 
 Every probability in the exact engine is a polynomial in the gate failure
-rate ``eps`` and the per-detector loss rate ``delta``, with Fraction
+rate ``eps`` and the per-detector loss rate ``delta``, with exact rational
 coefficients.  A polynomial is stored as a dict mapping exponent pairs to
 coefficients:
 
-    terms: Dict[(eps_degree, delta_degree), Fraction]
+    terms: Dict[(eps_degree, delta_degree), int | Fraction]
 
 The zero polynomial is the empty dict; zero coefficients are never stored.
+A coefficient has one canonical form: an ``int`` when it is integral (most
+are), otherwise a ``Fraction`` in lowest terms with denominator > 1, so
+integer products and sums never build a ``Fraction``.  Floats, bools and
+strings are rejected with ``TypeError``.
 All operations are exact, so identities like row-stochasticity of a
 transition matrix can be asserted with ``==`` rather than a tolerance.
 
@@ -26,20 +30,24 @@ Exponent = Tuple[int, int]
 
 RationalLike = int | Fraction
 
-_ZERO = Fraction(0)
-
 
 class Poly:
-    """Sparse bivariate polynomial with exact rational coefficients."""
+    """Sparse bivariate polynomial with exact rational coefficients.
+
+    Each stored coefficient is a nonzero ``int``, or a ``Fraction`` whose
+    denominator is > 1; equal polynomials have equal ``terms``.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Dict[Exponent, Fraction] | None = None):
-        clean: Dict[Exponent, Fraction] = {}
+    def __init__(self, terms: Dict[Exponent, RationalLike] | None = None):
+        clean: Dict[Exponent, RationalLike] = {}
         if terms:
             for exp, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff != 0:
+                if isinstance(coeff, bool) or not isinstance(coeff, (int, Fraction)):
+                    raise TypeError(f"Poly coefficients must be ints or Fractions, got {coeff!r}")
+                if coeff:
+                    coeff = coeff.numerator if coeff.denominator == 1 else coeff
                     clean[(int(exp[0]), int(exp[1]))] = coeff
         self.terms = clean
 
@@ -52,23 +60,23 @@ class Poly:
 
     @staticmethod
     def one() -> "Poly":
-        return Poly({(0, 0): Fraction(1)})
+        return Poly({(0, 0): 1})
 
     @staticmethod
     def constant(value: RationalLike) -> "Poly":
-        return Poly({(0, 0): Fraction(value)})
+        return Poly({(0, 0): value})
 
     @staticmethod
     def eps() -> "Poly":
-        return Poly({(1, 0): Fraction(1)})
+        return Poly({(1, 0): 1})
 
     @staticmethod
     def delta() -> "Poly":
-        return Poly({(0, 1): Fraction(1)})
+        return Poly({(0, 1): 1})
 
     @staticmethod
     def monomial(eps_deg: int, delta_deg: int, coeff: RationalLike = 1) -> "Poly":
-        return Poly({(eps_deg, delta_deg): Fraction(coeff)})
+        return Poly({(eps_deg, delta_deg): coeff})
 
     # ------------------------------------------------------------------
     # ring operations
@@ -84,7 +92,7 @@ class Poly:
             else:
                 s = prev + coeff
                 if s:
-                    out[exp] = s
+                    out[exp] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
                 else:
                     del out[exp]
         result = Poly.__new__(Poly)
@@ -108,7 +116,7 @@ class Poly:
         other = coerce(other)
         if not self.terms or not other.terms:
             return Poly.zero()
-        out: Dict[Exponent, Fraction] = {}
+        out: Dict[Exponent, RationalLike] = {}
         get = out.get
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
@@ -122,6 +130,9 @@ class Poly:
                         out[exp] = s
                     else:
                         del out[exp]
+        for exp, c in out.items():
+            if type(c) is Fraction and c.denominator == 1:
+                out[exp] = c.numerator
         result = Poly.__new__(Poly)
         result.terms = out
         return result
@@ -129,7 +140,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = Poly.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -159,8 +170,8 @@ class Poly:
             return -1
         return min(i + j for i, j in self.terms)
 
-    def coefficient(self, eps_deg: int, delta_deg: int = 0) -> Fraction:
-        return self.terms.get((eps_deg, delta_deg), _ZERO)
+    def coefficient(self, eps_deg: int, delta_deg: int = 0) -> RationalLike:
+        return self.terms.get((eps_deg, delta_deg), 0)
 
     def key(self) -> tuple:
         """Canonical hashable form, usable as a dict key or for sorting."""
@@ -195,7 +206,7 @@ class Poly:
 
     @staticmethod
     def from_json(data: list) -> "Poly":
-        terms: Dict[Exponent, Fraction] = {}
+        terms: Dict[Exponent, RationalLike] = {}
         for entry in data:
             exp = (int(entry["eps_deg"]), int(entry["delta_deg"]))
             terms[exp] = Fraction(int(entry["num"]), int(entry["den"]))
@@ -240,7 +251,7 @@ class Substitution:
             [Poly.one(), coerce(x)],
             [Poly.one(), coerce(y)],
         )
-        self._monomials: Dict[Exponent, Dict[Exponent, Fraction]] = {}
+        self._monomials: Dict[Exponent, Dict[Exponent, RationalLike]] = {}
 
     def _power(self, axis: int, k: int) -> Poly:
         powers = self._powers[axis]
@@ -248,14 +259,14 @@ class Substitution:
             powers.append(powers[-1] * powers[1])
         return powers[k]
 
-    def _monomial(self, exp: Exponent) -> Dict[Exponent, Fraction]:
+    def _monomial(self, exp: Exponent) -> Dict[Exponent, RationalLike]:
         terms = (self._power(0, exp[0]) * self._power(1, exp[1])).terms
         self._monomials[exp] = terms
         return terms
 
     def __call__(self, p: Poly) -> Poly:
         monomials = self._monomials
-        out: Dict[Exponent, Fraction] = {}
+        out: Dict[Exponent, RationalLike] = {}
         get = out.get
         for exp, coeff in p.terms.items():
             terms = monomials.get(exp)
@@ -265,7 +276,11 @@ class Substitution:
                 prev = get(e)
                 out[e] = coeff * c if prev is None else prev + coeff * c
         result = Poly.__new__(Poly)
-        result.terms = {e: c for e, c in out.items() if c}
+        result.terms = {
+            e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for e, c in out.items()
+            if c
+        }
         return result
 
 

@@ -32,6 +32,7 @@ from erasurechain.erasure_model import (
     ModelParams,
     all_patterns,
     build_classes,
+    class_rows,
     classify,
     format_pattern,
     infer_model,
@@ -383,6 +384,38 @@ class TestVerifiedRows:
             erasure_model._class_table.cache_clear()
 
 
+def _lossy_coefficients(config_path):
+    """Every coefficient of the symbolic lossy outcome tables and class rows."""
+    config = DEFAULT_FAULT_MODEL if config_path is None else _config_file(config_path)
+    tables = outcome_tables(ModelParams.symbolic(Model.LOSSY), config)
+    rows = class_rows(Model.LOSSY, config)
+    polys = [p for local in tables.values() for _, p in local]
+    polys += [p for row in rows for p in row.values()]
+    return [c for p in polys for c in p.terms.values()]
+
+
+class TestCoefficientForm:
+    """Integral coefficients are stored as ints, so the shipped configs
+    build their class tables on int arithmetic."""
+
+    @pytest.mark.parametrize(
+        "config_path",
+        [None, "configs/per_teleportation.json"],
+        ids=["default", "per_teleportation"],
+    )
+    def test_integral_configs_hold_only_ints(self, config_path):
+        coefficients = _lossy_coefficients(config_path)
+        assert coefficients
+        assert all(type(c) is int for c in coefficients)
+
+    def test_alt_config_fractions_are_not_integral(self):
+        # coupling_full_fraction 1/2 leaves halves in the tables.
+        coefficients = _lossy_coefficients("perfbench/alt_config.json")
+        fractions = [c for c in coefficients if type(c) is not int]
+        assert fractions
+        assert all(type(c) is F and c.denominator > 1 for c in fractions)
+
+
 class TestProjection:
     @pytest.mark.parametrize(
         "model, config",
@@ -549,3 +582,17 @@ class TestModelParams:
         assert not ModelParams.lossy(F(1, 10)).is_numeric()
         assert not ModelParams.lossy(delta=F(1, 10)).is_numeric()
         assert not ModelParams.lossy_diagonal().is_numeric()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ModelParams.ideal(0.1),
+            lambda: ModelParams.lossy(eps=0.1),
+            lambda: ModelParams.lossy(delta=True),
+            lambda: ModelParams.lossy_diagonal("1/3"),
+        ],
+        ids=["ideal-float", "lossy-eps-float", "lossy-delta-bool", "lossy_diagonal-str"],
+    )
+    def test_rates_must_be_exact(self, build):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            build()

@@ -1,11 +1,12 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erasurechain.exact_arith import Poly, Substitution
+from erasurechain.exact_arith import Poly, Substitution, coerce
 
 
 def eps_poly(*coeffs):
@@ -209,3 +210,112 @@ def test_substitution_at_rationals_and_on_the_diagonal():
         {(0, 0): F(1), (1, 0): F(-2), (3, 0): F(3)}
     )
     assert Substitution(Poly.eps(), Poly.delta())(p) == p
+
+
+class TestCoefficientType:
+    """Only ints and Fractions are coefficients; a float, bool or string is
+    a TypeError naming it, whichever entry point it comes through."""
+
+    @pytest.mark.parametrize("value", [0.1, True, "1/3"], ids=["float", "bool", "str"])
+    def test_constructor_rejects(self, value):
+        with pytest.raises(TypeError, match=re.escape(repr(value))):
+            Poly({(0, 0): value})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Poly.constant(True),
+            lambda: Poly.constant(0.1),
+            lambda: Poly.monomial(1, 0, 0.5),
+            lambda: coerce("1/3"),
+            lambda: Poly.eps() * 0.5,
+            lambda: 0.5 * Poly.eps(),
+            lambda: Poly.eps() + 0.5,
+        ],
+        ids=["constant-bool", "constant-float", "monomial", "coerce", "mul", "rmul", "add"],
+    )
+    def test_entry_points_reject(self, build):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            build()
+
+    def test_zero_float_is_rejected_too(self):
+        with pytest.raises(TypeError, match=re.escape("0.0")):
+            Poly({(1, 0): 0.0})
+
+    def test_comparison_with_a_bool_is_false_not_an_error(self):
+        assert Poly.one() != True  # noqa: E712
+        assert Poly.zero() != False  # noqa: E712
+        assert Poly.one() == 1 and Poly.zero() == 0
+
+
+# Canonical coefficient form: an int when integral, else a Fraction with
+# denominator > 1.  Coefficients are drawn as ints and as Fractions,
+# integral ones such as 4/2 among them, and halves whose sums and products
+# cancel to integers.
+_MIXED = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([F(4, 2), F(-2, 2), F(0, 5), F(1, 2), F(-1, 2), F(3, 2), F(-1, 3)]),
+)
+_MIXED_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), _MIXED, max_size=4
+)
+
+
+def _assert_canonical(p):
+    for c in p.terms.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is F and c.denominator > 1), repr(c)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(a=_MIXED_TERMS, b=_MIXED_TERMS, x=_MIXED_TERMS)
+def test_every_operation_keeps_the_canonical_form(a, b, x):
+    pa, pb = Poly(a), Poly(b)
+    half = Poly.constant(F(1, 2))
+    for p in (
+        pa,
+        pa + pb,
+        pa - pb,
+        pa * pb,
+        -pa,
+        pa * F(1, 2) + pa * F(1, 2),
+        half * pa * 2,
+        (pa + half) + half,
+        Substitution(Poly(x), half)(pa),
+        Substitution(F(1, 2), F(3, 2))(pa),
+        Poly.from_json(pa.to_json()),
+    ):
+        _assert_canonical(p)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(a=_MIXED_TERMS, b=_MIXED_TERMS)
+def test_polys_built_from_ints_and_fractions_agree(a, b):
+    # The same values given as Fractions, and integral ones as ints.
+    as_fractions = {e: F(c) for e, c in a.items()}
+    as_ints = {e: int(c) if F(c).denominator == 1 else c for e, c in a.items()}
+    pairs = [
+        (Poly(as_fractions), Poly(as_ints)),
+        (Poly(as_fractions) * Poly(b), Poly(as_ints) * Poly(b)),
+        (Poly(as_fractions) + F(1, 2) + F(1, 2), Poly(as_ints) + 1),
+        (Poly.constant(F(1, 2)) * 2 * Poly(as_fractions), Poly(as_ints)),
+    ]
+    for p, q in pairs:
+        assert p == q
+        assert p.terms == q.terms
+        assert {e: type(c) for e, c in p.terms.items()} == {e: type(c) for e, c in q.terms.items()}
+        assert hash(p) == hash(q)
+        assert p.key() == q.key()
+        assert p.to_json() == q.to_json()
+        assert str(p) == str(q)
+
+
+def test_integral_results_are_ints():
+    half = Poly.monomial(1, 0, F(1, 2))
+    assert (half + half).terms == {(1, 0): 1}
+    assert type((half + half).terms[(1, 0)]) is int
+    assert type((half * 2).terms[(1, 0)]) is int
+    assert type(Poly({(0, 0): F(4, 2)}).terms[(0, 0)]) is int
+    assert type(Substitution(F(1, 2), 0)(Poly.monomial(1, 0, 4)).terms[(0, 0)]) is int
+    assert type(Poly.eps().coefficient(3)) is int
+    assert str(half + half) == "eps" and str(Poly.constant(F(6, 3))) == "2"
