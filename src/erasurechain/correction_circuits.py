@@ -104,6 +104,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .exact_arith import Poly
@@ -399,11 +400,20 @@ def gate_tables(params: ModelParams, config: FaultModel = DEFAULT_FAULT_MODEL) -
     )
 
 
-def _fold_gates(pairs, sites: int, gate: GateTable) -> Dict[Tuple[Erasure, ...], Poly]:
-    """Joint site statuses after independent gates on the given site pairs.
+def _fold_gates(pairs, sites: int, gate: GateTable) -> Tuple[Dict[Tuple[Erasure, ...], Poly], int]:
+    """Joint site statuses after independent gates on the given site pairs,
+    scaled by the returned integer.
 
     Every site starts intact and keeps the worst status any gate leaves.
+    A gate table with non-integral coefficients (a fractional
+    ``coupling_full_fraction``, or any numeric rate) is first multiplied by
+    the lcm of their denominators, so the fold multiplies ints; each
+    probability is then that lcm to the number of gates times its own.  The
+    caller divides each finished local outcome once (``_unscaled``).
     """
+    scale = lcm(*[c.denominator for prob in gate.values() for c in prob.terms.values()])
+    if scale > 1:
+        gate = {statuses: prob * scale for statuses, prob in gate.items()}
     dist = {(Erasure.NONE,) * sites: Poly.one()}
     for a, b in pairs:
         nxt: Dict[Tuple[Erasure, ...], Poly] = {}
@@ -414,7 +424,16 @@ def _fold_gates(pairs, sites: int, gate: GateTable) -> Dict[Tuple[Erasure, ...],
                 out[b] = max(out[b], sb)
                 _accumulate(nxt, tuple(out), prob * p)
         dist = nxt
-    return dist
+    return dist, scale ** len(pairs)
+
+
+def _unscaled(local: Dict[Tuple[Erasure, ...], Poly], scale: int) -> LocalOutcomes:
+    """The local outcomes, each divided in place by the fold's ``scale``."""
+    if scale > 1:
+        inverse = Poly.constant(Fraction(1, scale))
+        for statuses, prob in local.items():
+            local[statuses] = prob * inverse
+    return tuple(local.items())
 
 
 # Local outcomes of one circuit: ((target, helper, helper, helper), prob)
@@ -427,21 +446,22 @@ LocalOutcomes = Tuple[Tuple[Tuple[Erasure, ...], Poly], ...]
 def _z_recovery_outcomes(
     target_status: Erasure, params: ModelParams, config: FaultModel
 ) -> LocalOutcomes:
+    # Site 0 is the fresh qubit, which takes the target's place; sites 1-3
+    # are the helpers, each joined to it by one helper gate.  Every outcome
+    # is held at the fold's scale until the end.
+    helper = gate_tables(params, config).helper
+    folded, scale = _fold_gates(((1, 0), (2, 0), (3, 0)), 4, helper)
     local: Dict[Tuple[Erasure, ...], Poly] = {}
     proceed = Poly.one()
     if target_status is Erasure.Z_ERASED:
         # The unknown outcome must be read out first; loss destroys the
         # qubit and the attempt is abandoned before the helper gates.
         p_readout = _loss_probability(params.delta, config.readout_detections)
-        _accumulate(local, (Erasure.FULL,) + (Erasure.NONE,) * 3, p_readout)
+        _accumulate(local, (Erasure.FULL,) + (Erasure.NONE,) * 3, p_readout * scale)
         proceed = proceed - p_readout
-
-    # Site 0 is the fresh qubit, which takes the target's place; sites 1-3
-    # are the helpers, each joined to it by one helper gate.
-    helper = gate_tables(params, config).helper
-    for state, prob in _fold_gates(((1, 0), (2, 0), (3, 0)), 4, helper).items():
+    for state, prob in folded.items():
         _accumulate(local, state, proceed * prob)
-    return tuple(local.items())
+    return _unscaled(local, scale)
 
 
 def _full_to_z_outcomes(params: ModelParams, config: FaultModel) -> LocalOutcomes:
@@ -455,14 +475,15 @@ def _full_to_z_outcomes(params: ModelParams, config: FaultModel) -> LocalOutcome
     # modelling calls 1 and 2).
     coupling = gate_tables(params, config).coupling
     couplings = ((0, 4), (1, 4), (2, 4), (3, 4))
-    for state, prob in _fold_gates(couplings, 5, coupling).items():
+    folded, scale = _fold_gates(couplings, 5, coupling)
+    for state, prob in folded.items():
         helpers = state[1:4]
         if state[4] is Erasure.NONE:
             _accumulate(local, (Erasure.Z_ERASED,) + helpers, prob * p_meas_ok)
             _accumulate(local, (Erasure.FULL,) + helpers, prob * p_meas_fail)
         else:
             _accumulate(local, (Erasure.FULL,) + helpers, prob)
-    return tuple(local.items())
+    return _unscaled(local, scale)
 
 
 def _place(pattern: Pattern, positions: Tuple[int, ...], local: LocalOutcomes) -> OutcomeDistribution:

@@ -18,17 +18,18 @@ logical operators exist but the single-target recovery circuits do not
 apply to them, so all weight >= 4 patterns are counted as procedure
 failures.
 
-``build_classes`` decides each pattern's next step once
-(``correction_circuits.select_step``), groups the pattern space by the
-correction signature read from it (weight for the ideal model,
-full/Z-erasure counts for the lossy model), and checks from the same
-attempts, exactly as polynomials, that every member of every class has the
+``build_classes`` works per erased mask first: the 56 nonzero correctable
+masks give the live codes (56 ideal, 322 lossy; ``live_codes``), and every
+other nonzero code goes to the fail class in one pass, with no step.  Only
+a live pattern takes a step (``correction_circuits.select_step``) and is
+grouped by the correction signature read from it (weight for the ideal
+model, full/Z-erasure counts for the lossy model).  The same attempts
+check, exactly as polynomials, that every member of every class has the
 identical class-level outcome distribution under one correction attempt.
-Each outcome of an attempt moves the pattern's code by an offset fixed by
-the step (``code_offsets``), so the classes the outcomes land in are read by
-code.  A row is built once per target status and those classes, and a
-per-class sum once per local outcome table and grouping of its entries, not
-once per pattern (15 rows and a few dozen sums for 2187 lossy patterns).
+An outcome moves a code by an offset fixed by the step (``code_offsets``),
+so a row is built once per target status and the classes the outcomes land
+in, and a per-class sum once per local table and grouping of its entries
+(15 rows and 29 sums for the lossy model).
 Each circuit applies one gate table to every helper, so a local outcome's
 probability depends only on its orbit under permuting the helpers, and the
 signature grouping lumps every construction the gate tables can express.
@@ -243,7 +244,7 @@ class ModelParams:
 def all_patterns(model: Model) -> List[Pattern]:
     """Every pattern over the model's alphabet (128 ideal, 2187 lossy)."""
     alphabet = MODEL_ALPHABET[model]
-    return [tuple(p) for p in product(alphabet, repeat=N_QUBITS)]
+    return list(product(alphabet, repeat=N_QUBITS))
 
 
 def code_layout(model: Model) -> Tuple[Dict[Erasure, int], Tuple[int, ...]]:
@@ -272,6 +273,23 @@ def code_offsets(model: Model, local) -> List[int]:
         digit[t] * target + digit[a] * first + digit[b] * second + digit[c] * third - start
         for (t, a, b, c), _ in outcomes
     ]
+
+
+def live_codes(model: Model) -> Tuple[int, ...]:
+    """The codes ``select_step`` gives a step, in code order; every other
+    nonzero code is a procedure failure (ABORT) and code 0 is DONE.
+    Correctability depends only on the erased mask (``classify_erased``):
+    a nonzero correctable mask's codes put any nonzero digit at each of its
+    qubits' place values and 0 elsewhere.
+    """
+    _, places = code_layout(model)
+    digits = range(1, len(MODEL_ALPHABET[model]))
+    live = []
+    for mask in range(1, 1 << N_QUBITS):
+        if classify_erased(mask) is Classification.CORRECTABLE:
+            erased = [[d * places[q] for d in digits] for q in range(N_QUBITS) if mask >> q & 1]
+            live.extend(map(sum, product(*erased)))
+    return tuple(sorted(live))
 
 
 # ----------------------------------------------------------------------
@@ -330,10 +348,10 @@ ClassRows = Tuple[Mapping[int, Poly], ...]
 
 
 def _signature(pattern: Pattern, step) -> tuple:
-    """The pattern's correction signature, read from its ``select_step``,
-    which is also its class's sort key: (0,) clean first, then (1, weight,
-    counts) by weight and composition, then (2,) for every procedure
-    failure."""
+    """The pattern's correction signature, read from its ``select_step``
+    (or a live pattern's LocalAttempt), which is also its class's sort key:
+    (0,) clean first, then (1, weight, counts) by weight and composition,
+    then (2,) for every procedure failure."""
     if step is DONE:
         return (0,)
     if step is ABORT:
@@ -354,10 +372,11 @@ def _label(signature: tuple, model: Model) -> str:
 def build_classes(model: Model, config=None) -> ClassTable:
     """Group the pattern space into verified equivalence classes.
 
-    Every pattern's next step is decided once
-    (``correction_circuits.select_step``).  Patterns are grouped by the
-    correction signature read from it (weight / erasure composition), and
-    the same attempts check that one attempt's class-level outcome
+    Only the live patterns (``live_codes``) take a step, decided once each
+    (``correction_circuits.select_step``); every other nonzero code is a
+    procedure failure.  Live patterns are grouped by the correction
+    signature read from their steps (weight / erasure composition), and the
+    same attempts check that one attempt's class-level outcome
     distribution is literally identical, as exact polynomials, for every
     member of every class; a disagreement raises ClassUnsound.  The table
     is built once per (model, FaultModel), ``None`` meaning the default,
@@ -384,91 +403,70 @@ def _fault_model(config):
 
 @lru_cache(maxsize=8)
 def _class_table(model: Model, fault_model) -> Tuple[ClassTable, ClassRows]:
-    patterns = all_patterns(model)
-    steps = _steps(patterns)
-    table = _grouped(model, patterns, steps)
-    return table, _verified_rows(table, patterns, steps, fault_model)
-
-
-def _grouped(model: Model, patterns: Sequence[Pattern], steps) -> ClassTable:
-    """The table of the patterns grouped by the signature of their steps."""
     from .correction_circuits import fail_sink
 
-    groups: Dict[tuple, List[Pattern]] = {}
-    for p in patterns:
-        groups.setdefault(_signature(p, steps.get(p, ABORT)), []).append(p)
-    classes: List[EquivClass] = []
-    for cid, signature in enumerate(sorted(groups)):
-        # Code order is sorted order, so each group is sorted.
-        group = groups[signature]
-        label = _label(signature, model)
-        # Every procedure failure moves to the sink in one attempt.
-        rep = fail_sink(model) if label == "fail" else group[0]
-        classes.append(EquivClass(cid, label, rep, tuple(group)))
-    labels = [c.label for c in classes]
-    return ClassTable(
-        model=model,
-        classes=classes,
-        clean_id=labels.index("clean"),
-        fail_id=labels.index("fail"),
-    )
+    patterns, attempts = _decided(model, fault_model)
+    groups: Dict[tuple, List[int]] = {}
+    for code, local in attempts.items():
+        groups.setdefault(_signature(patterns[code], local), []).append(code)
+    # Signatures sort clean first and fail last, and each group is in code
+    # order.  Every procedure failure moves to the sink in one attempt.
+    fail_id = len(groups) + 1
+    cls = [0] + [fail_id] * (len(patterns) - 1)
+    classes = [EquivClass(0, "clean", patterns[0], (patterns[0],))]
+    for cid, signature in enumerate(sorted(groups), 1):
+        members = tuple([patterns[code] for code in groups[signature]])
+        classes.append(EquivClass(cid, _label(signature, model), members[0], members))
+        for code in groups[signature]:
+            cls[code] = cid
+    members = tuple([p for p, cid in zip(patterns, cls) if cid == fail_id])
+    classes.append(EquivClass(fail_id, "fail", fail_sink(model), members))
+    table = ClassTable(model=model, classes=classes, clean_id=0, fail_id=fail_id)
+    return table, _verified_rows(table, cls, attempts)
 
 
-def _steps(patterns: Sequence[Pattern]) -> Dict[Pattern, object]:
-    """Each pattern's ``select_step``, one call per pattern; the procedure
-    failures (ABORT), most of the lossy patterns, are left out.  Steps are
-    shared objects, so the map holds no object per pattern."""
-    from .correction_circuits import select_step
+def _decided(model: Model, fault_model) -> Tuple[List[Pattern], Dict[int, object]]:
+    """``all_patterns``, and code -> ``correction_circuits.local_attempt`` at
+    symbolic rates for the live codes only, in code order."""
+    from .correction_circuits import local_attempt, outcome_tables
 
-    steps = {}
-    for p in patterns:
-        step = select_step(p)
-        if step is not ABORT:
-            steps[p] = step
-    return steps
+    patterns = all_patterns(model)
+    tables = outcome_tables(ModelParams.symbolic(model), fault_model)
+    return patterns, {code: local_attempt(patterns[code], tables) for code in live_codes(model)}
 
 
-def _projector(
-    table: ClassTable, patterns: Sequence[Pattern], steps: Mapping[Pattern, object], fault_model
-) -> Callable[[Pattern], tuple]:
-    """pattern -> one attempt's outcome distribution, summed per class of
-    the table.
+def _code(pattern: Pattern, model: Model) -> int:
+    digit, places = code_layout(model)
+    return sum([digit[status] * place for status, place in zip(pattern, places)])
 
-    ``patterns`` is ``all_patterns(table.model)`` and ``steps`` is
-    ``_steps``' map; a step's local outcome table is read at symbolic rates
-    as ``correction_circuits.local_attempt`` reads it.  A row is a tuple of
-    (class id, exact class sum), sorted by class id.  It is fixed by the
-    target's status, which keys the local table, and by the classes the
-    outcomes land in: it is built once per (status, classes) and shared, and
-    each class's sum once per (status, entries of the table).  Members of
-    one class may group their entries differently and still have equal sums,
-    so rows compare sums, never groupings.
+
+def _projector(table: ClassTable, cls: Sequence[int], attempts) -> Callable[[int], tuple]:
+    """code -> one attempt's outcome distribution, summed per class of
+    ``cls``, the class id of every code, as a tuple of (class id, exact sum).
+
+    Code 0 stays and a code with no attempt moves to the fail sink.  A live
+    row is shared by the codes of one (target status, classes the outcomes
+    land in), and each sum by those of one (status, entries of the local
+    table).  Members of one class may group their entries differently and
+    still have equal sums, so rows compare sums, never groupings.
     """
-    from .correction_circuits import fail_sink, outcome_tables
+    from .correction_circuits import fail_sink
 
-    tables = outcome_tables(ModelParams.symbolic(table.model), fault_model)
-    index = table.index
-    cls = [index[p] for p in patterns]  # the class id of every code
-    digit, places = code_layout(table.model)
     unit = Poly.one()
-    sink_row = ((index[fail_sink(table.model)], unit),)
+    clean_row = ((cls[0], unit),)
+    sink_row = ((table.index[fail_sink(table.model)], unit),)
     offsets: Dict[tuple, List[int]] = {}
     rows: Dict[tuple, tuple] = {}
     sums: Dict[tuple, Poly] = {}
 
-    def project(pattern: Pattern) -> tuple:
-        step = steps.get(pattern, ABORT)
-        if step is ABORT:
-            return sink_row
-        if step is DONE:
-            return ((index[pattern], unit),)
-        positions = step.positions
-        key = pattern[step.target - 1]
-        outcomes = tables[key]
+    def project(code: int) -> tuple:
+        local = attempts.get(code)
+        if local is None:
+            return sink_row if code else clean_row
+        positions, key, outcomes = local
         shifts = offsets.get((key, positions))
         if shifts is None:
-            shifts = offsets[key, positions] = code_offsets(table.model, (positions, key, outcomes))
-        code = sum([digit[status] * place for status, place in zip(pattern, places)])
+            shifts = offsets[key, positions] = code_offsets(table.model, local)
         classes = tuple([cls[code + shift] for shift in shifts])
         row = rows.get((key, classes))
         if row is None:
@@ -497,8 +495,7 @@ def verify_class_soundness(table: ClassTable, config=None) -> ClassRows:
     ``c`` summed per target class.  Classes are checked in id order and
     members in table order; the first disagreement raises ClassUnsound and
     a row whose sum is not exactly ``Poly.one()`` raises ValueError naming
-    its class.  Every member's row is read from one ``select_step`` per
-    pattern.  ``build_classes`` runs the same check on the attempts it
+    its class.  ``build_classes`` runs the same check on the attempts it
     grouped its table with and keeps the rows (``class_rows``);
     ``build_chain`` runs this on tables it is given.  ``attempt`` uses
     only ring operations on eps and delta, and substituting values for
@@ -509,32 +506,31 @@ def verify_class_soundness(table: ClassTable, config=None) -> ClassRows:
     clean pattern as it is and sends a procedure failure to the fail sink,
     so the clean and fail rows are identity rows.
     """
-    patterns = all_patterns(table.model)
-    return _verified_rows(table, patterns, _steps(patterns), _fault_model(config))
+    patterns, attempts = _decided(table.model, _fault_model(config))
+    return _verified_rows(table, [table.index[p] for p in patterns], attempts)
 
 
-def _verified_rows(
-    table: ClassTable, patterns: Sequence[Pattern], steps: Mapping[Pattern, object], fault_model
-) -> ClassRows:
-    project = _projector(table, patterns, steps, fault_model)
-    rows = []
-    for cls in table.classes:
-        reference = project(cls.representative)
-        for p in cls.members:
-            # Patterns with the same (status, classes) share one row object.
-            row = project(p)
-            if row is not reference and row != reference:
+def _verified_rows(table: ClassTable, cls: Sequence[int], attempts) -> ClassRows:
+    """``verify_class_soundness`` on the class id of every code and
+    ``_decided``'s attempts."""
+    project = _projector(table, cls, attempts)
+    references = [project(_code(c.representative, table.model)) for c in table.classes]
+    bad = {code for code, cid in enumerate(cls) if project(code) != references[cid]}
+    verified = []
+    for c, reference in zip(table.classes, references):
+        for p in c.members if bad else ():
+            if _code(p, table.model) in bad:
                 raise ClassUnsound(
-                    f"class {cls.label!r}: {format_pattern(p)} disagrees with "
-                    f"{format_pattern(cls.representative)}"
+                    f"class {c.label!r}: {format_pattern(p)} disagrees with "
+                    f"{format_pattern(c.representative)}"
                 )
         total = Poly.zero()
         for _, prob in reference:
             total = total + prob
         if total != Poly.one():
-            raise ValueError(f"transition row of class {cls.label} sums to {total}, not 1")
-        rows.append(MappingProxyType(dict(reference)))
-    return tuple(rows)
+            raise ValueError(f"transition row of class {c.label} sums to {total}, not 1")
+        verified.append(MappingProxyType(dict(reference)))
+    return tuple(verified)
 
 
 # ----------------------------------------------------------------------
@@ -559,10 +555,7 @@ def qubit_marginals(params: ModelParams, config=None) -> Dict[Erasure, Poly]:
 
 def pattern_probability(pattern: Pattern, params: ModelParams, config=None) -> Poly:
     """Probability of one injected pattern (independent qubits)."""
-    return _pattern_probability(pattern, qubit_marginals(params, config))
-
-
-def _pattern_probability(pattern: Pattern, marginals: Dict[Erasure, Poly]) -> Poly:
+    marginals = qubit_marginals(params, config)
     prob = Poly.one()
     for status in pattern:
         prob = prob * marginals[status]

@@ -1,9 +1,14 @@
+import json
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from erasurechain import correction_circuits
 from erasurechain.exact_arith import Poly
 from erasurechain.correction_circuits import (
     ABORT,
@@ -16,6 +21,7 @@ from erasurechain.correction_circuits import (
     attempt,
     fail_sink,
     gate_tables,
+    outcome_tables,
     select_step,
     teleported_gate,
 )
@@ -626,3 +632,85 @@ class TestGateTables:
                 for table in tables:
                     if table is not None:
                         assert dist_total(table) == Poly.one()
+
+
+def _fraction_fold(pairs, sites, gate):
+    """Reference fold: the gate table as given, Fraction coefficients and
+    all, so its scale is 1."""
+    dist = {(Erasure.NONE,) * sites: Poly.one()}
+    for a, b in pairs:
+        nxt = {}
+        for state, prob in dist.items():
+            for (sa, sb), p in gate.items():
+                out = list(state)
+                out[a] = max(out[a], sa)
+                out[b] = max(out[b], sb)
+                out = tuple(out)
+                joint = prob * p
+                if joint:
+                    nxt[out] = nxt[out] + joint if out in nxt else joint
+        dist = nxt
+    return dist, 1
+
+
+def _fraction_outcome_tables(params, config):
+    """``outcome_tables`` built with the reference fold, past its cache."""
+    saved = correction_circuits._fold_gates
+    correction_circuits._fold_gates = _fraction_fold
+    try:
+        return outcome_tables.__wrapped__(params, config)
+    finally:
+        correction_circuits._fold_gates = saved
+
+
+ALT_CONFIG_FILE = FaultModel.from_json(
+    json.loads((Path(__file__).resolve().parents[1] / "perfbench/alt_config.json").read_text())
+)
+NUMERIC_LOSSY = ModelParams.lossy(F(1, 50), F(1, 30))
+
+
+class TestIntegerFold:
+    """The fold scales a gate table with non-integral coefficients to ints
+    and each finished outcome is divided once; the tables, entry order
+    included, are those of a fold over the Fractions."""
+
+    @pytest.mark.parametrize(
+        "params, config",
+        [
+            (ModelParams.symbolic(Model.LOSSY), ALT_CONFIG_FILE),
+            (NUMERIC_LOSSY, DEFAULT_FAULT_MODEL),
+            (NUMERIC_LOSSY, ALT_CONFIG_FILE),
+            (ModelParams.ideal(F(1, 20)), DEFAULT_FAULT_MODEL),
+        ],
+        ids=["alt", "numeric", "numeric-alt", "numeric-ideal"],
+    )
+    def test_tables_match_the_fraction_fold(self, params, config):
+        assert outcome_tables(params, config) == _fraction_outcome_tables(params, config)
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(
+        fraction=st.integers(1, 12).flatmap(
+            lambda q: st.builds(F, st.integers(0, q), st.just(q))
+        ),
+        helper_detections=st.integers(0, 3),
+    )
+    def test_tables_match_the_fraction_fold_for_any_coupling_fraction(
+        self, fraction, helper_detections
+    ):
+        config = FaultModel(helper_detections=helper_detections, coupling_full_fraction=fraction)
+        params = ModelParams.symbolic(Model.LOSSY)
+        assert outcome_tables(params, config) == _fraction_outcome_tables(params, config)
+
+    @pytest.mark.parametrize(
+        "params, config",
+        [(ModelParams.symbolic(Model.LOSSY), ALT_CONFIG_FILE), (NUMERIC_LOSSY, ALT_CONFIG_FILE)],
+        ids=["alt", "numeric-alt"],
+    )
+    def test_fold_multiplies_ints(self, params, config):
+        coupling = gate_tables(params, config).coupling
+        assert any(type(c) is F for p in coupling.values() for c in p.terms.values())
+        dist, scale = correction_circuits._fold_gates(((0, 4), (1, 4), (2, 4), (3, 4)), 5, coupling)
+        assert scale > 1
+        assert all(type(c) is int for p in dist.values() for c in p.terms.values())
+        reference, _ = _fraction_fold(((0, 4), (1, 4), (2, 4), (3, 4)), 5, coupling)
+        assert {k: p * F(1, scale) for k, p in dist.items()} == reference

@@ -14,6 +14,7 @@ from erasurechain.correction_circuits import (
     DEFAULT_FAULT_MODEL,
     DONE,
     Construction,
+    CorrectionStep,
     FaultModel,
     attempt,
     fail_sink,
@@ -23,6 +24,7 @@ from erasurechain.correction_circuits import (
 from erasurechain.exact_arith import Poly
 from erasurechain.erasure_model import (
     CLEAN_PATTERN,
+    ClassTable,
     ClassUnsound,
     Classification,
     EquivClass,
@@ -37,13 +39,14 @@ from erasurechain.erasure_model import (
     format_pattern,
     infer_model,
     initial_distribution,
+    live_codes,
     parse_pattern,
     pattern_counts,
     pattern_probability,
     pattern_support,
     pattern_weight,
     verify_class_soundness,
-    _grouped,
+    _decided,
     _projector,
 )
 from erasurechain.pauli_algebra import all_supports, supports_logical
@@ -313,19 +316,57 @@ def _attempt_row(pattern, index, params, config):
     return tuple((cid, projected[cid]) for cid in sorted(projected))
 
 
+def _signature_table(model):
+    """The table of the first-principles signature groups, in order of
+    their first code, built without the class build or its check."""
+    groups = {}
+    for p in all_patterns(model):
+        groups.setdefault(_signature(p), []).append(p)
+    classes = [
+        EquivClass(cid, str(signature), members[0], tuple(members))
+        for cid, (signature, members) in enumerate(groups.items())
+    ]
+    signatures = list(groups)
+    return ClassTable(
+        model=model,
+        classes=classes,
+        clean_id=signatures.index("clean"),
+        fail_id=signatures.index("fail"),
+    )
+
+
 def _assert_rows_are_attempt_sums(model, config):
-    # The projector reads each pattern's row from its step's local table at
-    # symbolic rates; a row at other rates is the symbolic row substituted
-    # (``TestChainFromVerifiedRows``).
+    # The verifier reads each code's row from its live step's local table at
+    # symbolic rates, and sends every other nonzero code to the sink; a row
+    # at other rates is the symbolic row substituted
+    # (``TestChainFromVerifiedRows``).  The table is grouped before any row
+    # is checked, so a wrong row fails here and not in the build's own check.
     params = ModelParams.symbolic(model)
-    patterns = all_patterns(model)
-    steps = {p: select_step(p) for p in patterns}
-    # The signature grouping before any row is checked, so a wrong row
-    # fails here and not in the build's own check.
-    table = _grouped(model, patterns, steps)
-    project = _projector(table, patterns, steps, config)
-    for p in patterns:
-        assert project(p) == _attempt_row(p, table.index, params, config), format_pattern(p)
+    patterns, attempts = _decided(model, config)
+    table = _signature_table(model)
+    project = _projector(table, [table.index[p] for p in patterns], attempts)
+    for code, p in enumerate(patterns):
+        assert project(code) == _attempt_row(p, table.index, params, config), format_pattern(p)
+
+
+class TestLiveCodes:
+    @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+    def test_live_and_failing_codes_match_a_select_step_scan(self, model):
+        # The per-mask live codes, and the fail class every other nonzero
+        # code goes to, against one select_step per pattern: DONE only at
+        # code 0, ABORT exactly on the failing codes and a step on each
+        # live code.
+        patterns = all_patterns(model)
+        live = live_codes(model)
+        failing = [code for code in range(1, len(patterns)) if code not in live]
+        steps = [select_step(p) for p in patterns]
+        assert [code for code, step in enumerate(steps) if step is DONE] == [0]
+        assert [code for code, step in enumerate(steps) if step is ABORT] == failing
+        stepped = [code for code, step in enumerate(steps) if isinstance(step, CorrectionStep)]
+        assert stepped == list(live)
+        assert (len(live), len(failing)) == ((56, 71) if model is Model.IDEAL else (322, 1864))
+        table = build_classes(model)
+        assert table.classes[table.fail_id].members == tuple(patterns[code] for code in failing)
 
 
 # The README's alternative circuit config.

@@ -30,6 +30,7 @@ from erasurechain.erasure_model import (
     all_patterns,
     build_classes,
     initial_distribution,
+    live_codes,
     pattern_weight,
 )
 from erasurechain.markov_engine import (
@@ -609,8 +610,9 @@ class TestIntegerElimination:
 
 class TestSharedClassTable:
     def test_verified_once_per_model_and_fault_model(self, monkeypatch):
-        # A build decides each pattern's step once, in code order, and
-        # groups and verifies its table from those steps.
+        # A build decides the step of each live pattern once, in code
+        # order, and groups and verifies its table from those steps; the
+        # other patterns are decided per erased mask, with no call.
         select = correction_circuits.select_step
         calls = []
 
@@ -635,8 +637,11 @@ class TestSharedClassTable:
             erasure_model._class_table.cache_clear()
         # One build per (model, FaultModel): None, the default and an equal
         # FaultModel are one key.
-        assert len(calls) == 128 + 2187
-        assert calls == all_patterns(Model.IDEAL) + all_patterns(Model.LOSSY)
+        assert len(calls) == 56 + 322
+        assert calls == [
+            all_patterns(model)[code] for model in (Model.IDEAL, Model.LOSSY)
+            for code in live_codes(model)
+        ]
         assert len({id(t) for t in tables[0::4] + tables[1::4]}) == 1
         assert len({id(t) for t in tables[2::4] + tables[3::4]}) == 1
 
