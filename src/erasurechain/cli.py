@@ -5,6 +5,13 @@ concat.  JSON goes to stdout by default; sweep and mc can emit CSV.  Every
 payload embeds a run manifest (command, parameters, fault-model hash, tool
 version).  Output is byte-deterministic for fixed flags and seed: the
 manifest timestamp is null unless SOURCE_DATE_EPOCH is set.
+
+A plain command line (a subcommand, then exact ``--flag value`` pairs and
+its positionals, every value valid) is parsed straight from SUBCOMMANDS.
+argparse parses every other line: help, ``--version``, other spellings
+such as ``--flag=value`` or an abbreviated flag, and every line it
+rejects, so it alone prints help and usage errors.  Both parsers build
+the same namespace, so the output bytes do not depend on which one ran.
 """
 
 from __future__ import annotations
@@ -435,7 +442,7 @@ _MODEL = {"choices": ("ideal", "lossy"), "required": True}
 _MODEL_OR_MEASUREMENT = {"choices": ("ideal", "lossy", "measurement"), "required": True}
 
 # name: (help, handler, (add_argument names and keywords, ...)); every
-# subcommand then takes --circuit-config and --format.
+# subcommand then takes COMMON_ARGUMENTS too.
 SUBCOMMANDS = {
     "classify": ("classify a 7-character pattern", cmd_classify, (
         ("pattern", {"help": "e.g. '..M..E.' with . M Z E"}),
@@ -476,42 +483,81 @@ SUBCOMMANDS = {
         ("--levels", {"type": int, "default": 3}),
     )),
 }
+COMMON_ARGUMENTS = (
+    ("--circuit-config", {"default": None,
+                          "help": "JSON file overriding fault-location counts"}),
+    ("--format", {"choices": ("json", "csv"), "default": "json"}),
+)
 
 
-def build_parser(argv: Optional[List[str]] = None) -> argparse.ArgumentParser:
-    """The CLI parser; only the subcommand ``argv[0]`` names, if it names one.
-
-    Otherwise (help, version, no or an unknown subcommand) every subcommand
-    is added.  The usage line names all of them either way.
-    """
-    named = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every subcommand, from SUBCOMMANDS."""
     parser = argparse.ArgumentParser(
         prog="erasurechain",
         description="Exact thresholds and Monte Carlo checks for erasure "
         "noise on the [[7,1,3]] code",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    # Spelled out only when one subcommand is added, for the usage line of an
-    # unrecognized-argument error: the full parser's errors name "command".
-    metavar = None if named is None else "{" + ",".join(SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, func, arguments) in SUBCOMMANDS.items():
-        if named not in (None, name):
-            continue
         p = sub.add_parser(name, help=help_text)
-        for flag, options in arguments:
+        for flag, options in arguments + COMMON_ARGUMENTS:
             p.add_argument(flag, **options)
-        p.add_argument("--circuit-config", dest="circuit_config", default=None,
-                       help="JSON file overriding fault-location counts")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.set_defaults(func=func)
     return parser
+
+
+def _plain_args(argv: List[str]) -> Optional[argparse.Namespace]:
+    """The namespace of a plain command line, read from SUBCOMMANDS, or None.
+
+    A plain line is a subcommand followed only by exact ``--flag value``
+    pairs and its positionals, with no value starting with "-", no flag
+    given twice, every required argument present and every value passing
+    its type and choices.  argparse parses such a line to the same
+    namespace; any other line is left to it.
+    """
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    _, func, arguments = SUBCOMMANDS[argv[0]]
+    table = dict(arguments + COMMON_ARGUMENTS)
+    positionals = [name for name in table if not name.startswith("-")]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-") and token in table:
+            name, value = token, next(tokens, None)
+        elif positionals:
+            name, value = positionals.pop(0), token
+        else:
+            return None
+        if value is None or value.startswith("-") or name in given:
+            return None
+        given[name] = value
+    namespace = argparse.Namespace(command=argv[0], func=func)
+    for name, options in table.items():
+        if name in given:
+            value = given[name]
+            if "type" in options:
+                try:
+                    value = options["type"](value)
+                except ValueError:
+                    return None
+            if "choices" in options and value not in options["choices"]:
+                return None
+        elif options.get("required") or name in positionals:
+            return None
+        else:
+            value = options.get("default")
+        setattr(namespace, name.lstrip("-").replace("-", "_"), value)
+    return namespace
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.circuit_config)
         render_csv = None

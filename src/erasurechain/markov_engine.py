@@ -218,8 +218,21 @@ def _eps_row(row: List[Poly]) -> Tuple[List[List[int]], int]:
 
 
 def _horner(coeffs: List[int], p: int, q: int, degree: int) -> int:
-    """q^degree * poly(p/q), from the top coefficient down."""
-    acc, qk = 0, q ** (degree + 1 - len(coeffs))
+    """q^degree * poly(p/q), from the top coefficient down.
+
+    A power of two q, such as the grid denominators of
+    ``concat_projection`` (up to 2^1100), scales each coefficient by a
+    shift: multiplying the growing powers of a 1100-bit q by q costs about
+    15 times more on a degree-107 rate.
+    """
+    acc, k = 0, degree + 1 - len(coeffs)
+    if not q & (q - 1):
+        shift = q.bit_length() - 1
+        for c in reversed(coeffs):
+            acc = acc * p + (c << shift * k)
+            k += 1
+        return acc
+    qk = q**k
     for c in reversed(coeffs):
         acc = acc * p + c * qk
         qk *= q

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ from math import sqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import erasurechain
 from erasurechain import cli
@@ -515,6 +519,60 @@ usage: erasurechain [-h] [--version]
 """
 
 
+FLAGS = sorted({
+    flag
+    for _, _, arguments in cli.SUBCOMMANDS.values()
+    for flag, _ in arguments + cli.COMMON_ARGUMENTS
+    if flag.startswith("-")
+})
+JUNK = st.sampled_from(
+    ["", "-", "--", "-h", "--help", "--version", "-1", "-1/10", "1/10", "0", "x",
+     " 3", "+4", "3_0", "ideal", "lossy", "csv", "..Z..E.", "--model", "bogus"]
+) | st.text("-=/. 1aZE", max_size=4)
+
+
+def _valid(options):
+    if "choices" in options:
+        return st.sampled_from(options["choices"])
+    if options.get("type") is int:
+        return st.integers(0, 10**6).map(str)
+    return st.sampled_from(["1/10", "0", "..Z..E.", "1/100:1/10:1/100"])
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand's valid ``--flag value`` pairs and positionals, each
+    present three times in four, then up to two changes: a junk value, a
+    flag spelled --flag=value or abbreviated, a flag repeated with a junk
+    value, a pair dropped, or a stray token or flag added."""
+    name = draw(st.sampled_from([*cli.SUBCOMMANDS, "bogus", "", "-h", "--version"]))
+    arguments = cli.SUBCOMMANDS[name][2] + cli.COMMON_ARGUMENTS if name in cli.SUBCOMMANDS else ()
+    pieces = [
+        [flag, draw(_valid(options))] if flag.startswith("-") else [draw(_valid(options))]
+        for flag, options in arguments
+        if draw(st.sampled_from([True, True, True, False]))
+    ]
+    changes = ["junk", "equals", "prefix", "repeat", "drop", "extra"]
+    for change in draw(st.lists(st.sampled_from(changes), max_size=2)):
+        if change == "extra" or not pieces:
+            extra = st.tuples(st.sampled_from(FLAGS), JUNK).map(list) | JUNK.map(lambda t: [t])
+            pieces.append(draw(extra))
+            continue
+        i = draw(st.integers(0, len(pieces) - 1))
+        *flag, value = pieces[i]
+        if change == "junk":
+            pieces[i] = [*flag, draw(JUNK)]
+        elif change == "repeat":
+            pieces.append([*flag, draw(JUNK)])
+        elif change == "drop":
+            del pieces[i]
+        elif flag and change == "equals":
+            pieces[i] = [f"{flag[0]}={value}"]
+        elif flag:
+            pieces[i] = [flag[0][: draw(st.integers(3, len(flag[0])))], value]
+    return [name, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
 def _exit_output(parse, argv, capsys):
     """(exit code, stdout, stderr) of a command line that argparse ends."""
     with pytest.raises(SystemExit) as exc:
@@ -533,16 +591,43 @@ class TestParser:
         assert list(PARSER_ARGV) == list(cli.SUBCOMMANDS)
 
     @pytest.mark.parametrize("name", PARSER_ARGV)
-    def test_one_subcommand_parses_as_all_eight(self, name, capsys):
+    def test_plain_parse_matches_argparse(self, name):
         argv = PARSER_ARGV[name]
-        one = cli.build_parser(argv)
-        (sub,) = [a for a in one._actions if isinstance(a, argparse._SubParsersAction)]
-        assert list(sub.choices) == [name]
-        full = cli.build_parser()
-        assert one.parse_args(argv) == full.parse_args(argv)
-        help_argv = [name, "--help"]
-        assert _exit_output(cli.build_parser(help_argv).parse_args, help_argv, capsys) == \
-            _exit_output(full.parse_args, help_argv, capsys)
+        plain = cli._plain_args(argv)
+        assert plain is not None
+        assert plain == cli.build_parser().parse_args(argv)
+
+    def test_golden_lines_are_plain(self):
+        parser = cli.build_parser()
+        for args, _ in GOLDEN_STDOUT:
+            plain = cli._plain_args(list(args))
+            assert plain is not None, args
+            assert plain == parser.parse_args(list(args)), args
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(argv=command_lines())
+    def test_plain_parse_is_argparses(self, argv):
+        # Whenever the plain parse takes a line, argparse accepts it too and
+        # builds the same namespace.
+        plain = cli._plain_args(argv)
+        if plain is None:
+            return
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                full = cli.build_parser().parse_args(argv)
+            except SystemExit:
+                raise AssertionError(f"argparse rejects {argv}: {err.getvalue()}")
+        assert plain == full
+
+    @pytest.mark.parametrize("spelling", [["--model=ideal"], ["--mod", "ideal"]],
+                             ids=["equals", "abbreviated"])
+    def test_other_spellings_print_the_same_bytes(self, spelling, capsys):
+        # argparse still reads the spellings the plain parse leaves to it.
+        assert cli._plain_args(["threshold", *spelling]) is None
+        assert main(["threshold", "--model", "ideal"]) == 0
+        plain = capsys.readouterr()
+        assert main(["threshold", *spelling]) == 0
+        assert capsys.readouterr() == plain
 
     @pytest.mark.parametrize("argv", [["--help"], ["-h"]])
     def test_help_bytes(self, argv, capsys):
@@ -555,7 +640,6 @@ class TestParser:
             (["bogus"], "argument command: invalid choice: 'bogus' (choose from "
              "'classify', 'classes', 'chain', 'series', 'threshold', 'sweep', 'mc', "
              "'concat')"),
-            # Parsed by the one-subcommand parser; the usage still names all eight.
             (["mc", "--model", "ideal", "--eps", "1/10", "--bogus"],
              "unrecognized arguments: --bogus"),
         ],
@@ -564,6 +648,35 @@ class TestParser:
     def test_error_bytes(self, argv, error, capsys):
         assert _exit_output(main, argv, capsys) == (
             2, "", f"{USAGE}erasurechain: error: {error}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, usage, error",
+        [
+            (["threshold", "--model", "bogus"],
+             "usage: erasurechain threshold [-h] --model {ideal,lossy,measurement}\n"
+             "                              [--tol TOL] [--bracket BRACKET]\n"
+             "                              [--fixture {full-chain,ideal-ref,lossy-ref}]\n"
+             "                              [--circuit-config CIRCUIT_CONFIG]\n"
+             "                              [--format {json,csv}]\n",
+             "argument --model: invalid choice: 'bogus' (choose from 'ideal', "
+             "'lossy', 'measurement')"),
+            (["series", "--model", "ideal", "--order", "x"],
+             "usage: erasurechain series [-h] --model {ideal,lossy} [--order ORDER]\n"
+             "                           [--circuit-config CIRCUIT_CONFIG]\n"
+             "                           [--format {json,csv}]\n",
+             "argument --order: invalid int value: 'x'"),
+            (["mc", "--model", "ideal"],
+             "usage: erasurechain mc [-h] --model {ideal,lossy} --eps EPS [--delta DELTA]\n"
+             "                       [--trials TRIALS] [--seed SEED]\n"
+             "                       [--circuit-config CIRCUIT_CONFIG] [--format {json,csv}]\n",
+             "the following arguments are required: --eps"),
+        ],
+        ids=["choice", "int", "required"],
+    )
+    def test_subcommand_error_bytes(self, argv, usage, error, capsys):
+        assert _exit_output(main, argv, capsys) == (
+            2, "", f"{usage}erasurechain {argv[0]}: error: {error}\n"
         )
 
 
@@ -589,9 +702,10 @@ class TestGoldenBytes:
 
 def test_cold_imports():
     # The CLI imports neither numpy.ma nor numpy.random at startup, and a
-    # Monte Carlo run does not import numpy.ma.
+    # Monte Carlo run does not import numpy.ma.  Plain command lines never
+    # reach argparse, whose messages import locale through gettext.
     script = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "from fractions import Fraction\n"
         "import erasurechain.cli\n"
         "assert 'numpy.ma' not in sys.modules, 'cli imports numpy.ma'\n"
@@ -600,6 +714,12 @@ def test_cold_imports():
         "from erasurechain.montecarlo import simulate\n"
         "simulate(ModelParams.lossy(Fraction(1, 10), Fraction(1, 7)), 1000, 1)\n"
         "assert 'numpy.ma' not in sys.modules, 'simulate imports numpy.ma'\n"
+        "for argv in (['threshold', '--model', 'ideal'],\n"
+        "             ['mc', '--model', 'ideal', '--eps', '1/10', '--trials', '1000'],\n"
+        "             ['classify', '..Z..E.']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert erasurechain.cli.main(argv) == 0, argv\n"
+        "assert 'locale' not in sys.modules, 'a plain command line imports locale'\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=600, env=ENV

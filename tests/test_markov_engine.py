@@ -680,6 +680,19 @@ class TestEnclose:
             if lo == hi:
                 assert F(a, b) == F(c, d) == rate.at(F(lo, q))
 
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        coeffs=st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=12),
+        extra=st.integers(0, 3),
+        p=st.integers(0, 2**70),
+        q=st.integers(0, 1200).map(lambda s: 1 << s) | st.integers(1, 10**9),
+    )
+    def test_horner_is_the_scaled_value(self, coeffs, extra, p, q):
+        # A power of two q takes shifts, any other q products.
+        degree = len(coeffs) - 1 + extra
+        value = sum(c * F(p, q) ** i for i, c in enumerate(coeffs))
+        assert markov_engine._horner(coeffs, p, q, degree) == value * q**degree
+
     def test_denominator_holding_zero(self):
         rate = FailureRate([1], [1, -2])
         assert rate.enclose(0, 1, 1) is None
