@@ -24,6 +24,7 @@ through one pair of values for eps and delta, sharing the powers it builds.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Tuple
 
 Exponent = Tuple[int, int]
@@ -289,3 +290,18 @@ def coerce(value: "Poly | RationalLike") -> Poly:
         return value
     return Poly.constant(value)
 
+
+def bernstein_coefficients(coeffs: List[int]) -> List[int]:
+    """C(n, k) b_k for k = 0..n, where p(x) = sum c_i x^i = sum b_k C(n, k)
+    x^k (1 - x)^(n - k) and n = len(coeffs) - 1.
+
+    They are the coefficients of (1 + t)^n p(1/(1 + t)), from the top: the
+    reversed list Taylor-shifted by 1, which is n rounds of prefix sums,
+    additions only.  All > 0 (>= 0) proves p > 0 (>= 0) on [0, 1]
+    (Farouki, *The Bernstein polynomial basis: a centennial retrospective*,
+    2012).
+    """
+    out = list(coeffs)
+    for m in range(len(out), 1, -1):
+        out[:m] = accumulate(out[:m])
+    return out

@@ -16,8 +16,8 @@ the determinants are read back exactly from the slots of two ints.  A
 chain in eps alone (ideal, or lossy on the delta = eps diagonal) gives
 the rate as one rational function N/D; series are its Taylor division,
 numeric rates (what threshold searches use) are N(x)/D(x) by Horner on
-integers, and concatenation encloses N/D over an interval of rates by the
-same Horner on the positive and negative coefficient parts.
+integers, and concatenation reads a rate certified nondecreasing on
+[0, 1] at the two ends of an interval of rates.
 
 Every chain is one substitution.  ``build_classes`` verifies the class
 table at symbolic rates and keeps the rows it verified, one exact
@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import List, Optional, Tuple
 
-from .exact_arith import Poly, Substitution
+from .exact_arith import Poly, Substitution, bernstein_coefficients
 from .erasure_model import (
     ClassTable,
     ModelParams,
@@ -253,51 +253,34 @@ class FailureRate:
     def at(self, x: Fraction) -> Fraction:
         """N(x) / D(x), by homogeneous Horner on integers and one reduction."""
         x = Fraction(x)
-        (num, den), _ = self.enclose(x.numerator, x.numerator, x.denominator)
-        return Fraction(num, den)
+        return Fraction(*self.point(x.numerator, x.denominator))
 
     __call__ = at
 
-    def enclose(
-        self, lo: int, hi: int, q: int
-    ) -> Optional[Tuple[Tuple[int, int], Tuple[int, int]]]:
-        """Bounds ``(a, b), (c, d)`` with a/b <= N(x)/D(x) <= c/d on [lo/q, hi/q].
-
-        Requires 0 <= lo <= hi; b and d are positive and nothing is
-        reduced.  N and D are each split into their positive and negative
-        coefficient parts, which increase on x >= 0, so the parts at the
-        two ends bound N and D.  For lo == hi the bounds are the exact
-        value, and D(x) = 0 raises ``singular transient system``; otherwise
-        a D enclosure that contains 0 gives None.  All four ends share the
-        scale q^degree, which cancels.
-        """
+    def point(self, p: int, q: int) -> Tuple[int, int]:
+        """N(p/q) / D(p/q) as ``(n, d)``, d > 0, both scaled by q^degree (q > 0)
+        and unreduced; D(p/q) = 0 raises ``singular transient system``."""
         degree = max(len(self.N), len(self.D)) - 1
-        if lo == hi:
-            num, den = _horner(self.N, lo, q, degree), _horner(self.D, lo, q, degree)
-            if den == 0:
-                raise ValueError("singular transient system")
-            if den < 0:
-                num, den = -num, -den
-            return (num, den), (num, den)
+        num, den = _horner(self.N, p, q, degree), _horner(self.D, p, q, degree)
+        if den == 0:
+            raise ValueError("singular transient system")
+        return (-num, -den) if den < 0 else (num, den)
 
-        def bounds(coeffs: List[int]) -> Tuple[int, int]:
-            pos = [max(c, 0) for c in coeffs]
-            neg = [max(-c, 0) for c in coeffs]
-            return (
-                _horner(pos, lo, q, degree) - _horner(neg, hi, q, degree),
-                _horner(pos, hi, q, degree) - _horner(neg, lo, q, degree),
-            )
-
-        n_lo, n_hi = bounds(self.N)
-        d_lo, d_hi = bounds(self.D)
-        if d_lo <= 0 <= d_hi:
-            return None
-        if d_hi < 0:
-            n_lo, n_hi, d_lo, d_hi = -n_hi, -n_lo, -d_hi, -d_lo
-        return (
-            (n_lo, d_hi if n_lo >= 0 else d_lo),
-            (n_hi, d_lo if n_hi >= 0 else d_hi),
-        )
+    def nondecreasing(self) -> bool:
+        """Whether N/D is certified nondecreasing on [0, 1]; False proves
+        nothing.  D's Bernstein coefficients must share one strict sign, so
+        D has no root there, and those of W = N'D - ND' be >= 0, so
+        (N/D)' = W / D^2 >= 0.  W is one product of Kronecker-packed ints,
+        sized as in ``_eliminate``.
+        """
+        N, D = self.N, self.D
+        dN, dD = ([k * c for k, c in enumerate(p)][1:] for p in (N, D))
+        n1, d1, dn1, dd1 = (sum(map(abs, c)) for c in (N, D, dN, dD))
+        w = (dn1 * d1 + n1 * dd1).bit_length() + 2
+        W = _unpack(_pack(dN, w) * _pack(D, w) - _pack(N, w) * _pack(dD, w), w)
+        signs = bernstein_coefficients(D)
+        root_free = min(signs, default=0) * max(signs, default=0) > 0
+        return root_free and min(bernstein_coefficients(W), default=0) >= 0
 
     def series(self, order: int) -> Poly:
         """Taylor coefficients of N/D at eps = 0, up to eps^order."""

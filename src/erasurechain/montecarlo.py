@@ -51,7 +51,7 @@ from .pauli_algebra import N_QUBITS
 SHARD_SIZE = 1 << 20
 # Trials whose injection is drawn and encoded at once (two 458 kB buffers).
 CHUNK = 1 << 13
-# A trial still live after this many attempts means a broken procedure.
+# Attempts a trial may take; slow but correct absorption can exceed it.
 MAX_STEPS = 10_000
 # Largest |z| that compare() accepts.
 Z_LIMIT = 3.0
@@ -87,6 +87,7 @@ class PatternTable:
     """
 
     def __init__(self, params: ModelParams, config: FaultModel):
+        self.params = params
         self.digit, places = code_layout(params.model)
         self.powers = np.array(places)
         tables = outcome_tables(params, config)
@@ -189,7 +190,11 @@ def _absorb(states: np.ndarray, table: PatternTable, rng) -> int:
         for cum in table.cum[:-1]:
             outcome += cum[states] <= u
         states = table.next[outcome, states]
-    raise RuntimeError("trial did not absorb; check the correction procedure")
+    eps, delta = table.params.eps.coefficient(0), table.params.delta.coefficient(0)
+    raise ValueError(
+        f"a trial did not absorb within MAX_STEPS = {MAX_STEPS} attempts at "
+        f"eps = {eps}, delta = {delta}"
+    )
 
 
 def compare(exact: Fraction, estimate: McEstimate) -> CompareReport:

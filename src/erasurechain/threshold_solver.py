@@ -164,28 +164,31 @@ def concat_projection(rate: FailureRate, eps0: Fraction, levels: int) -> List[fl
     returned double is ``float()`` of that exact level-k rational, proven
     by interval enclosure (Moore, *Interval Analysis*, 1966) rather than by
     carrying the rationals, whose bit length grows 7-40x per level.
-    ``rate`` must map [0, 1] into [0, 1], as a failure probability does.
 
-    Every level encloses its exact rate in [lo, hi] (``FailureRate.enclose``),
-    clamps that to [0, 1] and rounds it outward to ``bits`` significant bits
-    on a grid no finer than 2^-1100; a value whose numerator and
-    denominator both fit in ``bits`` bits is kept exact.  Rounding to the
-    nearest double is monotone, so when both ends round to the same double
-    it is the exact rate's.  When they do not, or an enclosure of D holds
-    0, every level is recomputed from eps0 with twice the bits, starting
-    from 64.  With enough bits every exact rate is kept, so the loop ends.
-    Below threshold it ends at 64 or 128 bits; ten lossy levels driven
-    towards 1 take 1024, because near 1 the coefficient parts of N and D
-    nearly cancel and widen the enclosure.  A level whose rounded interval
-    equals the one it started from, such as one that underflows to 0 on the
-    2^-1100 grid, is a fixed point: its double is repeated for every later
-    level without evaluating them.
+    ``rate`` must be certified nondecreasing on [0, 1] with f(0) >= 0 and
+    f(1) <= 1, checked once (else ValueError).  It then maps [lo, hi] in
+    [0, 1] onto [f(lo), f(hi)] in [0, 1], so each level's enclosure is the
+    exact rate (``FailureRate.point``) at the last level's two ends, or at
+    its one point.  That interval is rounded outward to ``bits``
+    significant bits on a grid no finer than 2^-1100, or kept exact if its
+    numerator and denominator fit in ``bits`` bits.  Rounding to the
+    nearest double is monotone, so two ends that round to one double give
+    the exact rate's.  Otherwise every level is recomputed from eps0 with
+    twice the bits, starting from 64; with enough bits every rate is kept
+    exact, so the loop ends.  A level whose rounded interval equals the one
+    it started from, such as one that underflows to 0 on the 2^-1100 grid,
+    is a fixed point: its double is repeated for every later level.
     """
     if levels < 0:
         raise ValueError("levels must be >= 0")
     x = Fraction(eps0)
     if not 0 <= x <= 1:
         raise ValueError("eps0 must lie in [0, 1]")
+    (n0, _), (n1, d1) = rate.point(0, 1), rate.point(1, 1)
+    if n0 < 0 or n1 > d1:
+        raise ValueError("the rate leaves [0, 1]: f(0) < 0 or f(1) > 1")
+    if not rate.nondecreasing():
+        raise ValueError("concat needs a rate certified nondecreasing on [0, 1]")
     bits = 64
     while True:
         rates = _certified_levels(rate, x, levels, bits)
@@ -203,21 +206,13 @@ def _certified_levels(
     out: List[float] = []
     for level in range(1, levels + 1):
         state = (lo, hi, q)
-        bounds = rate.enclose(lo, hi, q)
-        if bounds is None:
-            return None
-        (a, b), (c, d) = bounds
-        if c < 0 or a > b:
-            raise ValueError(f"level {level}: the rate leaves [0, 1]")
+        a, b = rate.point(lo, q)
+        c, d = (a, b) if lo == hi else rate.point(hi, q)
         if (a, b) == (c, d):
             exact = Fraction(a, b)
             lo = hi = exact.numerator
             q = exact.denominator
         if (a, b) != (c, d) or max(lo.bit_length(), q.bit_length()) > bits:
-            if a < 0:
-                a, b = 0, 1
-            if c > d:
-                c, d = 1, 1
             shift = min(bits - c.bit_length() + d.bit_length(), _GRID_BITS)
             lo = (a << shift) // b
             hi = -((-c << shift) // d)

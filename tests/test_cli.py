@@ -214,6 +214,19 @@ class TestMc:
         assert data["z_vs_exact"] == pytest.approx(-sqrt(2000 * p / (1 - p)), rel=1e-12)
         assert data["passed"] is True
 
+    def test_slow_absorption_is_a_json_error(self, capsys):
+        # With every detection lost a correct procedure absorbs slowly; a
+        # trial left live at the step cap is reported, not a traceback.
+        argv = ["mc", "--model", "lossy", "--eps", "1/100000", "--delta", "1",
+                "--trials", "1000000", "--seed", "1"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "a trial did not absorb within MAX_STEPS = 10000 attempts "
+            "at eps = 1/100000, delta = 1"
+        }
+
 
 class TestConcat:
     def test_zero_start(self):
@@ -247,6 +260,7 @@ class TestConcat:
         )
         assert [level["level"] for level in data["levels"]] == [1, 2, 3, 4, 5]
         assert data["levels"][4]["rate"] == 1.3910727308118855e-95
+
 
 
 @pytest.mark.parametrize(

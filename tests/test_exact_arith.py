@@ -1,12 +1,13 @@
 import random
 import re
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erasurechain.exact_arith import Poly, Substitution, coerce
+from erasurechain.exact_arith import Poly, Substitution, bernstein_coefficients, coerce
 
 
 def eps_poly(*coeffs):
@@ -319,3 +320,21 @@ def test_integral_results_are_ints():
     assert type(Substitution(F(1, 2), 0)(Poly.monomial(1, 0, 4)).terms[(0, 0)]) is int
     assert type(Poly.eps().coefficient(3)) is int
     assert str(half + half) == "eps" and str(Poly.constant(F(6, 3))) == "2"
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(coeffs=st.lists(st.integers(-(10**12), 10**12), max_size=14))
+def test_bernstein_coefficients_are_the_scaled_binomial_sums(coeffs):
+    # b_k = sum_{i <= k} C(k, i) / C(n, i) a_i.
+    n = len(coeffs) - 1
+    b = [sum(F(comb(k, i), comb(n, i)) * coeffs[i] for i in range(k + 1)) for k in range(n + 1)]
+    assert bernstein_coefficients(coeffs) == [comb(n, k) * b[k] for k in range(n + 1)]
+
+
+def test_bernstein_coefficients_bound_on_the_unit_interval():
+    assert bernstein_coefficients([0, 1]) == [0, 1]  # x
+    assert bernstein_coefficients([1, -1]) == [1, 0]  # 1 - x
+    # (2x - 1)^2 + 1/10 is positive on [0, 1], yet its middle coefficient
+    # is negative: a sign change proves no root, it only fails to exclude one.
+    assert bernstein_coefficients([11, -40, 40]) == [11, -18, 11]
+    assert bernstein_coefficients([]) == []

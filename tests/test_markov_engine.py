@@ -658,6 +658,9 @@ class TestSharedClassTable:
 
 
 class TestEnclose:
+    """A certified nondecreasing rate is enclosed on an interval by its
+    exact values at the two ends."""
+
     @pytest.mark.parametrize(
         "rate",
         [
@@ -668,17 +671,41 @@ class TestEnclose:
         ids=["negative-numerator", "negative-denominator", "measurement-tail"],
     )
     def test_bounds_hold_the_rate_on_the_interval(self, rate):
+        def value(coeffs, x):
+            return sum(c * x**i for i, c in enumerate(coeffs))
+
+        assert rate.nondecreasing()
         rng = random.Random(5)
         for _ in range(40):
             q = rng.randint(1, 10**6)
             lo, hi = sorted(rng.randint(0, q) for _ in range(2))
-            (a, b), (c, d) = rate.enclose(lo, hi, q)
+            (a, b), (c, d) = rate.point(lo, q), rate.point(hi, q)
             assert b > 0 and d > 0
+            assert F(a, b) == value(rate.N, F(lo, q)) / value(rate.D, F(lo, q))
+            assert F(c, d) == value(rate.N, F(hi, q)) / value(rate.D, F(hi, q))
             for k in range(5):
                 x = F(lo, q) + F(hi - lo, q) * F(k, 4)
                 assert F(a, b) <= rate.at(x) <= F(c, d)
-            if lo == hi:
-                assert F(a, b) == F(c, d) == rate.at(F(lo, q))
+
+    def test_point_is_scaled_with_a_positive_denominator(self):
+        # -1 / (2 + x) at 1/3, both parts scaled by 3^1 and negated.
+        assert FailureRate([1], [-2, -1]).point(1, 3) == (-3, 7)
+        assert FailureRate([0, 0, 1], [1]).point(1, 3) == (1, 9)
+
+    @pytest.mark.parametrize(
+        "rate, certified",
+        [
+            (FailureRate([0, 0, 1], [1]), True),
+            (FailureRate([5], [7]), True),  # constant: W = 0
+            (FailureRate([0, 1], [1, -1, 1]), True),  # W = 1 - x^2
+            (FailureRate([1, -1], [1]), False),  # 1 - x decreases
+            (FailureRate([0, 1, -1], [1]), False),  # x (1 - x) peaks at 1/2
+            (FailureRate([0, 1], [1, -2]), False),  # pole at 1/2
+        ],
+        ids=["square", "constant", "flat-at-1", "decreasing", "peaked", "pole"],
+    )
+    def test_certificate(self, rate, certified):
+        assert rate.nondecreasing() is certified
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(
@@ -695,7 +722,6 @@ class TestEnclose:
 
     def test_denominator_holding_zero(self):
         rate = FailureRate([1], [1, -2])
-        assert rate.enclose(0, 1, 1) is None
+        assert not rate.nondecreasing()
         with pytest.raises(ValueError, match="singular transient system"):
-            rate.enclose(1, 1, 2)
-
+            rate.point(1, 2)

@@ -78,7 +78,8 @@ class TestSimulate:
         # About half the trials start with an erasure at 1/10; one attempt
         # cannot settle them all.
         monkeypatch.setattr(mc, "MAX_STEPS", 1)
-        with pytest.raises(RuntimeError, match="did not absorb"):
+        message = "did not absorb within MAX_STEPS = 1 attempts at eps = 1/10, delta = 0"
+        with pytest.raises(ValueError, match=message):
             simulate(ModelParams.ideal(F(1, 10)), trials=1000, seed=0)
 
     def test_symbolic_rates_rejected(self):

@@ -1,12 +1,14 @@
+import json
 from fractions import Fraction as F
 from functools import lru_cache
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erasurechain import erasure_model, threshold_solver
+from erasurechain import cli, erasure_model, threshold_solver
 from erasurechain.correction_circuits import Construction, FaultModel
 from erasurechain.exact_arith import Poly
 from erasurechain.markov_engine import FailureRate
@@ -41,14 +43,22 @@ def oracle_floats(rate: FailureRate, eps0: F, levels: int) -> list:
     return [float(x) for x in exact_levels(rate, eps0, levels)]
 
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
 IDENTITY = FailureRate([0, 1], [1])
 SQUARE = FailureRate([0, 0, 1], [1])
 QUARTIC = FailureRate([0, 0, 0, 0, 1], [1])
+PER_TELEPORTATION = FaultModel(construction=Construction.PER_TELEPORTATION)
 
 
 @lru_cache(maxsize=None)
 def rate_of(model: str) -> FailureRate:
-    return MEASUREMENT_TAIL if model == "measurement" else chain_recursion(model)
+    """The rate of 'ideal', 'lossy' (per_gate), 'per_teleportation' (lossy)
+    or 'measurement'."""
+    if model == "measurement":
+        return MEASUREMENT_TAIL
+    if model == "per_teleportation":
+        return chain_recursion("lossy", PER_TELEPORTATION)
+    return chain_recursion(model)
 
 
 class TestMeasurementRecursion:
@@ -235,11 +245,14 @@ class TestCertifiedConcat:
 
     @settings(max_examples=30, derandomize=True, database=None, deadline=None)
     @given(
-        model=st.sampled_from(["ideal", "measurement"]),
+        model=st.sampled_from(["ideal", "measurement", "lossy", "per_teleportation"]),
         eps0=st.fractions(min_value=0, max_value=1, max_denominator=10**9),
         levels=st.integers(0, 3),
     )
     def test_matches_exact_oracle_at_random_rates(self, model, eps0, levels):
+        # Level 3 of a lossy rate (degree 61 or 107) has millions of bits.
+        if model in ("lossy", "per_teleportation"):
+            levels = min(levels, 2)
         rate = rate_of(model)
         assert concat_projection(rate, eps0, levels) == oracle_floats(rate, eps0, levels)
 
@@ -250,22 +263,54 @@ class TestCertifiedConcat:
         assert rates[0] == 0.24359130859375 == F(3991, 16384)
         assert rates == oracle_floats(MEASUREMENT_TAIL, F(1, 4), 2)
 
-    def test_denominator_enclosure_holding_zero_refines(self):
-        # D = 2^100 (2x - 1)^2 + 1 is 1 at x = 1/2, where its positive and
-        # negative coefficient parts are near 2^101.  Level 1 lies within
-        # 2^-70 of 1/2 and is not dyadic, so the 64-bit enclosure of D at
-        # level 2 holds 0 and every level is recomputed with 128 bits.
-        rate = FailureRate([1], [2**100 + 1, -(2**102), 2**102])
-        eps0 = F(1, 2) + F(1, 2**51) * (1 - F(1, 3 * 2**70))
-        assert 0 < rate.at(eps0) - F(1, 2) < F(1, 2**70)
-        assert concat_projection(rate, eps0, 3) == oracle_floats(rate, eps0, 3)
+    def test_rate_not_certified_monotone_rejected(self, monkeypatch, capsys):
+        # D = 2^100 (2x - 1)^2 + 1 is positive, but its Bernstein
+        # coefficients change sign and the rate 1/D peaks at x = 1/2.
+        bump = FailureRate([1], [2**100 + 1, -(2**102), 2**102])
+        assert not bump.nondecreasing()
+        with pytest.raises(ValueError, match="certified nondecreasing"):
+            concat_projection(bump, F(1, 3), 3)
+        monkeypatch.setattr(cli, "chain_recursion", lambda model, config=None: bump)
+        assert cli.main(["concat", "--model", "ideal", "--eps0", "1/3", "--levels", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "certified nondecreasing" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "model", ["ideal", "lossy", "per_teleportation", "alt_config", "measurement"]
+    )
+    def test_shipped_rates_are_certified(self, model):
+        if model == "alt_config":
+            alt = json.loads((REPO_ROOT / "perfbench" / "alt_config.json").read_text())
+            rate = chain_recursion("lossy", FaultModel.from_json(alt))
+        else:
+            rate = rate_of(model)
+        assert rate.nondecreasing()
+        assert rate.at(F(0)) == 0 and rate.at(F(1)) == 1
+
+    @pytest.mark.parametrize("model", ["lossy", "per_teleportation"])
+    @pytest.mark.parametrize("eps0", [F(1, 10), F(99, 100)], ids=str)
+    def test_ten_levels_above_threshold_take_one_64_bit_pass(self, model, eps0, monkeypatch):
+        passes = []
+        certified_levels = threshold_solver._certified_levels
+
+        def spy(rate, x, levels, bits):
+            passes.append(bits)
+            return certified_levels(rate, x, levels, bits)
+
+        monkeypatch.setattr(threshold_solver, "_certified_levels", spy)
+        rate = rate_of(model)
+        rates = concat_projection(rate, eps0, 10)
+        assert passes == [64]
+        assert rates[:2] == oracle_floats(rate, eps0, 2)
+        assert all(x <= y <= 1 for x, y in zip([float(eps0)] + rates, rates))
 
     def test_singular_rate_rejected(self):
         with pytest.raises(ValueError, match="singular transient system"):
             concat_projection(FailureRate([0], [0, 1]), F(0), 1)
 
     def test_rate_outside_unit_interval_rejected(self):
-        with pytest.raises(ValueError, match="level 1: the rate leaves"):
+        with pytest.raises(ValueError, match=r"the rate leaves \[0, 1\]"):
             concat_projection(FailureRate([2], [1]), F(1, 3), 1)
         with pytest.raises(ValueError, match="eps0 must lie in"):
             concat_projection(IDENTITY, F(3, 2), 1)
@@ -273,23 +318,25 @@ class TestCertifiedConcat:
     def test_levels_past_a_fixed_point_are_not_evaluated(self, monkeypatch):
         # Level 5 underflows to the 2^-1100 grid and level 6 rounds back to
         # the same interval, so levels 7-10 repeat its 0.0 unevaluated.
+        # Two points check f(0) and f(1), one is level 1 at eps0, and
+        # levels 2-6 take two each.
         calls = []
-        enclose = FailureRate.enclose
+        point = FailureRate.point
 
-        def spy(self, lo, hi, q):
-            calls.append((lo, hi, q))
-            return enclose(self, lo, hi, q)
+        def spy(self, p, q):
+            calls.append((p, q))
+            return point(self, p, q)
 
-        monkeypatch.setattr(FailureRate, "enclose", spy)
-        config = FaultModel(construction=Construction.PER_TELEPORTATION)
-        rates = concat_projection(chain_recursion("lossy", config), F(1, 1000), 10)
+        monkeypatch.setattr(FailureRate, "point", spy)
+        rates = concat_projection(rate_of("per_teleportation"), F(1, 1000), 10)
         assert rates == [
             9.690759173744745e-07,
             8.536707284834112e-16,
             5.835445385871647e-43,
             1.8639096847047979e-124,
         ] + [0.0] * 6
-        assert len(calls) <= 6
+        assert len(calls) == 13
+        assert calls[-2:] == [(0, 2**1100), (1, 2**1100)]
         rates = concat_projection(rate_of("ideal"), F(1, 19), 10)
         assert rates[5:] == [1.3190024180416206e-283] + [0.0] * 4
 
