@@ -10,18 +10,21 @@ A plain command line (a subcommand, then exact ``--flag value`` pairs and
 its positionals, every value valid) is parsed straight from SUBCOMMANDS.
 argparse parses every other line: help, ``--version``, other spellings
 such as ``--flag=value`` or an abbreviated flag, and every line it
-rejects, so it alone prints help and usage errors.  Both parsers build
-the same namespace, so the output bytes do not depend on which one ran.
+rejects, so it alone prints help and usage errors, and only those lines
+import it.  Both parsers build the same attributes (a
+``types.SimpleNamespace`` or an ``argparse.Namespace``), so the output
+bytes do not depend on which one ran.
 """
 
 from __future__ import annotations
 
-import argparse
+import gc
 import json
 import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
 from . import __version__
@@ -54,6 +57,11 @@ from .threshold_solver import (
     solve_break_even,
 )
 
+# Everything imported so far lives as long as the process: keep it out of
+# the collector's scans, so that a command's collections visit only what
+# the command allocates.
+gc.freeze()
+
 
 class CliError(Exception):
     pass
@@ -66,7 +74,7 @@ def _timestamp() -> Optional[str]:
     return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
 
 
-def _manifest(args: argparse.Namespace, config: FaultModel) -> dict:
+def _manifest(args, config: FaultModel) -> dict:
     params = {
         k: v
         for k, v in vars(args).items()
@@ -160,8 +168,11 @@ def _parse_grid(text: str) -> List[Fraction]:
     return grid
 
 
+_HALF = Fraction(1, 2)
+
+
 def _check_grid_values(values) -> None:
-    if not all(0 <= x <= Fraction(1, 2) for x in values):
+    if not all(0 <= x <= _HALF for x in values):
         raise CliError("grid values must lie in [0, 0.5]")
 
 
@@ -346,9 +357,12 @@ def cmd_sweep(args, config: FaultModel) -> dict:
 
     rows = []
     for x in grid:
+        # One correctly rounded int division: float(rate(x)) without the
+        # Fraction's gcd.
+        n, d = rate.point(x.numerator, x.denominator)
         row = {
             "eps": float(x),
-            "encoded_failure_exact": float(rate(x)),
+            "encoded_failure_exact": n / d,
         }
         if args.trials:
             numeric = _model_params(args.model, x)
@@ -490,8 +504,10 @@ COMMON_ARGUMENTS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """The argparse parser of every subcommand, from SUBCOMMANDS."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="erasurechain",
         description="Exact thresholds and Monte Carlo checks for erasure "
@@ -507,14 +523,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _plain_args(argv: List[str]) -> Optional[argparse.Namespace]:
+def _plain_args(argv: List[str]) -> Optional[SimpleNamespace]:
     """The namespace of a plain command line, read from SUBCOMMANDS, or None.
 
     A plain line is a subcommand followed only by exact ``--flag value``
     pairs and its positionals, with no value starting with "-", no flag
     given twice, every required argument present and every value passing
     its type and choices.  argparse parses such a line to the same
-    namespace; any other line is left to it.
+    attributes; any other line is left to it.
     """
     if not argv or argv[0] not in SUBCOMMANDS:
         return None
@@ -533,7 +549,7 @@ def _plain_args(argv: List[str]) -> Optional[argparse.Namespace]:
         if value is None or value.startswith("-") or name in given:
             return None
         given[name] = value
-    namespace = argparse.Namespace(command=argv[0], func=func)
+    namespace = SimpleNamespace(command=argv[0], func=func)
     for name, options in table.items():
         if name in given:
             value = given[name]

@@ -100,7 +100,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -132,17 +131,26 @@ class StepKind(Enum):
     Z_RECOVERY = "z_recovery"
 
 
-@dataclass(frozen=True, slots=True)
-class CorrectionStep:
+class _CorrectionStepFields(NamedTuple):
     kind: StepKind
     target: int
     helpers: Tuple[int, int, int]
-    # The qubits the step writes: the target, then the helpers.  Built once
-    # per step, which ``_step`` shares among all the patterns taking it.
-    positions: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    positions: Tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", (self.target,) + self.helpers)
+
+class CorrectionStep(_CorrectionStepFields):
+    # ``positions``, the qubits the step writes: the target, then the
+    # helpers.  Built once per step, which ``_step`` shares among all the
+    # patterns taking it.
+    __slots__ = ()
+
+    def __new__(
+        cls, kind: StepKind, target: int, helpers: Tuple[int, int, int]
+    ) -> "CorrectionStep":
+        return super().__new__(cls, kind, target, helpers, (target,) + helpers)
+
+    def __getnewargs__(self):
+        return self[:3]
 
 
 class Construction(Enum):
@@ -164,8 +172,15 @@ _CONFIG_KEYS = frozenset(_DETECTION_KEYS) | {"coupling_full_fraction", "construc
 _PER_GATE_ONLY = ("helper_detections", "coupling_full_fraction")
 
 
-@dataclass(frozen=True)
-class FaultModel:
+class _FaultModelFields(NamedTuple):
+    readout_detections: int = 1
+    helper_detections: int = 1
+    ancilla_detections: int = 4
+    coupling_full_fraction: Fraction = Fraction(0)
+    construction: Construction = Construction.PER_GATE
+
+
+class FaultModel(_FaultModelFields):
     """Configurable fault-location counts for the two correction circuits.
 
     readout_detections: photon detections in the target readout of a
@@ -180,35 +195,37 @@ class FaultModel:
     construction: how the entangling gates are built.
     """
 
-    readout_detections: int = 1
-    helper_detections: int = 1
-    ancilla_detections: int = 4
-    coupling_full_fraction: Fraction = Fraction(0)
-    construction: Construction = Construction.PER_GATE
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "FaultModel":
+        fields = _FaultModelFields(*args, **kwargs)
         for key in _DETECTION_KEYS:
-            value = getattr(self, key)
+            value = getattr(fields, key)
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ValueError(f"{key} must be a nonnegative integer, got {value!r}")
             if value > MAX_DETECTIONS:
                 raise ValueError(f"{key} must be at most {MAX_DETECTIONS}, got {value}")
-        frac = self.coupling_full_fraction
+        frac = fields.coupling_full_fraction
         # A float would be hashed as written but computed as its binary value.
         if isinstance(frac, bool) or not isinstance(frac, (int, Fraction)):
             raise ValueError(f"coupling_full_fraction must be an int or a Fraction, got {frac!r}")
         if not 0 <= frac <= 1:
             raise ValueError(f"coupling_full_fraction must lie in [0, 1], got {frac}")
-        object.__setattr__(self, "coupling_full_fraction", Fraction(frac))
-        if not isinstance(self.construction, Construction):
-            raise ValueError(f"unknown construction {self.construction!r}")
-        if self.construction is not Construction.PER_GATE:
+        if not isinstance(fields.construction, Construction):
+            raise ValueError(f"unknown construction {fields.construction!r}")
+        if fields.construction is not Construction.PER_GATE:
             for key in _PER_GATE_ONLY:
-                if getattr(self, key) != self.__dataclass_fields__[key].default:
+                if getattr(fields, key) != cls._field_defaults[key]:
                     raise ValueError(
                         f"{key} not applicable to the "
-                        f"{self.construction.value} construction"
+                        f"{fields.construction.value} construction"
                     )
+        return super().__new__(cls, *fields[:3], Fraction(frac), fields.construction)
+
+    @classmethod
+    def _make(cls, iterable) -> "FaultModel":
+        # So that ``_replace`` checks its fields too.
+        return cls(*iterable)
 
     def to_json(self) -> dict:
         data = {

@@ -51,13 +51,12 @@ one, the fail class's initial mass is one minus the other classes'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, product
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .exact_arith import Poly, coerce
 from .pauli_algebra import N_QUBITS, supports_logical
@@ -197,8 +196,7 @@ def classify(pattern: Pattern) -> Classification:
     return _CLASSIFICATION[erased_mask(pattern)]
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(NamedTuple):
     """Noise model with its symbolic (or numeric) rates.
 
     The ideal model has only the gate teleportation failure rate eps; the
@@ -296,8 +294,7 @@ def live_codes(model: Model) -> Tuple[int, ...]:
 # Equivalence classes
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EquivClass:
+class EquivClass(NamedTuple):
     id: int
     label: str
     representative: Pattern
@@ -308,23 +305,32 @@ class EquivClass:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class ClassTable:
-    """Classes in id order; their members are the partition of the pattern
-    space.  ``index``, the class id of every member, is read from them.
-    Read-only, since ``build_classes`` shares one table among all its
-    callers."""
-
+class _ClassTableFields(NamedTuple):
     model: Model
     classes: Tuple[EquivClass, ...]
     clean_id: int
     fail_id: int
-    index: Mapping[Pattern, int] = field(init=False, repr=False, compare=False)
+    index: Mapping[Pattern, int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(self.classes))
-        index = {p: c.id for c in self.classes for p in c.members}
-        object.__setattr__(self, "index", MappingProxyType(index))
+
+class ClassTable(_ClassTableFields):
+    """Classes in id order; their members are the partition of the pattern
+    space.  ``index``, the class id of every member, is read from them, so
+    the hash covers only the other four fields.  Read-only, since
+    ``build_classes`` shares one table among all its callers."""
+
+    __slots__ = ()
+
+    def __new__(cls, model: Model, classes, clean_id: int, fail_id: int) -> "ClassTable":
+        classes = tuple(classes)
+        index = MappingProxyType({p: c.id for c in classes for p in c.members})
+        return super().__new__(cls, model, classes, clean_id, fail_id, index)
+
+    def __hash__(self) -> int:
+        return hash(self[:4])
+
+    def __getnewargs__(self):
+        return self[:4]
 
     def to_json(self) -> dict:
         return {

@@ -32,10 +32,9 @@ nonnegativity depends on the point, so a numeric chain checks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .exact_arith import Poly, Substitution, bernstein_coefficients
 from .erasure_model import (
@@ -49,8 +48,7 @@ from .erasure_model import (
 from .correction_circuits import DEFAULT_FAULT_MODEL, FaultModel
 
 
-@dataclass
-class TransitionMatrix:
+class TransitionMatrix(NamedTuple):
     table: ClassTable
     P: List[List[Poly]]
     params: ModelParams
@@ -239,8 +237,7 @@ def _horner(coeffs: List[int], p: int, q: int, degree: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class FailureRate:
+class FailureRate(NamedTuple):
     """The encoded failure rate as N(eps) / D(eps).
 
     N and D are integer coefficient lists, lowest degree first.  Calling
@@ -320,8 +317,7 @@ def encoded_failure_at(chain: TransitionMatrix) -> Fraction:
     return failure_rate(chain).at(Fraction(0))
 
 
-@dataclass
-class ChainResult:
+class ChainResult(NamedTuple):
     encoded_failure: Fraction
 
 

@@ -33,9 +33,9 @@ walk this replaced drew in another order, so seeds now give other estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +59,7 @@ Z_LIMIT = 3.0
 CLEAN, FAIL, LIVE = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     mean: float
     stderr: float
     trials: int
@@ -68,8 +67,7 @@ class McEstimate:
     failures: int
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(NamedTuple):
     exact: Fraction
     estimate: McEstimate
     z: float

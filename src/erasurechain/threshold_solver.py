@@ -26,10 +26,9 @@ level's double, proven to be ``float()`` of the exact rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .erasure_model import Erasure, ModelParams, qubit_marginals
 from .markov_engine import FailureRate, _eps_row, build_chain, failure_rate
@@ -59,8 +58,7 @@ class NoSignChange(Exception):
         self.target = target
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     root: Fraction
     bracket: Tuple[Fraction, Fraction]
     iterations: int

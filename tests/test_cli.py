@@ -609,20 +609,20 @@ class TestParser:
         argv = PARSER_ARGV[name]
         plain = cli._plain_args(argv)
         assert plain is not None
-        assert plain == cli.build_parser().parse_args(argv)
+        assert vars(plain) == vars(cli.build_parser().parse_args(argv))
 
     def test_golden_lines_are_plain(self):
         parser = cli.build_parser()
         for args, _ in GOLDEN_STDOUT:
             plain = cli._plain_args(list(args))
             assert plain is not None, args
-            assert plain == parser.parse_args(list(args)), args
+            assert vars(plain) == vars(parser.parse_args(list(args))), args
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(argv=command_lines())
     def test_plain_parse_is_argparses(self, argv):
         # Whenever the plain parse takes a line, argparse accepts it too and
-        # builds the same namespace.
+        # builds the same attributes.
         plain = cli._plain_args(argv)
         if plain is None:
             return
@@ -631,7 +631,7 @@ class TestParser:
                 full = cli.build_parser().parse_args(argv)
             except SystemExit:
                 raise AssertionError(f"argparse rejects {argv}: {err.getvalue()}")
-        assert plain == full
+        assert vars(plain) == vars(full)
 
     @pytest.mark.parametrize("spelling", [["--model=ideal"], ["--mod", "ideal"]],
                              ids=["equals", "abbreviated"])
@@ -717,13 +717,23 @@ class TestGoldenBytes:
 def test_cold_imports():
     # The CLI imports neither numpy.ma nor numpy.random at startup, and a
     # Monte Carlo run does not import numpy.ma.  Plain command lines never
-    # reach argparse, whose messages import locale through gettext.
+    # reach argparse, whose messages import locale through gettext.  The
+    # records are NamedTuples, so neither the import nor a plain command
+    # line loads dataclasses or argparse, unless numpy alone does.
+    numpy_loads = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, timeout=600, env=ENV,
+    ).stdout.split()
+    unused = [m for m in ("dataclasses", "argparse") if m not in numpy_loads]
     script = (
         "import contextlib, io, sys\n"
         "from fractions import Fraction\n"
+        f"UNUSED = {unused!r}\n"
         "import erasurechain.cli\n"
         "assert 'numpy.ma' not in sys.modules, 'cli imports numpy.ma'\n"
         "assert 'numpy.random' not in sys.modules, 'cli imports numpy.random'\n"
+        "loaded = [m for m in UNUSED if m in sys.modules]\n"
+        "assert not loaded, f'cli imports {loaded}'\n"
         "from erasurechain.erasure_model import ModelParams\n"
         "from erasurechain.montecarlo import simulate\n"
         "simulate(ModelParams.lossy(Fraction(1, 10), Fraction(1, 7)), 1000, 1)\n"
@@ -734,6 +744,8 @@ def test_cold_imports():
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert erasurechain.cli.main(argv) == 0, argv\n"
         "assert 'locale' not in sys.modules, 'a plain command line imports locale'\n"
+        "loaded = [m for m in UNUSED if m in sys.modules]\n"
+        "assert not loaded, f'a plain command line imports {loaded}'\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=600, env=ENV

@@ -9,8 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dataclasses
-
 import erasurechain.correction_circuits as correction_circuits
 import erasurechain.erasure_model as erasure_model
 import erasurechain.markov_engine as markov_engine
@@ -647,7 +645,7 @@ class TestSharedClassTable:
 
     def test_shared_table_is_read_only(self):
         table = build_classes(Model.LOSSY)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             table.fail_id = 0
         with pytest.raises(TypeError):
             table.index[CLEAN_PATTERN] = table.fail_id
