@@ -447,9 +447,8 @@ def _fold_gates(pairs, sites: int, gate: GateTable) -> Tuple[Dict[Tuple[Erasure,
 def _unscaled(local: Dict[Tuple[Erasure, ...], Poly], scale: int) -> LocalOutcomes:
     """The local outcomes, each divided in place by the fold's ``scale``."""
     if scale > 1:
-        inverse = Poly.constant(Fraction(1, scale))
         for statuses, prob in local.items():
-            local[statuses] = prob * inverse
+            local[statuses] = prob / scale
     return tuple(local.items())
 
 

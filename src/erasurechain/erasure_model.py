@@ -29,7 +29,9 @@ identical class-level outcome distribution under one correction attempt.
 An outcome moves a code by an offset fixed by the step (``code_offsets``),
 so a row is built once per target status and the classes the outcomes land
 in, and a per-class sum once per local table and grouping of its entries
-(15 rows and 29 sums for the lossy model).
+(15 rows and 29 sums for the lossy model).  Every failing code projects
+to the sink row, so the check projects only code 0 and the live codes
+one by one, and the failing codes once per class that holds them.
 Each circuit applies one gate table to every helper, so a local outcome's
 probability depends only on its orbit under permuting the helpers, and the
 signature grouping lumps every construction the gate tables can express.
@@ -245,13 +247,15 @@ def all_patterns(model: Model) -> List[Pattern]:
     return list(product(alphabet, repeat=N_QUBITS))
 
 
-def code_layout(model: Model) -> Tuple[Dict[Erasure, int], Tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def code_layout(model: Model) -> Tuple[Mapping[Erasure, int], Tuple[int, ...]]:
     """A pattern's code, its index in ``all_patterns``, is the sum over
     qubits of the digit of its status (the status's place in the model's
     alphabet) times the qubit's place value, qubit 1 most significant.
-    Returns the digits and the place values of qubits 1 to 7."""
+    Returns the digits, read-only and shared per model, and the place
+    values of qubits 1 to 7."""
     alphabet = MODEL_ALPHABET[model]
-    digit = {status: d for d, status in enumerate(alphabet)}
+    digit = MappingProxyType({status: d for d, status in enumerate(alphabet)})
     return digit, tuple(len(alphabet) ** (N_QUBITS - q) for q in range(1, N_QUBITS + 1))
 
 
@@ -273,6 +277,7 @@ def code_offsets(model: Model, local) -> List[int]:
     ]
 
 
+@lru_cache(maxsize=None)
 def live_codes(model: Model) -> Tuple[int, ...]:
     """The codes ``select_step`` gives a step, in code order; every other
     nonzero code is a procedure failure (ABORT) and code 0 is DONE.
@@ -288,6 +293,15 @@ def live_codes(model: Model) -> Tuple[int, ...]:
             erased = [[d * places[q] for d in digits] for q in range(N_QUBITS) if mask >> q & 1]
             live.extend(map(sum, product(*erased)))
     return tuple(sorted(live))
+
+
+@lru_cache(maxsize=None)
+def failing_codes(model: Model) -> Tuple[int, ...]:
+    """The nonzero codes ``live_codes`` leaves out, in code order: the
+    procedure failures, each of which one attempt sends to the fail sink."""
+    live = set(live_codes(model))
+    total = len(MODEL_ALPHABET[model]) ** N_QUBITS
+    return tuple([code for code in range(1, total) if code not in live])
 
 
 # ----------------------------------------------------------------------
@@ -484,7 +498,7 @@ def _projector(table: ClassTable, cls: Sequence[int], attempts) -> Callable[[int
                 memo = (key, tuple(entries[cid]))
                 total = sums.get(memo)
                 if total is None:
-                    total = sums[memo] = sum([outcomes[i][1] for i in entries[cid]], Poly.zero())
+                    total = sums[memo] = Poly.sum([outcomes[i][1] for i in entries[cid]])
                 row.append((cid, total))
             row = rows[key, classes] = tuple(row)
         return row
@@ -518,10 +532,18 @@ def verify_class_soundness(table: ClassTable, config=None) -> ClassRows:
 
 def _verified_rows(table: ClassTable, cls: Sequence[int], attempts) -> ClassRows:
     """``verify_class_soundness`` on the class id of every code and
-    ``_decided``'s attempts."""
+    ``_decided``'s attempts, keyed by the live codes.  Only code 0 and the
+    live codes are projected one by one; the failing codes
+    (``failing_codes``) are checked through the classes that hold them."""
     project = _projector(table, cls, attempts)
     references = [project(_code(c.representative, table.model)) for c in table.classes]
-    bad = {code for code, cid in enumerate(cls) if project(code) != references[cid]}
+    bad = {code for code in (0, *attempts) if project(code) != references[cls[code]]}
+    # Every failing code projects to the sink row, so one code per class
+    # holding any checks them all; only a class that disagrees lists them.
+    failing = failing_codes(table.model)
+    for cid, code in dict(zip(map(cls.__getitem__, failing), failing)).items():
+        if project(code) != references[cid]:
+            bad.update([other for other in failing if cls[other] == cid])
     verified = []
     for c, reference in zip(table.classes, references):
         for p in c.members if bad else ():
@@ -530,9 +552,7 @@ def _verified_rows(table: ClassTable, cls: Sequence[int], attempts) -> ClassRows
                     f"class {c.label!r}: {format_pattern(p)} disagrees with "
                     f"{format_pattern(c.representative)}"
                 )
-        total = Poly.zero()
-        for _, prob in reference:
-            total = total + prob
+        total = Poly.sum([prob for _, prob in reference])
         if total != Poly.one():
             raise ValueError(f"transition row of class {c.label} sums to {total}, not 1")
         verified.append(MappingProxyType(dict(reference)))
@@ -586,9 +606,7 @@ def initial_distribution(
     if table.model is not params.model:
         raise ValueError("class table and params disagree on the model")
     marginals = qubit_marginals(params, config)
-    total = Poly.zero()
-    for prob in marginals.values():
-        total = total + prob
+    total = Poly.sum(marginals.values())
     if total != Poly.one():
         raise ValueError(f"the qubit marginals sum to {total}, not 1")
     alphabet = MODEL_ALPHABET[params.model]

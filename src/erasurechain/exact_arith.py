@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, List, Tuple
+from math import lcm
+from typing import Dict, Iterable, List, Tuple
 
 Exponent = Tuple[int, int]
 
@@ -139,6 +140,52 @@ class Poly:
         return result
 
     __rmul__ = __mul__
+
+    def __truediv__(self, k: int) -> "Poly":
+        """Each term divided by the nonzero int ``k``, one reduction per term
+        (``p * Fraction(1, k)`` reduces twice per term)."""
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise TypeError(f"a Poly divides only by an int, got {k!r}")
+        if not k:
+            raise ZeroDivisionError("Poly division by zero")
+        out: Dict[Exponent, RationalLike] = {}
+        for exp, c in self.terms.items():
+            q = Fraction(c.numerator, c.denominator * k)
+            out[exp] = q.numerator if q.denominator == 1 else q
+        result = Poly.__new__(Poly)
+        result.terms = out
+        return result
+
+    @staticmethod
+    def sum(polys: Iterable["Poly"]) -> "Poly":
+        """The sum of ``polys``, one reduction per term: a term's
+        coefficients are added as numerators over the lcm of their
+        denominators, where a chain of ``+`` reduces a ``Fraction`` at
+        every step."""
+        parts: Dict[Exponent, List[RationalLike]] = {}
+        for p in polys:
+            for exp, c in p.terms.items():
+                group = parts.get(exp)
+                if group is None:
+                    parts[exp] = [c]
+                else:
+                    group.append(c)
+        out: Dict[Exponent, RationalLike] = {}
+        for exp, group in parts.items():
+            if len(group) == 1:
+                out[exp] = group[0]
+                continue
+            den = lcm(*[c.denominator for c in group])
+            if den == 1:
+                total = sum(group)
+            else:
+                total = Fraction(sum([c.numerator * (den // c.denominator) for c in group]), den)
+                total = total.numerator if total.denominator == 1 else total
+            if total:
+                out[exp] = total
+        result = Poly.__new__(Poly)
+        result.terms = out
+        return result
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):

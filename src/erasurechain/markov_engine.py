@@ -12,12 +12,16 @@ from one elimination: a fraction-free (Bareiss) pass over the bordered
 absorbing system, scaled to integer polynomials in eps and evaluated at
 the single point eps = 2^w, so the pass runs on plain ints.  Every entry
 it computes is a minor, whose coefficients fit a signed w-bit slot, so
-the determinants are read back exactly from the slots of two ints.  A
-chain in eps alone (ideal, or lossy on the delta = eps diagonal) gives
-the rate as one rational function N/D; series are its Taylor division,
-numeric rates (what threshold searches use) are N(x)/D(x) by Horner on
-integers, and concatenation reads a rate certified nondecreasing on
-[0, 1] at the two ends of an interval of rates.
+the determinants are read back exactly from the slots of two ints.  The
+rows are read straight off the terms of the chain entries.  The class
+chains are sparse, and a row whose pivot-column entry is zero skips that
+step and is brought up to date only when it is next used: 25 or 26 of
+the 45 row updates of a lossy diagonal pass skip.  A chain in eps alone
+(ideal, or lossy on the delta = eps diagonal) gives the rate as one
+rational function N/D; series are its Taylor division, numeric rates
+(what threshold searches use) are N(x)/D(x) by Horner on integers, and
+concatenation reads a rate certified nondecreasing on [0, 1] at the two
+ends of an interval of rates.
 
 Every chain is one substitution.  ``build_classes`` verifies the class
 table at symbolic rates and keeps the rows it verified, one exact
@@ -120,21 +124,21 @@ def _solve(chain: TransitionMatrix):
     M stacks each transient row [I - Q | r] (r is the column into the fail
     class) on the border row [-c | c0] (the injected mass on the transient
     classes and on the fail class); A is its top-left transient block.
-    Each row is scaled to integer coefficients (``_eps_row``); s is the
-    border row's scale.  ``_eliminate`` gives det(M) and det(A).  By the
-    Schur complement det(M) / det(A) = s * (c0 + c^T A^-1 r), the
-    absorption probability.
+    Each row is scaled to integer coefficients straight from the terms of
+    its entries (``_eps_row``); s is the border row's scale.
+    ``_eliminate`` gives det(M) and det(A).  By the Schur complement
+    det(M) / det(A) = s * (c0 + c^T A^-1 r), the absorption probability.
     """
     initial = initial_distribution(chain.params, chain.table, chain.config)
     clean_id, fail_id = chain.absorbing
     transient = [i for i in range(chain.size) if i not in (clean_id, fail_id)]
 
-    zero, one = Poly.zero(), Poly.one()
+    zero = Poly.zero()
     rows = []
-    for i in transient:
-        row = [(one if i == j else zero) - chain.P[i][j] for j in transient]
-        rows.append(_eps_row(row + [chain.P[i][fail_id]])[0])
-    border = [-initial.get(j, zero) for j in transient] + [initial.get(fail_id, zero)]
+    for unit, i in enumerate(transient):
+        P = chain.P[i]
+        rows.append(_eps_row([P[j] for j in transient] + [P[fail_id]], unit)[0])
+    border = [initial.get(j, zero) for j in transient] + [initial.get(fail_id, zero)]
     values, scale = _eps_row(border)
     rows.append(values)
     det_m, det_a = _eliminate(rows)
@@ -157,27 +161,52 @@ def _eliminate(rows: List[List[List[int]]]) -> Tuple[List[int], List[int]]:
     room for them with a sign.  Signed base-2^w digits of that size are
     unique, so an entry is 0 exactly when its polynomial is, and each
     ``//`` is the exact polynomial quotient evaluated at 2^w.
+
+    Step k of Bareiss sets each row below the pivot to
+    (row * p_k - f * top) / p_(k-1), where f is the row's entry in the
+    pivot column and p_k the k-th pivot (p_(-1) = 1).  A row with f = 0 is
+    only scaled by p_k / p_(k-1), so it is skipped and keeps its level l,
+    the step its entries are up to date with.  Its level-k entries are its
+    level-l entries times p_(k-1) / p_(l-1), the product of the skipped
+    scalings, and a nonzero factor keeps every zero, so the pivot search,
+    swaps and signs are those of the full pass.  Its next real update
+    folds the skipped scalings into the divisor: with f and row at level
+    l, (row * p_k - f * top) / p_(l-1) is the level k + 1 row.  A row
+    about to become the pivot, and the border row at the end, is brought
+    up to date by * p_(k-1) // p_(l-1).  Each of these is a polynomial
+    identity whose quotient is a minor, so every ``//`` stays exact.
     """
     bound = prod(max(1, sum(abs(c) for entry in row for c in entry)) for row in rows)
     w = bound.bit_length() + 2
     M = [[_pack(entry, w) for entry in row] for row in rows]
     m = len(M) - 1
-
-    prev = 1
+    # pivots[k] is p_(k-1); level[r] is the step row r is up to date with.
+    pivots = [1]
+    level = [0] * (m + 1)
     for k in range(m):
         pivot = next((r for r in range(k, m) if M[r][k]), None)
         if pivot is None:
             raise ValueError("singular transient system")
         M[k], M[pivot] = M[pivot], M[k]
+        level[k], level[pivot] = level[pivot], level[k]
         top = M[k]
+        if level[k] < k:
+            scale, divisor = pivots[k], pivots[level[k]]
+            top[k:] = [entry * scale // divisor for entry in top[k:]]
         p = top[k]
         for r in range(k + 1, m + 1):
             row = M[r]
             f = row[k]
-            for j in range(k + 1, m + 1):
-                row[j] = (row[j] * p - f * top[j]) // prev
-        prev = p
-    return _unpack(M[m][m], w), _unpack(prev, w)
+            if f:
+                prev = pivots[level[r]]
+                for j in range(k + 1, m + 1):
+                    row[j] = (row[j] * p - f * top[j]) // prev
+                level[r] = k + 1
+        pivots.append(p)
+    corner = M[m][m]
+    if level[m] < m:
+        corner = corner * pivots[m] // pivots[level[m]]
+    return _unpack(corner, w), _unpack(pivots[m], w)
 
 
 def _pack(coeffs: List[int], w: int) -> int:
@@ -200,17 +229,25 @@ def _unpack(value: int, w: int) -> List[int]:
     return out
 
 
-def _eps_row(row: List[Poly]) -> Tuple[List[List[int]], int]:
-    """The row's coefficient lists, lowest degree first, times the lcm of
-    its coefficient denominators, and that lcm."""
-    scale = lcm(*(c.denominator for entry in row for c in entry.terms.values()))
+def _eps_row(entries: List[Poly], unit: Optional[int] = None) -> Tuple[List[List[int]], int]:
+    """The row [u - e_0, ..., u - e_(n-2), e_(n-1)] of coefficient lists,
+    lowest degree first, times the lcm s of its coefficient denominators,
+    and s.  u is 1 at column ``unit`` and 0 elsewhere, so a transient row
+    [I - Q | r] is its chain entries and the border row [-c | c0] the
+    injected masses; each list is read off the entry's terms.
+    """
+    scale = lcm(*[c.denominator for entry in entries for c in entry.terms.values()])
+    last = len(entries) - 1
     out = []
-    for entry in row:
-        coeffs = [0] * (entry.total_degree() + 1)
+    for col, entry in enumerate(entries):
+        coeffs = [0] * max([i + 1 for i, _ in entry.terms], default=1)
+        sign = 1 if col == last else -1
         for (i, j), c in entry.terms.items():
             if j:
                 raise ValueError("failure_rate needs a chain in eps alone; it has a delta term")
-            coeffs[i] = c.numerator * (scale // c.denominator)
+            coeffs[i] = sign * c.numerator * (scale // c.denominator)
+        if col == unit:
+            coeffs[0] += scale
         out.append(coeffs)
     return out, scale
 

@@ -36,6 +36,7 @@ from erasurechain.erasure_model import (
     build_classes,
     class_rows,
     classify,
+    failing_codes,
     format_pattern,
     infer_model,
     initial_distribution,
@@ -231,6 +232,39 @@ class TestBuildClasses:
         with pytest.raises(ClassUnsound):
             verify_class_soundness(bad)
 
+    @pytest.mark.parametrize(
+        "model, text, label",
+        [
+            (Model.IDEAL, "....MMM", "w1"),
+            (Model.IDEAL, "M......", "fail"),
+            (Model.LOSSY, "....ZZZ", "[0,1]"),
+            (Model.LOSSY, "EE.....", "fail"),
+        ],
+        ids=[
+            "ideal-failure-into-w1",
+            "ideal-live-into-fail",
+            "lossy-failure-into-[0,1]",
+            "lossy-live-into-fail",
+        ],
+    )
+    def test_soundness_verifier_names_a_moved_pattern(self, model, text, label):
+        # A procedure failure moved into a live class projects to the sink
+        # row, and a live pattern moved into the fail class takes a step:
+        # either disagrees with its new class's representative, and the
+        # report names it.
+        table = build_classes(model)
+        moved = parse_pattern(text)
+        target = next(c.id for c in table.classes if c.label == label)
+        assert table.index[moved] != target
+        classes = []
+        for c in table.classes:
+            members = tuple(p for p in c.members if p != moved)
+            classes.append(c._replace(members=members + ((moved,) if c.id == target else ())))
+        bad = ClassTable(model, classes, table.clean_id, table.fail_id)
+        assert bad.index[moved] == target
+        with pytest.raises(ClassUnsound, match=re.escape(f"class {label!r}: {text} disagrees")):
+            verify_class_soundness(bad)
+
     def test_signature_grouping_lumps_every_helper_symmetric_table(self):
         # A circuit applies one gate table to each of its three helpers, so
         # every local table gives a written tuple (target, h1, h2, h3) the
@@ -365,6 +399,7 @@ class TestLiveCodes:
         stepped = [code for code, step in enumerate(steps) if isinstance(step, CorrectionStep)]
         assert stepped == list(live)
         assert (len(live), len(failing)) == ((56, 71) if model is Model.IDEAL else (322, 1864))
+        assert failing_codes(model) == tuple(failing)
         table = build_classes(model)
         assert table.classes[table.fail_id].members == tuple(patterns[code] for code in failing)
 

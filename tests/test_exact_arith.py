@@ -311,6 +311,53 @@ def test_polys_built_from_ints_and_fractions_agree(a, b):
         assert str(p) == str(q)
 
 
+def _assert_same_terms(got, want):
+    # Term for term, with the coefficient's type: an int where integral.
+    assert got.terms == want.terms
+    assert {e: type(c) for e, c in got.terms.items()} == {e: type(c) for e, c in want.terms.items()}
+    _assert_canonical(got)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(polys=st.lists(_MIXED_TERMS, max_size=6), data=st.data())
+def test_n_ary_sum_equals_the_chained_sum(polys, data):
+    polys = [Poly(terms) for terms in polys]
+    # Append some polys' negations so whole terms, or the sum, cancel.
+    negated = data.draw(st.lists(st.sampled_from(polys), max_size=3)) if polys else []
+    polys += [-p for p in negated]
+    _assert_same_terms(Poly.sum(polys), sum(polys, Poly.zero()))
+    _assert_same_terms(Poly.sum(iter(polys)), sum(polys, Poly.zero()))
+
+
+def test_n_ary_sum_of_nothing_and_of_a_cancelling_pair_is_zero():
+    assert Poly.sum([]).terms == {}
+    p = Poly({(1, 0): F(1, 3), (0, 2): 5})
+    assert Poly.sum([p, -p]).terms == {}
+    halves = Poly.sum([Poly.monomial(1, 0, F(1, 2))] * 2)
+    assert halves.terms == {(1, 0): 1} and type(halves.terms[(1, 0)]) is int
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(a=_MIXED_TERMS, k=st.integers(-12, 12).filter(bool))
+def test_division_by_an_int_is_the_product_with_its_inverse(a, k):
+    p = Poly(a)
+    _assert_same_terms(p / k, p * F(1, k))
+    _assert_same_terms(p / k * k, p)
+
+
+@pytest.mark.parametrize(
+    "divisor", [F(1, 2), 0.5, True, Poly.one()], ids=["Fraction", "float", "bool", "Poly"]
+)
+def test_division_takes_only_an_int(divisor):
+    with pytest.raises(TypeError, match="only by an int"):
+        Poly.eps() / divisor
+
+
+def test_division_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        Poly.eps() / 0
+
+
 def test_integral_results_are_ints():
     half = Poly.monomial(1, 0, F(1, 2))
     assert (half + half).terms == {(1, 0): 1}

@@ -6,7 +6,7 @@ from itertools import zip_longest
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import erasurechain.correction_circuits as correction_circuits
@@ -583,19 +583,88 @@ def bordered_matrices(draw):
     return rows
 
 
+_NONZERO_POLY = st.lists(_COEFFICIENT, min_size=1, max_size=7).filter(any)
+
+
+@st.composite
+def sparse_bordered_matrices(draw):
+    """Square matrices of integer polynomials, sizes 2-7, each entry zero
+    with probability 1/2, so rows skip Bareiss steps.
+
+    The transient block may be block triangular: zeros left of a split in
+    the rows below it make those rows skip the first steps, and zeros
+    right of it in the rows above it, and optionally in the border row on
+    the same columns, make the border skip the last steps.  Or the block
+    is upper triangular with a nonzero diagonal, so row r skips r steps in
+    a row and then becomes the pivot.
+    """
+    n = draw(st.integers(2, 7))
+    m = n - 1
+    entry = st.one_of(st.just([]), _NONZERO_POLY)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["sparse", "block", "triangular"]))
+    if shape == "block" and m >= 2:
+        split = draw(st.integers(1, m - 1))
+        if draw(st.booleans()):
+            for r in range(split, m):
+                rows[r][:split] = [[]] * split
+        else:
+            for r in range(split):
+                rows[r][split:m] = [[]] * (m - split)
+            if draw(st.booleans()):
+                rows[m][split:m] = [[]] * (m - split)
+    elif shape == "triangular":
+        for r in range(m):
+            rows[r][:r] = [[]] * r
+            rows[r][r] = draw(_NONZERO_POLY)
+    return rows
+
+
+def _check_elimination(rows):
+    try:
+        expected = naive_bareiss(rows)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular transient system"):
+            markov_engine._eliminate(rows)
+    else:
+        assert markov_engine._eliminate(rows) == expected
+
+
 class TestIntegerElimination:
     """``_eliminate`` runs Bareiss on the matrix packed at eps = 2^w."""
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(rows=bordered_matrices())
     def test_matches_list_polynomial_bareiss(self, rows):
-        try:
-            expected = naive_bareiss(rows)
-        except ValueError:
-            with pytest.raises(ValueError, match="singular transient system"):
-                markov_engine._eliminate(rows)
-        else:
-            assert markov_engine._eliminate(rows) == expected
+        _check_elimination(rows)
+
+    # Row 2 skips step 0 and is updated from its first level at step 1,
+    # row 3 skips steps 0-2 and becomes the last pivot, and the border row
+    # skips steps 2 and 3 and is brought up to date at the end.
+    @example(
+        rows=[
+            [[2], [1, 1], [], [], [1]],
+            [[1, 1], [0, 2], [], [], [2, 1]],
+            [[], [5], [1, -1], [4], [1]],
+            [[], [], [], [0, 0, 3], [7]],
+            [[1, 2], [3], [], [], [0, 1]],
+        ]
+    )
+    # A zero leading entry swaps the pivot, and the swapped-out row, which
+    # skipped step 0, is brought up to date before it pivots at step 1, as
+    # row 2 is before it pivots at step 2.
+    @example(
+        rows=[
+            [[], [1], [2, 1], [1]],
+            [[3], [1, 1], [1], [0, 1]],
+            [[], [], [1, 2], [5]],
+            [[1], [2], [], [1]],
+        ]
+    )
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(rows=sparse_bordered_matrices())
+    def test_sparse_rows_skip_steps_and_match_list_polynomial_bareiss(self, rows):
+        _check_elimination(rows)
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(w=st.integers(2, 200), data=st.data())
