@@ -569,6 +569,22 @@ def _plain_args(argv: List[str]) -> Optional[SimpleNamespace]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command line; 0 on success, 2 on a rejected input.
+
+    A command's heap holds no reference cycles worth collecting, so the
+    cyclic collector is off while it runs, and left as the caller had it
+    on every way out, argparse's ``SystemExit`` included.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv: Optional[List[str]]) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _plain_args(argv)

@@ -104,7 +104,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exact_arith import Poly
 from .erasure_model import (
@@ -483,23 +483,39 @@ def _z_recovery_outcomes(
 def _full_to_z_outcomes(params: ModelParams, config: FaultModel) -> LocalOutcomes:
     p_meas_fail = _loss_probability(params.delta, config.ancilla_detections)
     p_meas_ok = Poly.one() - p_meas_fail
-    local: Dict[Tuple[Erasure, ...], Poly] = {}
 
     # Site 0 is the target, 1-3 the helpers, 4 the register: its four
     # qubits share one site, since the measurement needs every one of them
     # intact and only their worst status matters (per_teleportation's
-    # modelling calls 1 and 2).
+    # modelling calls 1 and 2).  Only the register's site decides the
+    # readout and the target's folded status reaches no outcome, so the
+    # unmarked states are summed per helper statuses and each sum is
+    # multiplied by the readout's pass and fail probabilities once: by
+    # distributivity, each state's products summed.  An outcome takes its
+    # place in ``local`` from the first state giving it a nonzero
+    # probability, and a readout product comes before the marked states'
+    # probabilities, as when every state was multiplied on its own (the
+    # first state, all intact, leaves the register unmarked).
     coupling = gate_tables(params, config).coupling
     couplings = ((0, 4), (1, 4), (2, 4), (3, 4))
     folded, scale = _fold_gates(couplings, 5, coupling)
+    read = [(Erasure.Z_ERASED, p_meas_ok), (Erasure.FULL, p_meas_fail)]
+    read = [(status, p) for status, p in read if not p.is_zero()]
+    local: Dict[Tuple[Erasure, ...], List[Poly]] = {}
+    unmarked: Dict[Tuple[Erasure, ...], List[Poly]] = {}
     for state, prob in folded.items():
         helpers = state[1:4]
         if state[4] is Erasure.NONE:
-            _accumulate(local, (Erasure.Z_ERASED,) + helpers, prob * p_meas_ok)
-            _accumulate(local, (Erasure.FULL,) + helpers, prob * p_meas_fail)
+            unmarked.setdefault(helpers, []).append(prob)
+            for status, _ in read:
+                local.setdefault((status,) + helpers, [])
         else:
-            _accumulate(local, (Erasure.FULL,) + helpers, prob)
-    return _unscaled(local, scale)
+            local.setdefault((Erasure.FULL,) + helpers, []).append(prob)
+    for helpers, probs in unmarked.items():
+        total = Poly.sum(probs)
+        for status, p in read:
+            local[(status,) + helpers].insert(0, total * p)
+    return _unscaled({outcome: Poly.sum(parts) for outcome, parts in local.items()}, scale)
 
 
 def _place(pattern: Pattern, positions: Tuple[int, ...], local: LocalOutcomes) -> OutcomeDistribution:

@@ -23,7 +23,8 @@ masks give the live codes (56 ideal, 322 lossy; ``live_codes``), and every
 other nonzero code goes to the fail class in one pass, with no step.  Only
 a live pattern takes a step (``correction_circuits.select_step``) and is
 grouped by the correction signature read from it (weight for the ideal
-model, full/Z-erasure counts for the lossy model).  The same attempts
+model, full/Z-erasure counts for the lossy model); the live codes of one
+(target status, positions) share one attempt, 44 lossy and 16 ideal.  The same attempts
 check, exactly as polynomials, that every member of every class has the
 identical class-level outcome distribution under one correction attempt.
 An outcome moves a code by an offset fixed by the step (``code_offsets``),
@@ -46,19 +47,26 @@ them, so the attempt tables are expanded, and the rows checked, once per
 
 The partition is stated once, as each class's members.  A class's size,
 the table's pattern index and the census (every pattern; the fail class
-holds exactly the procedure failures) are read from them.  Because the
-classes partition the pattern space and the injected marginals sum to
-one, the fail class's initial mass is one minus the other classes'.
+holds exactly the procedure failures) are read from them.  The index is
+built on its first lookup: the build and its check read the class of each
+code from a code-indexed list, so a command that only builds, checks and
+solves never builds it.  ``initial_distribution`` checks the partition by
+counting the distinct members against the class sizes and the pattern
+count.  Because the classes partition the pattern space and the injected
+marginals sum to one, the fail class's initial mass is one minus the
+other classes'.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from enum import Enum, IntEnum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, product
+from itertools import chain, compress, product
+from math import lcm
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact_arith import Poly, coerce
 from .pauli_algebra import N_QUBITS, supports_logical
@@ -319,6 +327,31 @@ class EquivClass(NamedTuple):
         return len(self.members)
 
 
+class _PatternIndex(Mapping):
+    """Pattern -> class id of every member of ``classes``, in member order,
+    read-only; the dict is built on the first lookup."""
+
+    __slots__ = ("_classes", "_index")
+
+    def __init__(self, classes: Tuple[EquivClass, ...]):
+        self._classes = classes
+        self._index: Optional[Dict[Pattern, int]] = None
+
+    def _built(self) -> Dict[Pattern, int]:
+        if self._index is None:
+            self._index = {p: c.id for c in self._classes for p in c.members}
+        return self._index
+
+    def __getitem__(self, pattern: Pattern) -> int:
+        return self._built()[pattern]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __len__(self) -> int:
+        return len(self._built())
+
+
 class _ClassTableFields(NamedTuple):
     model: Model
     classes: Tuple[EquivClass, ...]
@@ -329,16 +362,16 @@ class _ClassTableFields(NamedTuple):
 
 class ClassTable(_ClassTableFields):
     """Classes in id order; their members are the partition of the pattern
-    space.  ``index``, the class id of every member, is read from them, so
-    the hash covers only the other four fields.  Read-only, since
-    ``build_classes`` shares one table among all its callers."""
+    space.  ``index``, the class id of every member, is read from them when
+    first looked up, so the hash covers only the other four fields.
+    Read-only, since ``build_classes`` shares one table among all its
+    callers."""
 
     __slots__ = ()
 
     def __new__(cls, model: Model, classes, clean_id: int, fail_id: int) -> "ClassTable":
         classes = tuple(classes)
-        index = MappingProxyType({p: c.id for c in classes for p in c.members})
-        return super().__new__(cls, model, classes, clean_id, fail_id, index)
+        return super().__new__(cls, model, classes, clean_id, fail_id, _PatternIndex(classes))
 
     def __hash__(self) -> int:
         return hash(self[:4])
@@ -447,12 +480,27 @@ def _class_table(model: Model, fault_model) -> Tuple[ClassTable, ClassRows]:
 
 def _decided(model: Model, fault_model) -> Tuple[List[Pattern], Dict[int, object]]:
     """``all_patterns``, and code -> ``correction_circuits.local_attempt`` at
-    symbolic rates for the live codes only, in code order."""
-    from .correction_circuits import local_attempt, outcome_tables
+    symbolic rates for the live codes only, in code order.
+
+    ``select_step`` decides each live pattern once; the codes of one
+    (target status, positions) share one LocalAttempt (44 lossy, 16 ideal).
+    """
+    from . import correction_circuits as circuits
 
     patterns = all_patterns(model)
-    tables = outcome_tables(ModelParams.symbolic(model), fault_model)
-    return patterns, {code: local_attempt(patterns[code], tables) for code in live_codes(model)}
+    tables = circuits.outcome_tables(ModelParams.symbolic(model), fault_model)
+    shared: Dict[tuple, object] = {}
+    attempts = {}
+    for code in live_codes(model):
+        pattern = patterns[code]
+        step = circuits.select_step(pattern)
+        key = pattern[step.target - 1]
+        local = shared.get((key, step.positions))
+        if local is None:
+            local = circuits.LocalAttempt(step.positions, key, tables[key])
+            shared[key, step.positions] = local
+        attempts[code] = local
+    return patterns, attempts
 
 
 def _code(pattern: Pattern, model: Model) -> int:
@@ -470,11 +518,10 @@ def _projector(table: ClassTable, cls: Sequence[int], attempts) -> Callable[[int
     table).  Members of one class may group their entries differently and
     still have equal sums, so rows compare sums, never groupings.
     """
-    from .correction_circuits import fail_sink
-
     unit = Poly.one()
     clean_row = ((cls[0], unit),)
-    sink_row = ((table.index[fail_sink(table.model)], unit),)
+    # The fail sink, every qubit at the alphabet's last status, is the last code.
+    sink_row = ((cls[-1], unit),)
     offsets: Dict[tuple, List[int]] = {}
     rows: Dict[tuple, tuple] = {}
     sums: Dict[tuple, Poly] = {}
@@ -598,10 +645,13 @@ def initial_distribution(
     among its members, each weighted by how many members share it.  The
     powers of each status's marginal are built once and shared by every
     class, so a composition's product is one product of those powers;
-    ``pattern_probability`` is the per-pattern form.  The fail class's mass
-    is one minus the others': the pattern probabilities sum to (sum of the
-    marginals)^7, which is one, and the classes partition the pattern
-    space.  ValueError if either of those does not hold.
+    ``pattern_probability`` is the per-pattern form.  The marginals are
+    first scaled to integer polynomials by the lcm s of their coefficient
+    denominators, so the products multiply ints, and each class's mass is
+    divided by s^7 once.  The fail class's mass is one minus the others':
+    the pattern probabilities sum to (sum of the marginals)^7, which is
+    one, and the classes partition the pattern space.  ValueError if
+    either of those does not hold.
     """
     if table.model is not params.model:
         raise ValueError("class table and params disagree on the model")
@@ -610,14 +660,20 @@ def initial_distribution(
     if total != Poly.one():
         raise ValueError(f"the qubit marginals sum to {total}, not 1")
     alphabet = MODEL_ALPHABET[params.model]
-    if not len(table.index) == sum(c.size for c in table.classes) == len(alphabet) ** N_QUBITS:
+    # Distinct members, counted in one pass, against the class sizes: a
+    # pattern in two classes, or in none, fails one of the two equalities.
+    members = [c.members for c in table.classes]
+    distinct = len(set(chain.from_iterable(members)))
+    if not distinct == sum(map(len, members)) == len(alphabet) ** N_QUBITS:
         raise ValueError("the classes' members do not partition the model's pattern space")
 
+    scale = lcm(*[c.denominator for m in marginals.values() for c in m.terms.values()])
     powers: Dict[Erasure, List[Poly]] = {}
     for status in alphabet:
+        base = marginals[status] * scale
         powers[status] = [Poly.one()]
         for _ in range(N_QUBITS):
-            powers[status].append(powers[status][-1] * marginals[status])
+            powers[status].append(powers[status][-1] * base)
     dist: Dict[int, Poly] = {}
     rest = Poly.one()
     for cls in table.classes:
@@ -627,12 +683,14 @@ def initial_distribution(
             for p in cls.members:
                 comp = tuple(map(p.count, alphabet))
                 multiplicity[comp] = multiplicity.get(comp, 0) + 1
+            terms = []
             for comp, count in multiplicity.items():
-                product = Poly.one()
+                product = Poly.constant(count)
                 for status, k in zip(alphabet, comp):
                     if k:
                         product = product * powers[status][k]
-                mass = mass + count * product
+                terms.append(product)
+            mass = Poly.sum(terms) / scale**N_QUBITS
             rest = rest - mass
         dist[cls.id] = mass
     dist[table.fail_id] = rest

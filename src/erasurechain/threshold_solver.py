@@ -15,8 +15,8 @@ A threshold is the noise rate where one level of encoding stops helping:
 Every rate is a ``FailureRate`` N/D: the chain's exact rational function,
 the measurement binomial tail, or a reference polynomial (D = 1), and so
 is every break-even line, so both sides are read by integer Horner.  Roots
-are found by exact bisection on Fraction arithmetic, so a sign is never
-ambiguous.
+are found by exact bisection on the integer sign of rate - target at each
+midpoint, so a sign is never ambiguous.
 
 Concatenation iterates a rate N/D level by level.  The exact level-k rate
 grows 7-40x in bit length per level, so ``concat_projection`` carries an
@@ -111,8 +111,13 @@ def solve_break_even(
 
     Requires a sign change of rate(x) - condition(x) across the bracket
     and tightens it to width <= tol; exact arithmetic makes the procedure
-    deterministic.  ``config`` is the FaultModel whose
-    construction sets the lossy-gate target (default accounting if None).
+    deterministic.  ``rate`` is anything with ``FailureRate.point``; the
+    sign of rate - target at p/q is that of n*b - a*d for the unreduced
+    (n, d) and (a, b) the two give there, with d, b > 0.  The bracket is
+    carried as integer numerators over one denominator that doubles per
+    step, so no midpoint builds or reduces a Fraction.  ``config`` is the
+    FaultModel whose construction sets the lossy-gate target (default
+    accounting if None).
     """
     lo, hi = Fraction(bracket[0]), Fraction(bracket[1])
     if not lo < hi:
@@ -121,31 +126,45 @@ def solve_break_even(
         raise ValueError("tol must be positive")
 
     target = condition.target(config)
-    g_lo = rate(lo) - target(lo)
-    g_hi = rate(hi) - target(hi)
-    if g_lo == 0:
+
+    def g(p: int, q: int) -> Tuple[int, int]:
+        """rate - target at p/q as (numerator, denominator > 0), unreduced."""
+        n, d = rate.point(p, q)
+        a, b = target.point(p, q)
+        return n * b - a * d, d * b
+
+    # The bracket is [a/q, b/q].
+    q = lo.denominator * hi.denominator
+    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    (g_lo, d_lo), (g_hi, d_hi) = g(a, q), g(b, q)
+    if not g_lo:
         return ThresholdResult(lo, (lo, lo), 0, condition)
-    if g_hi == 0:
+    if not g_hi:
         return ThresholdResult(hi, (hi, hi), 0, condition)
-    if (g_lo < 0) == (g_hi < 0):
+    negative = g_lo < 0
+    if negative == (g_hi < 0):
         raise NoSignChange(
             f"no sign change on [{float(lo):.6g}, {float(hi):.6g}]: "
-            f"g(lo)={float(g_lo):.6g}, g(hi)={float(g_hi):.6g}",
+            f"g(lo)={float(Fraction(g_lo, d_lo)):.6g}, g(hi)={float(Fraction(g_hi, d_hi)):.6g}",
             target,
         )
 
+    # Halve until hi - lo <= tol = t/u; each step doubles q.
+    t, u = tol.numerator, tol.denominator
     iterations = 0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        g_mid = rate(mid) - target(mid)
+    while (b - a) * u > t * q:
+        mid, a, b, q = a + b, 2 * a, 2 * b, 2 * q
+        g_mid = g(mid, q)[0]
         iterations += 1
-        if g_mid == 0:
-            return ThresholdResult(mid, (mid, mid), iterations, condition)
-        if (g_mid < 0) == (g_lo < 0):
-            lo, g_lo = mid, g_mid
+        if not g_mid:
+            root = Fraction(mid, q)
+            return ThresholdResult(root, (root, root), iterations, condition)
+        if (g_mid < 0) == negative:
+            a = mid
         else:
-            hi = mid
-    return ThresholdResult((lo + hi) / 2, (lo, hi), iterations, condition)
+            b = mid
+    bracket = (Fraction(a, q), Fraction(b, q))
+    return ThresholdResult(Fraction(a + b, 2 * q), bracket, iterations, condition)
 
 
 # Finest grid, 2^-_GRID_BITS, that concat_projection rounds a rate to: below

@@ -237,10 +237,13 @@ def _full_chain_root(model, config=DEFAULT_FAULT_MODEL, verify=False):
     if verify:
         verify_class_soundness(build_chain(params(), config=config).table, config)
 
-    def rate(x):
-        return encoded_failure_at(build_chain(params(x), config=config))
+    class ChainAtPoint:
+        @staticmethod
+        def point(p, q):
+            x = encoded_failure_at(build_chain(params(F(p, q)), config=config))
+            return x.numerator, x.denominator
 
-    return solve_break_even(rate, condition, default_bracket(condition), config=config)
+    return solve_break_even(ChainAtPoint, condition, default_bracket(condition), config=config)
 
 
 def _coefficient_table(name, computed, reference):

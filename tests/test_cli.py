@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import erasurechain
-from erasurechain import cli
+from erasurechain import cli, erasure_model
 from erasurechain.cli import main
 from erasurechain.erasure_model import (
     Classification, Model, all_patterns, build_classes, classify, format_pattern,
@@ -751,3 +752,112 @@ def test_cold_imports():
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=600, env=ENV
     )
     assert done.returncode == 0, done.stderr
+
+
+EXACT_LOSSY_COMMANDS = [
+    ("classes", "--model", "lossy"),
+    ("series", "--model", "lossy", "--order", "6"),
+    ("threshold", "--model", "lossy"),
+    ("threshold", "--model", "lossy", "--circuit-config", ALT_CONFIG),
+]
+
+
+@pytest.fixture
+def fresh_class_tables():
+    """No class table cached, so a command builds its own; the tables it
+    leaves are dropped afterwards."""
+    erasure_model._class_table.cache_clear()
+    yield
+    erasure_model._class_table.cache_clear()
+
+
+@pytest.mark.parametrize("args", EXACT_LOSSY_COMMANDS, ids=" ".join)
+def test_lossy_commands_never_build_the_pattern_index(
+    args, fresh_class_tables, monkeypatch, capsys
+):
+    def built(self):
+        raise AssertionError("the pattern index was built")
+
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.setattr(erasure_model._PatternIndex, "_built", built)
+    assert main(list(args)) == 0
+    assert capsys.readouterr().err == ""
+
+
+class TestCollector:
+    """``main`` runs with the cyclic collector off and leaves it as the
+    caller had it, whichever way it returns."""
+
+    @pytest.fixture(autouse=True)
+    def _restore(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["classify", "..Z..E."], 0),
+            (["threshold", "--model", "ideal", "--tol", "0"], 2),  # CliError
+            (["classify", "..X!..."], 2),  # ValueError
+        ],
+        ids=["exit-0", "cli-error", "value-error"],
+    )
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_returns(self, argv, code, enabled, monkeypatch, capsys):
+        inside = []
+        real = cli._load_config
+
+        def spy(path):
+            inside.append(gc.isenabled())
+            return real(path)
+
+        monkeypatch.setattr(cli, "_load_config", spy)
+        (gc.enable if enabled else gc.disable)()
+        assert main(argv) == code
+        assert inside == [False]
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--help"], 0), (["threshold", "--bogus", "1"], 2)],
+        ids=["help", "bad-flag"],
+    )
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_argparse_exit(self, argv, code, enabled, capsys):
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        assert gc.isenabled() is enabled
+
+    def test_escaping_exception(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken")
+
+        monkeypatch.setattr(cli, "build_classes", broken)
+        gc.enable()
+        with pytest.raises(RuntimeError):
+            main(["classes", "--model", "ideal"])
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("args", EXACT_LOSSY_COMMANDS, ids=" ".join)
+    def test_no_collection_inside_a_lossy_command(
+        self, args, fresh_class_tables, monkeypatch, capsys
+    ):
+        # The class build, the solve and the bisection allocate freely, and
+        # no generation is ever collected.
+        monkeypatch.chdir(REPO_ROOT)
+        collections = []
+
+        def seen(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        gc.enable()
+        gc.callbacks.append(seen)
+        try:
+            assert main(list(args)) == 0
+        finally:
+            gc.callbacks.remove(seen)
+        assert collections == []

@@ -714,3 +714,108 @@ class TestIntegerFold:
         assert all(type(c) is int for p in dist.values() for c in p.terms.values())
         reference, _ = _fraction_fold(((0, 4), (1, 4), (2, 4), (3, 4)), 5, coupling)
         assert {k: p * F(1, scale) for k, p in dist.items()} == reference
+
+
+# Target and helpers, each joined to the register site.
+COUPLINGS = ((0, 4), (1, 4), (2, 4), (3, 4))
+
+
+def _per_state_full_to_z(params, config):
+    """Reference register readout: every folded coupling state multiplied
+    by the readout's pass and fail probabilities on its own, the products
+    accumulated in state order."""
+    p_meas_fail = correction_circuits._loss_probability(params.delta, config.ancilla_detections)
+    p_meas_ok = Poly.one() - p_meas_fail
+    coupling = gate_tables(params, config).coupling
+    folded, scale = correction_circuits._fold_gates(COUPLINGS, 5, coupling)
+    local = {}
+    for state, prob in folded.items():
+        helpers = state[1:4]
+        if state[4] is Erasure.NONE:
+            outcomes = ((Erasure.Z_ERASED, prob * p_meas_ok), (Erasure.FULL, prob * p_meas_fail))
+        else:
+            outcomes = ((Erasure.FULL, prob),)
+        for status, joint in outcomes:
+            if joint:
+                key = (status,) + helpers
+                local[key] = local[key] + joint if key in local else joint
+    return correction_circuits._unscaled(local, scale)
+
+
+def _terms(local):
+    """Outcomes in order, each with its terms and their coefficient types."""
+    return [
+        (statuses, [(exp, c, type(c)) for exp, c in prob.terms.items()])
+        for statuses, prob in local
+    ]
+
+
+def _readout_grid():
+    for construction, fractions in (
+        (Construction.PER_GATE, (F(0), F(1, 3), F(1))),
+        (Construction.PER_TELEPORTATION, (F(0),)),
+    ):
+        for detections, fraction in product(range(4), fractions):
+            kwargs = {"ancilla_detections": detections, "readout_detections": detections}
+            if construction is Construction.PER_GATE:
+                kwargs.update(helper_detections=detections, coupling_full_fraction=fraction)
+            yield FaultModel(construction=construction, **kwargs)
+
+
+READOUT_PARAMS = [
+    ModelParams.symbolic(Model.LOSSY),
+    ModelParams.lossy_diagonal(),
+    NUMERIC_LOSSY,
+    ModelParams.lossy(F(1, 3), F(1)),  # the register readout never passes
+    ModelParams.lossy(F(0), F(0)),
+]
+
+
+class TestRegisterReadout:
+    """The folded coupling states are summed per helper statuses before
+    the register readout multiplies them; the outcomes, their order and
+    every coefficient are those of multiplying state by state."""
+
+    @pytest.mark.parametrize("config", list(_readout_grid()), ids=str)
+    def test_matches_the_per_state_readout(self, config):
+        for params in READOUT_PARAMS:
+            got = correction_circuits._full_to_z_outcomes(params, config)
+            assert _terms(got) == _terms(_per_state_full_to_z(params, config)), params
+
+    @pytest.mark.parametrize(
+        "config, products, per_state",
+        [
+            (DEFAULT_FAULT_MODEL, 16, 32),
+            (ALT_CONFIG_FILE, 54, 162),
+            (FaultModel(construction=Construction.PER_TELEPORTATION), 2, 2),
+        ],
+        ids=["default", "alt", "per_teleportation"],
+    )
+    def test_register_products(self, config, products, per_state, monkeypatch):
+        # The products beyond the fold and the loss probability: one per
+        # helper statuses and readout result, not one per folded state.
+        params = ModelParams.symbolic(Model.LOSSY)
+        calls = []
+        mul = Poly.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counting)
+        monkeypatch.setattr(Poly, "__rmul__", counting)
+
+        def products_of(build):
+            del calls[:]
+            build()
+            return len(calls)
+
+        def setup():
+            correction_circuits._loss_probability(params.delta, config.ancilla_detections)
+            correction_circuits._fold_gates(COUPLINGS, 5, gate_tables(params, config).coupling)
+
+        base = products_of(setup)
+        assert products_of(
+            lambda: correction_circuits._full_to_z_outcomes(params, config)
+        ) - base == products
+        assert products_of(lambda: _per_state_full_to_z(params, config)) - base == per_state

@@ -1,4 +1,5 @@
 import json
+import pickle
 import re
 from collections import Counter
 from fractions import Fraction as F
@@ -18,6 +19,7 @@ from erasurechain.correction_circuits import (
     FaultModel,
     attempt,
     fail_sink,
+    local_attempt,
     outcome_tables,
     select_step,
 )
@@ -672,3 +674,151 @@ class TestModelParams:
     def test_rates_must_be_exact(self, build):
         with pytest.raises(TypeError, match="ints or Fractions"):
             build()
+
+
+class TestSharedAttempts:
+    """A build decides each live pattern's step once and shares one
+    LocalAttempt among the codes of one (target status, positions)."""
+
+    @pytest.mark.parametrize(
+        "model, config, distinct",
+        [
+            (Model.IDEAL, DEFAULT_FAULT_MODEL, 16),
+            (Model.LOSSY, DEFAULT_FAULT_MODEL, 44),
+            (Model.LOSSY, ALT_CONFIG, 44),
+            (Model.LOSSY, FaultModel(construction=Construction.PER_TELEPORTATION), 44),
+        ],
+        ids=["ideal", "lossy", "lossy-alt", "lossy-per_teleportation"],
+    )
+    def test_one_attempt_per_status_and_positions(self, model, config, distinct):
+        patterns, attempts = _decided(model, config)
+        assert list(attempts) == list(live_codes(model))
+        assert len({id(local) for local in attempts.values()}) == distinct
+        tables = outcome_tables(ModelParams.symbolic(model), config)
+        shared = {}
+        for code, local in attempts.items():
+            # Each is the pattern's own attempt, and the tables' own entry.
+            assert local == local_attempt(patterns[code], tables)
+            assert local.outcomes is tables[local.key]
+            assert shared.setdefault((local.key, local.positions), local) is local
+
+
+def _members_index(table):
+    return {p: c.id for c in table.classes for p in c.members}
+
+
+class TestPatternIndex:
+    """``ClassTable.index``: every member's class id, read-only, built on
+    the first lookup."""
+
+    @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+    def test_is_the_members_mapping(self, model):
+        table = build_classes(model)
+        fresh = ClassTable(table.model, table.classes, table.clean_id, table.fail_id)
+        expected = _members_index(table)
+        assert len(fresh.index) == len(expected) == len(MODEL_ALPHABET[model]) ** 7
+        assert fresh.index == expected
+        assert list(fresh.index) == [p for c in table.classes for p in c.members]
+        assert list(fresh.index.items()) == list(expected.items())
+        assert fresh.index.get(CLEAN_PATTERN) == table.clean_id
+        assert fresh.index.get((Erasure.NONE,) * 6) is None
+        assert fail_sink(model) in fresh.index
+        assert fresh == table and hash(fresh) == hash(table)
+
+    def test_read_only(self):
+        index = build_classes(Model.LOSSY).index
+        with pytest.raises(TypeError):
+            index[CLEAN_PATTERN] = 1
+        with pytest.raises(TypeError):
+            del index[CLEAN_PATTERN]
+        with pytest.raises(AttributeError):
+            index.update({CLEAN_PATTERN: 1})
+        assert index[CLEAN_PATTERN] == 0
+
+    @pytest.mark.parametrize("looked_up", [False, True], ids=["unbuilt", "built"])
+    def test_pickles_with_its_table(self, looked_up):
+        table = build_classes(Model.LOSSY)
+        fresh = ClassTable(table.model, table.classes, table.clean_id, table.fail_id)
+        if looked_up:
+            fresh.index[CLEAN_PATTERN]
+        copy = pickle.loads(pickle.dumps(fresh))
+        assert copy == table
+        assert hash(copy) == hash(table)
+        assert copy.index == _members_index(table)
+
+    def test_built_once_on_first_lookup(self, monkeypatch):
+        table = build_classes(Model.IDEAL)
+        fresh = ClassTable(table.model, table.classes, table.clean_id, table.fail_id)
+        builds = []
+        real = erasure_model._PatternIndex._built
+
+        def spy(self):
+            if self._index is None:
+                builds.append(1)
+            return real(self)
+
+        monkeypatch.setattr(erasure_model._PatternIndex, "_built", spy)
+        assert builds == []
+        assert fresh.index[CLEAN_PATTERN] == fresh.clean_id
+        assert len(fresh.index) == 128
+        assert builds == [1]
+
+
+# Marginal denominators' lcm: 1 (ideal symbolic), 2 (per_gate eps/2),
+# 3 (ideal at 1/3), 6 (per_gate at 1/3), 50 and 9.
+INTEGER_MASS_CASES = [
+    (Model.IDEAL, ModelParams.ideal(), None),
+    (Model.IDEAL, ModelParams.ideal(F(1, 3)), None),
+    (Model.LOSSY, ModelParams.lossy(), None),
+    (Model.LOSSY, ModelParams.lossy_diagonal(), None),
+    (Model.LOSSY, ModelParams.lossy(F(1, 3), F(1, 7)), None),
+    (Model.LOSSY, ModelParams.lossy(F(1, 25), F(1, 30)), None),
+    (Model.LOSSY, ModelParams.lossy(), FaultModel(coupling_full_fraction=F(1, 3))),
+    (Model.LOSSY, ModelParams.lossy_diagonal(), FaultModel(coupling_full_fraction=F(1, 3))),
+    (
+        Model.LOSSY,
+        ModelParams.lossy_diagonal(F(1, 3)),
+        FaultModel(construction=Construction.PER_TELEPORTATION),
+    ),
+]
+
+
+class TestIntegerMasses:
+    """The marginals are scaled to integer polynomials and each class mass
+    divided once; the masses are the per-pattern sums, coefficient types
+    included."""
+
+    @pytest.mark.parametrize(
+        "model, params, config",
+        INTEGER_MASS_CASES,
+        ids=[
+            "ideal", "ideal-third", "lossy", "diagonal", "numeric-third", "numeric",
+            "lossy-frac-third", "diagonal-frac-third", "per_teleportation-third",
+        ],
+    )
+    def test_masses_are_the_pattern_sums(self, model, params, config):
+        table = build_classes(model, config=config)
+        dist = initial_distribution(params, table, config)
+        assert list(dist) == [c.id for c in table.classes]
+        for cls in table.classes:
+            expected = Poly.sum([pattern_probability(p, params, config) for p in cls.members])
+            got = dist[cls.id]
+            assert got == expected, cls.label
+            assert [type(c) for c in got.terms.values()] == [
+                type(expected.terms[exp]) for exp in got.terms
+            ]
+
+    def test_one_pattern_duplicated_and_another_missing_rejected(self):
+        # The class sizes still add up to the pattern count.
+        table = build_classes(Model.LOSSY)
+        fail = table.classes[table.fail_id]
+        members = fail.members[1:] + (table.classes[table.clean_id].representative,)
+        assert len(members) == fail.size
+        classes = [
+            EquivClass(c.id, c.label, c.representative, members) if c is fail else c
+            for c in table.classes
+        ]
+        bad = ClassTable(table.model, classes, table.clean_id, table.fail_id)
+        assert sum(c.size for c in bad.classes) == 3**7
+        with pytest.raises(ValueError, match="do not partition the model's pattern space"):
+            initial_distribution(ModelParams.lossy(), bad)

@@ -373,3 +373,96 @@ class TestResultSerialization:
         assert data["condition"] == "measurement"
         assert data["iterations"] > 0
         assert float(F(data["root"])) == data["root_float"]
+
+
+def fraction_bisection(rate, condition, bracket, tol, config=None):
+    """Reference bisection on Fractions: g = rate - target is built and
+    compared at every midpoint.  Returns what ``solve_break_even`` returns,
+    or the NoSignChange message."""
+    lo, hi = F(bracket[0]), F(bracket[1])
+    target = condition.target(config)
+    g_lo, g_hi = rate(lo) - target(lo), rate(hi) - target(hi)
+    if g_lo == 0:
+        return (lo, (lo, lo), 0)
+    if g_hi == 0:
+        return (hi, (hi, hi), 0)
+    if (g_lo < 0) == (g_hi < 0):
+        return (
+            f"no sign change on [{float(lo):.6g}, {float(hi):.6g}]: "
+            f"g(lo)={float(g_lo):.6g}, g(hi)={float(g_hi):.6g}"
+        )
+    iterations = 0
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        g_mid = rate(mid) - target(mid)
+        iterations += 1
+        if g_mid == 0:
+            return (mid, (mid, mid), iterations)
+        if (g_mid < 0) == (g_lo < 0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return ((lo + hi) / 2, (lo, hi), iterations)
+
+
+def integer_bisection(rate, condition, bracket, tol, config=None):
+    try:
+        result = solve_break_even(rate, condition, bracket, tol, config)
+    except NoSignChange as exc:
+        return str(exc)
+    return (result.root, result.bracket, result.iterations)
+
+
+class TestIntegerSigns:
+    """The bisection reads sign(n*b - a*d) from the two sides' unreduced
+    points; midpoints, iterations, bracket and messages are those of the
+    Fraction bisection."""
+
+    @pytest.mark.parametrize(
+        "model, condition, config",
+        [
+            ("ideal", BreakEvenCondition.IDEAL_GATE, None),
+            ("lossy", BreakEvenCondition.LOSSY_GATE, None),
+            ("per_teleportation", BreakEvenCondition.LOSSY_GATE, PER_TELEPORTATION),
+            ("measurement", BreakEvenCondition.MEASUREMENT, None),
+        ],
+    )
+    @pytest.mark.parametrize("tol", [F(1, 10**6), F(1, 10**12), F(3, 7)], ids=str)
+    def test_chain_rates(self, model, condition, config, tol):
+        rate = rate_of(model)
+        for bracket in (default_bracket(condition), (F(1, 1000), F(1, 999))):
+            assert integer_bisection(rate, condition, bracket, tol, config) == fraction_bisection(
+                rate, condition, bracket, tol, config
+            )
+
+    @pytest.mark.parametrize(
+        "rate, bracket, tol",
+        [
+            (FailureRate([-1, 4], [2]), (F(0), F(1)), F(1, 10)),  # hits 1/2 on step 1
+            (FailureRate([-1, 4], [2]), (F(1, 2), F(3, 4)), F(1, 10)),  # root at lo
+            (FailureRate([-3, 8], [4]), (F(1, 8), F(3, 4)), F(1, 100)),  # root at hi
+            (SQUARE, (F(1, 2), F(7, 4)), F(5, 8)),  # width exactly tol after one step
+            (SQUARE, (F(1, 2), F(7, 4)), F(5, 32)),  # and after three
+            (SQUARE, (F(1, 3), F(5, 3)), F(1, 6)),  # hits 1 on step 1
+            (QUARTIC, (F(-1, 3), F(1, 3)), F(1, 10)),  # hits 0 on step 1
+            (QUARTIC, (F(1, 3), F(1, 2)), F(1, 10)),  # no sign change
+            (REFERENCE_SERIES_IDEAL, (F(1, 1000), F(1, 5)), F(1, 10**6)),
+            (REFERENCE_SERIES_LOSSY, (F(1, 100), F(3, 100)), F(1, 10**6)),
+        ],
+    )
+    def test_edge_brackets(self, rate, bracket, tol):
+        condition = BreakEvenCondition.IDEAL_GATE
+        expected = fraction_bisection(rate, condition, bracket, tol)
+        assert integer_bisection(rate, condition, bracket, tol) == expected
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        lo=st.fractions(0, 1, max_denominator=60),
+        width=st.fractions(F(1, 60), 1, max_denominator=60),
+        tol=st.fractions(F(1, 10**4), F(1, 2), max_denominator=10**4),
+    )
+    def test_random_brackets(self, lo, width, tol):
+        condition = BreakEvenCondition.MEASUREMENT
+        bracket = (lo, lo + width)
+        expected = fraction_bisection(MEASUREMENT_TAIL, condition, bracket, tol)
+        assert integer_bisection(MEASUREMENT_TAIL, condition, bracket, tol) == expected
