@@ -89,13 +89,24 @@ def _manifest(args, config: FaultModel) -> dict:
     }
 
 
+def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
+    """A JSON object that names each key once: a repeated key would hide
+    what the file said behind its last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated key {key!r}")
+        data[key] = value
+    return data
+
+
 def _load_config(path: Optional[str]) -> FaultModel:
     if path is None:
         return DEFAULT_FAULT_MODEL
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            data = json.load(fh, object_pairs_hook=_unique_keys)
+        except ValueError as exc:  # not JSON, not UTF-8, or a repeated key
             raise CliError(f"--circuit-config {path}: {exc}") from None
     return FaultModel.from_json(data)
 

@@ -131,26 +131,15 @@ class StepKind(Enum):
     Z_RECOVERY = "z_recovery"
 
 
-class _CorrectionStepFields(NamedTuple):
+class CorrectionStep(NamedTuple):
     kind: StepKind
     target: int
     helpers: Tuple[int, int, int]
-    positions: Tuple[int, ...]
 
-
-class CorrectionStep(_CorrectionStepFields):
-    # ``positions``, the qubits the step writes: the target, then the
-    # helpers.  Built once per step, which ``_step`` shares among all the
-    # patterns taking it.
-    __slots__ = ()
-
-    def __new__(
-        cls, kind: StepKind, target: int, helpers: Tuple[int, int, int]
-    ) -> "CorrectionStep":
-        return super().__new__(cls, kind, target, helpers, (target,) + helpers)
-
-    def __getnewargs__(self):
-        return self[:3]
+    @property
+    def positions(self) -> Tuple[int, ...]:
+        """The qubits the step writes: the target, then the helpers."""
+        return (self.target,) + self.helpers
 
 
 class Construction(Enum):

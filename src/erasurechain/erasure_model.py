@@ -45,16 +45,13 @@ beside the table (``class_rows``): every chain substitutes its rates into
 them, so the attempt tables are expanded, and the rows checked, once per
 (model, FaultModel).
 
-The partition is stated once, as each class's members.  A class's size,
-the table's pattern index and the census (every pattern; the fail class
-holds exactly the procedure failures) are read from them.  The index is
-built on its first lookup: the build and its check read the class of each
-code from a code-indexed list, so a command that only builds, checks and
-solves never builds it.  ``initial_distribution`` checks the partition by
-counting the distinct members against the class sizes and the pattern
-count.  Because the classes partition the pattern space and the injected
-marginals sum to one, the fail class's initial mass is one minus the
-other classes'.
+The partition is stated once, as each class's members: they are the only
+map from a pattern to its class, and a class's size and the census (every
+pattern; the fail class holds exactly the procedure failures) are read
+from them.  ``verify_class_soundness`` and ``initial_distribution`` raise
+ValueError unless the members partition the pattern space.  Because they
+do and the injected marginals sum to one, the fail class's initial mass is
+one minus the other classes'.
 """
 
 from __future__ import annotations
@@ -303,15 +300,6 @@ def live_codes(model: Model) -> Tuple[int, ...]:
     return tuple(sorted(live))
 
 
-@lru_cache(maxsize=None)
-def failing_codes(model: Model) -> Tuple[int, ...]:
-    """The nonzero codes ``live_codes`` leaves out, in code order: the
-    procedure failures, each of which one attempt sends to the fail sink."""
-    live = set(live_codes(model))
-    total = len(MODEL_ALPHABET[model]) ** N_QUBITS
-    return tuple([code for code in range(1, total) if code not in live])
-
-
 # ----------------------------------------------------------------------
 # Equivalence classes
 # ----------------------------------------------------------------------
@@ -327,57 +315,15 @@ class EquivClass(NamedTuple):
         return len(self.members)
 
 
-class _PatternIndex(Mapping):
-    """Pattern -> class id of every member of ``classes``, in member order,
-    read-only; the dict is built on the first lookup."""
+class ClassTable(NamedTuple):
+    """Classes in id order; their members are the partition of the pattern
+    space.  Read-only, since ``build_classes`` shares one table among all
+    its callers."""
 
-    __slots__ = ("_classes", "_index")
-
-    def __init__(self, classes: Tuple[EquivClass, ...]):
-        self._classes = classes
-        self._index: Optional[Dict[Pattern, int]] = None
-
-    def _built(self) -> Dict[Pattern, int]:
-        if self._index is None:
-            self._index = {p: c.id for c in self._classes for p in c.members}
-        return self._index
-
-    def __getitem__(self, pattern: Pattern) -> int:
-        return self._built()[pattern]
-
-    def __iter__(self):
-        return iter(self._built())
-
-    def __len__(self) -> int:
-        return len(self._built())
-
-
-class _ClassTableFields(NamedTuple):
     model: Model
     classes: Tuple[EquivClass, ...]
     clean_id: int
     fail_id: int
-    index: Mapping[Pattern, int]
-
-
-class ClassTable(_ClassTableFields):
-    """Classes in id order; their members are the partition of the pattern
-    space.  ``index``, the class id of every member, is read from them when
-    first looked up, so the hash covers only the other four fields.
-    Read-only, since ``build_classes`` shares one table among all its
-    callers."""
-
-    __slots__ = ()
-
-    def __new__(cls, model: Model, classes, clean_id: int, fail_id: int) -> "ClassTable":
-        classes = tuple(classes)
-        return super().__new__(cls, model, classes, clean_id, fail_id, _PatternIndex(classes))
-
-    def __hash__(self) -> int:
-        return hash(self[:4])
-
-    def __getnewargs__(self):
-        return self[:4]
 
     def to_json(self) -> dict:
         return {
@@ -474,7 +420,7 @@ def _class_table(model: Model, fault_model) -> Tuple[ClassTable, ClassRows]:
             cls[code] = cid
     members = tuple([p for p, cid in zip(patterns, cls) if cid == fail_id])
     classes.append(EquivClass(fail_id, "fail", fail_sink(model), members))
-    table = ClassTable(model=model, classes=classes, clean_id=0, fail_id=fail_id)
+    table = ClassTable(model=model, classes=tuple(classes), clean_id=0, fail_id=fail_id)
     return table, _verified_rows(table, cls, attempts)
 
 
@@ -562,32 +508,51 @@ def verify_class_soundness(table: ClassTable, config=None) -> ClassRows:
     ``c`` summed per target class.  Classes are checked in id order and
     members in table order; the first disagreement raises ClassUnsound and
     a row whose sum is not exactly ``Poly.one()`` raises ValueError naming
-    its class.  ``build_classes`` runs the same check on the attempts it
-    grouped its table with and keeps the rows (``class_rows``);
-    ``build_chain`` runs this on tables it is given.  ``attempt`` uses
-    only ring operations on eps and delta, and substituting values for
-    them commutes with the per-class sums, so a row at any ``ModelParams``
-    (numeric rates or the delta = eps diagonal) is the symbolic row with
-    the rates substituted: members that agree, and rows that sum to one,
-    as polynomials do so at every substitution.  An attempt leaves the
-    clean pattern as it is and sends a procedure failure to the fail sink,
-    so the clean and fail rows are identity rows.
+    its class.  Members that do not partition the model's pattern space (a
+    pattern in two classes, in none, or off the model's alphabet) raise
+    ValueError before any row is checked.  ``build_classes`` runs the same
+    check on the attempts it grouped its table with and keeps the rows
+    (``class_rows``); ``build_chain`` runs this on tables it is given.
+    ``attempt`` uses only ring operations on eps and delta, and
+    substituting values for them commutes with the per-class sums, so a
+    row at any ``ModelParams`` (numeric rates or the delta = eps diagonal)
+    is the symbolic row with the rates substituted: members that agree,
+    and rows that sum to one, as polynomials do so at every substitution.
+    An attempt leaves the clean pattern as it is and sends a procedure
+    failure to the fail sink, so the clean and fail rows are identity
+    rows.
     """
-    patterns, attempts = _decided(table.model, _fault_model(config))
-    return _verified_rows(table, [table.index[p] for p in patterns], attempts)
+    model = table.model
+    alphabet = frozenset(MODEL_ALPHABET[model])
+    # The class of every code, read from the members; None marks a code no
+    # member has landed on yet.
+    cls: List[Optional[int]] = [None] * len(alphabet) ** N_QUBITS
+    for c in table.classes:
+        for p in c.members:
+            code = _code(p, model) if len(p) == N_QUBITS and alphabet.issuperset(p) else None
+            if code is None or cls[code] is not None:
+                raise ValueError(_NOT_A_PARTITION)
+            cls[code] = c.id
+    if None in cls:
+        raise ValueError(_NOT_A_PARTITION)
+    _, attempts = _decided(model, _fault_model(config))
+    return _verified_rows(table, cls, attempts)
+
+
+_NOT_A_PARTITION = "the classes' members do not partition the model's pattern space"
 
 
 def _verified_rows(table: ClassTable, cls: Sequence[int], attempts) -> ClassRows:
     """``verify_class_soundness`` on the class id of every code and
     ``_decided``'s attempts, keyed by the live codes.  Only code 0 and the
-    live codes are projected one by one; the failing codes
-    (``failing_codes``) are checked through the classes that hold them."""
+    live codes are projected one by one; the failing codes, the nonzero
+    codes with no attempt, are checked through the classes that hold them."""
     project = _projector(table, cls, attempts)
     references = [project(_code(c.representative, table.model)) for c in table.classes]
     bad = {code for code in (0, *attempts) if project(code) != references[cls[code]]}
     # Every failing code projects to the sink row, so one code per class
     # holding any checks them all; only a class that disagrees lists them.
-    failing = failing_codes(table.model)
+    failing = [code for code in range(1, len(cls)) if code not in attempts]
     for cid, code in dict(zip(map(cls.__getitem__, failing), failing)).items():
         if project(code) != references[cid]:
             bad.update([other for other in failing if cls[other] == cid])
@@ -665,7 +630,7 @@ def initial_distribution(
     members = [c.members for c in table.classes]
     distinct = len(set(chain.from_iterable(members)))
     if not distinct == sum(map(len, members)) == len(alphabet) ** N_QUBITS:
-        raise ValueError("the classes' members do not partition the model's pattern space")
+        raise ValueError(_NOT_A_PARTITION)
 
     scale = lcm(*[c.denominator for m in marginals.values() for c in m.terms.values()])
     powers: Dict[Erasure, List[Poly]] = {}

@@ -40,16 +40,21 @@ def line_automorphisms():
 def ideal_singleton_table():
     """The unreduced ideal chain's table: one class per pattern (128)."""
     patterns = all_patterns(Model.IDEAL)
-    classes = [
+    classes = tuple(
         EquivClass(id=i, label=format_pattern(p), representative=p, members=(p,))
         for i, p in enumerate(patterns)
-    ]
+    )
     return ClassTable(
         model=Model.IDEAL,
         classes=classes,
         clean_id=patterns.index(CLEAN_PATTERN),
         fail_id=patterns.index(fail_sink(Model.IDEAL)),
     )
+
+
+def members_index(table):
+    """Pattern -> class id, read from the table's members."""
+    return {p: c.id for c in table.classes for p in c.members}
 
 
 @st.composite

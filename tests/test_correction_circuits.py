@@ -40,6 +40,8 @@ from erasurechain.erasure_model import (
 )
 from erasurechain.pauli_algebra import stabilizer_supports_weight4, supports_logical
 
+from conftest import members_index
+
 QUADS = [frozenset(s) for s in stabilizer_supports_weight4()]
 
 
@@ -328,20 +330,20 @@ class TestPermutationEquivariance:
             (Model.IDEAL, ModelParams.ideal()),
             (Model.LOSSY, ModelParams.lossy()),
         ):
-            table = build_classes(model)
+            index = members_index(build_classes(model))
             for p in all_patterns(model)[:: 53 if model is Model.LOSSY else 7]:
-                base = _projected(attempt(p, params), table)
+                base = _projected(attempt(p, params), index)
                 for perm in line_automorphisms[::41]:
                     q = [Erasure.NONE] * 7
                     for k in range(7):
                         q[perm[k] - 1] = p[k]
-                    assert _projected(attempt(tuple(q), params), table) == base
+                    assert _projected(attempt(tuple(q), params), index) == base
 
 
-def _projected(dist, table):
+def _projected(dist, index):
     rows = {}
     for q, prob in dist.items():
-        cid = table.index[q]
+        cid = index[q]
         rows[cid] = rows.get(cid, Poly.zero()) + prob
     return {cid: prob.key() for cid, prob in rows.items() if not prob.is_zero()}
 

@@ -1,5 +1,4 @@
 import json
-import pickle
 import re
 from collections import Counter
 from fractions import Fraction as F
@@ -38,7 +37,6 @@ from erasurechain.erasure_model import (
     build_classes,
     class_rows,
     classify,
-    failing_codes,
     format_pattern,
     infer_model,
     initial_distribution,
@@ -54,7 +52,7 @@ from erasurechain.erasure_model import (
 )
 from erasurechain.pauli_algebra import all_supports, supports_logical
 
-from conftest import fault_models
+from conftest import fault_models, members_index
 
 
 class TestPatternText:
@@ -229,8 +227,9 @@ class TestBuildClasses:
             clean_id=labels.index("clean"),
             fail_id=labels.index("fail"),
         )
-        assert bad.index[CLEAN_PATTERN] == bad.clean_id
-        assert bad.index[fail_sink(model)] == bad.fail_id
+        index = members_index(bad)
+        assert index[CLEAN_PATTERN] == bad.clean_id
+        assert index[fail_sink(model)] == bad.fail_id
         with pytest.raises(ClassUnsound):
             verify_class_soundness(bad)
 
@@ -257,14 +256,42 @@ class TestBuildClasses:
         table = build_classes(model)
         moved = parse_pattern(text)
         target = next(c.id for c in table.classes if c.label == label)
-        assert table.index[moved] != target
+        assert members_index(table)[moved] != target
         classes = []
         for c in table.classes:
             members = tuple(p for p in c.members if p != moved)
             classes.append(c._replace(members=members + ((moved,) if c.id == target else ())))
         bad = ClassTable(model, classes, table.clean_id, table.fail_id)
-        assert bad.index[moved] == target
+        assert members_index(bad)[moved] == target
         with pytest.raises(ClassUnsound, match=re.escape(f"class {label!r}: {text} disagrees")):
+            verify_class_soundness(bad)
+
+    @pytest.mark.parametrize(
+        "defect", ["in-two-classes", "missing", "duplicated-and-missing", "off-alphabet"]
+    )
+    def test_soundness_verifier_rejects_members_that_do_not_partition(self, defect):
+        # The verifier reads each pattern's class from the members alone:
+        # a pattern in two classes, in none, or outside the model's
+        # alphabet leaves no single class to read.
+        table = build_classes(Model.IDEAL)
+        fail = table.classes[table.fail_id]
+        w1 = next(c for c in table.classes if c.label == "w1")
+        changed = {
+            "in-two-classes": {w1.id: w1.members + fail.members[:1]},
+            "missing": {fail.id: fail.members[1:]},
+            "duplicated-and-missing": {
+                w1.id: w1.members + fail.members[:1],
+                fail.id: fail.members[1:] + w1.members[:1],
+            },
+            "off-alphabet": {w1.id: w1.members + (parse_pattern("Z......"),)},
+        }[defect]
+        bad = table._replace(
+            classes=tuple(c._replace(members=changed.get(c.id, c.members)) for c in table.classes)
+        )
+        with pytest.raises(
+            ValueError,
+            match=re.escape("the classes' members do not partition the model's pattern space"),
+        ):
             verify_class_soundness(bad)
 
     def test_signature_grouping_lumps_every_helper_symmetric_table(self):
@@ -380,9 +407,10 @@ def _assert_rows_are_attempt_sums(model, config):
     params = ModelParams.symbolic(model)
     patterns, attempts = _decided(model, config)
     table = _signature_table(model)
-    project = _projector(table, [table.index[p] for p in patterns], attempts)
+    index = members_index(table)
+    project = _projector(table, [index[p] for p in patterns], attempts)
     for code, p in enumerate(patterns):
-        assert project(code) == _attempt_row(p, table.index, params, config), format_pattern(p)
+        assert project(code) == _attempt_row(p, index, params, config), format_pattern(p)
 
 
 class TestLiveCodes:
@@ -401,7 +429,6 @@ class TestLiveCodes:
         stepped = [code for code, step in enumerate(steps) if isinstance(step, CorrectionStep)]
         assert stepped == list(live)
         assert (len(live), len(failing)) == ((56, 71) if model is Model.IDEAL else (322, 1864))
-        assert failing_codes(model) == tuple(failing)
         table = build_classes(model)
         assert table.classes[table.fail_id].members == tuple(patterns[code] for code in failing)
 
@@ -701,67 +728,6 @@ class TestSharedAttempts:
             assert local == local_attempt(patterns[code], tables)
             assert local.outcomes is tables[local.key]
             assert shared.setdefault((local.key, local.positions), local) is local
-
-
-def _members_index(table):
-    return {p: c.id for c in table.classes for p in c.members}
-
-
-class TestPatternIndex:
-    """``ClassTable.index``: every member's class id, read-only, built on
-    the first lookup."""
-
-    @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
-    def test_is_the_members_mapping(self, model):
-        table = build_classes(model)
-        fresh = ClassTable(table.model, table.classes, table.clean_id, table.fail_id)
-        expected = _members_index(table)
-        assert len(fresh.index) == len(expected) == len(MODEL_ALPHABET[model]) ** 7
-        assert fresh.index == expected
-        assert list(fresh.index) == [p for c in table.classes for p in c.members]
-        assert list(fresh.index.items()) == list(expected.items())
-        assert fresh.index.get(CLEAN_PATTERN) == table.clean_id
-        assert fresh.index.get((Erasure.NONE,) * 6) is None
-        assert fail_sink(model) in fresh.index
-        assert fresh == table and hash(fresh) == hash(table)
-
-    def test_read_only(self):
-        index = build_classes(Model.LOSSY).index
-        with pytest.raises(TypeError):
-            index[CLEAN_PATTERN] = 1
-        with pytest.raises(TypeError):
-            del index[CLEAN_PATTERN]
-        with pytest.raises(AttributeError):
-            index.update({CLEAN_PATTERN: 1})
-        assert index[CLEAN_PATTERN] == 0
-
-    @pytest.mark.parametrize("looked_up", [False, True], ids=["unbuilt", "built"])
-    def test_pickles_with_its_table(self, looked_up):
-        table = build_classes(Model.LOSSY)
-        fresh = ClassTable(table.model, table.classes, table.clean_id, table.fail_id)
-        if looked_up:
-            fresh.index[CLEAN_PATTERN]
-        copy = pickle.loads(pickle.dumps(fresh))
-        assert copy == table
-        assert hash(copy) == hash(table)
-        assert copy.index == _members_index(table)
-
-    def test_built_once_on_first_lookup(self, monkeypatch):
-        table = build_classes(Model.IDEAL)
-        fresh = ClassTable(table.model, table.classes, table.clean_id, table.fail_id)
-        builds = []
-        real = erasure_model._PatternIndex._built
-
-        def spy(self):
-            if self._index is None:
-                builds.append(1)
-            return real(self)
-
-        monkeypatch.setattr(erasure_model._PatternIndex, "_built", spy)
-        assert builds == []
-        assert fresh.index[CLEAN_PATTERN] == fresh.clean_id
-        assert len(fresh.index) == 128
-        assert builds == [1]
 
 
 # Marginal denominators' lcm: 1 (ideal symbolic), 2 (per_gate eps/2),

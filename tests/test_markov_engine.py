@@ -20,7 +20,6 @@ from erasurechain.correction_circuits import (
 )
 from erasurechain.exact_arith import Poly
 from erasurechain.erasure_model import (
-    CLEAN_PATTERN,
     ClassUnsound,
     EquivClass,
     Model,
@@ -39,6 +38,8 @@ from erasurechain.markov_engine import (
     run_to_absorption,
 )
 from erasurechain.threshold_solver import chain_recursion, concat_projection
+
+from conftest import members_index
 
 
 def ideal_chain():
@@ -140,6 +141,7 @@ def _attempt_chain(params, table, config):
     """Reference assembly: each representative's ``attempt`` summed per
     class, with identity rows for the absorbing classes."""
     n = len(table.classes)
+    index = members_index(table)
     P = []
     for cls in table.classes:
         row = [Poly.zero() for _ in range(n)]
@@ -147,7 +149,7 @@ def _attempt_chain(params, table, config):
             row[cls.id] = Poly.one()
         else:
             for q, prob in attempt(cls.representative, params, config).items():
-                cid = table.index[q]
+                cid = index[q]
                 row[cid] = row[cid] + prob
         P.append(row)
     return P
@@ -717,10 +719,7 @@ class TestSharedClassTable:
         with pytest.raises(AttributeError):
             table.fail_id = 0
         with pytest.raises(TypeError):
-            table.index[CLEAN_PATTERN] = table.fail_id
-        with pytest.raises(TypeError):
             table.classes[0] = table.classes[1]
-        assert table.index[CLEAN_PATTERN] == table.clean_id
         assert hash(table) == hash(build_classes(Model.LOSSY, DEFAULT_FAULT_MODEL))
 
 
