@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import erasurechain
-from erasurechain import cli, erasure_model
+from erasurechain import cli, erasure_model, markov_engine
 from erasurechain.cli import main
 from erasurechain.erasure_model import (
     Classification, Model, all_patterns, build_classes, classify, format_pattern,
@@ -785,6 +785,23 @@ def fresh_class_tables():
     erasure_model._class_table.cache_clear()
     yield
     erasure_model._class_table.cache_clear()
+
+
+@pytest.mark.parametrize("args", EXACT_LOSSY_COMMANDS, ids=" ".join)
+def test_lossy_commands_never_build_the_pattern_index(
+    args, fresh_class_tables, monkeypatch, capsys
+):
+    # The build groups codes into classes and keeps their rows; only a
+    # table passed in is re-read code by code from its members, and no
+    # command passes one.
+    def rebuilt(table, config=None):
+        raise AssertionError("a table's members were read into a pattern index")
+
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.setattr(erasure_model, "verify_class_soundness", rebuilt)
+    monkeypatch.setattr(markov_engine, "verify_class_soundness", rebuilt)
+    assert main(list(args)) == 0
+    assert capsys.readouterr().err == ""
 
 
 class TestCollector:

@@ -1,4 +1,5 @@
 import json
+import pickle
 import re
 from collections import Counter
 from fractions import Fraction as F
@@ -728,6 +729,77 @@ class TestSharedAttempts:
             assert local == local_attempt(patterns[code], tables)
             assert local.outcomes is tables[local.key]
             assert shared.setdefault((local.key, local.positions), local) is local
+
+
+class TestPatternIndex:
+    """A pattern's class is read from its table's members: every pattern of
+    the model lies in exactly one class, and the table stating it is
+    read-only, pickles whole and is built once per (model, FaultModel)."""
+
+    @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+    def test_is_the_members_mapping(self, model):
+        table = build_classes(model)
+        fresh = ClassTable(table.model, table.classes, table.clean_id, table.fail_id)
+        index = members_index(fresh)
+        assert sum(c.size for c in fresh.classes) == len(index) == len(MODEL_ALPHABET[model]) ** 7
+        assert set(index) == set(all_patterns(model))
+        assert [c.id for c in fresh.classes] == list(range(len(fresh.classes)))
+        assert all(index[c.representative] == c.id for c in fresh.classes)
+        assert index[CLEAN_PATTERN] == table.clean_id
+        assert index[fail_sink(model)] == table.fail_id
+        assert fresh == table and hash(fresh) == hash(table)
+        # The verifier reads the classes from the members alone and finds
+        # the rows the build kept from its own grouping.
+        assert verify_class_soundness(fresh) == class_rows(model)
+
+    def test_read_only(self):
+        table = build_classes(Model.LOSSY)
+        with pytest.raises(AttributeError):
+            table.classes = ()
+        with pytest.raises(TypeError):
+            table.classes[0] = table.classes[1]
+        with pytest.raises(AttributeError):
+            table.classes[0].members = ()
+        with pytest.raises(TypeError):
+            table.classes[table.fail_id].members[0] = CLEAN_PATTERN
+        assert members_index(table)[CLEAN_PATTERN] == 0
+
+    @pytest.mark.parametrize("built", [False, True], ids=["unbuilt", "built"])
+    def test_pickles_with_its_table(self, built):
+        # "unbuilt": a table assembled from its fields; "built": the table
+        # build_classes shares.
+        shared = build_classes(Model.LOSSY)
+        table = shared if built else ClassTable(
+            shared.model, shared.classes, shared.clean_id, shared.fail_id
+        )
+        copy = pickle.loads(pickle.dumps(table))
+        assert type(copy) is ClassTable
+        assert copy == shared
+        assert hash(copy) == hash(shared)
+        assert members_index(copy) == members_index(shared)
+
+    def test_built_once_on_first_lookup(self, monkeypatch):
+        erasure_model._class_table.cache_clear()
+        builds = []
+        real = erasure_model._decided
+
+        def spy(model, fault_model):
+            builds.append(model)
+            return real(model, fault_model)
+
+        monkeypatch.setattr(erasure_model, "_decided", spy)
+        try:
+            assert builds == []
+            table = build_classes(Model.IDEAL)
+            assert builds == [Model.IDEAL]
+            assert build_classes(Model.IDEAL) is table
+            assert build_classes(Model.IDEAL, DEFAULT_FAULT_MODEL) is table
+            assert class_rows(Model.IDEAL) is class_rows(Model.IDEAL)
+            assert members_index(table)[CLEAN_PATTERN] == table.clean_id
+            assert len(members_index(table)) == 128
+            assert builds == [Model.IDEAL]
+        finally:
+            erasure_model._class_table.cache_clear()
 
 
 # Marginal denominators' lcm: 1 (ideal symbolic), 2 (per_gate eps/2),
