@@ -68,13 +68,22 @@ class CliError(Exception):
 
 
 def _timestamp() -> Optional[str]:
+    """The manifest timestamp from SOURCE_DATE_EPOCH, None when it is unset.
+    ``_main`` reads it before the command runs; a value that is not whole
+    seconds a date can hold is a CliError (exit 2)."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is None:
         return None
-    return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+    try:
+        return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError):
+        raise CliError(
+            f"SOURCE_DATE_EPOCH must be whole seconds since 1970 that a date can hold, "
+            f"got {epoch!r}"
+        ) from None
 
 
-def _manifest(args, config: FaultModel) -> dict:
+def _manifest(args, config: FaultModel, timestamp: Optional[str]) -> dict:
     params = {
         k: v
         for k, v in vars(args).items()
@@ -85,7 +94,7 @@ def _manifest(args, config: FaultModel) -> dict:
         "parameters": {k: str(v) for k, v in sorted(params.items())},
         "circuit_config_hash": config.config_hash(),
         "tool_version": __version__,
-        "timestamp": _timestamp(),
+        "timestamp": timestamp,
     }
 
 
@@ -603,13 +612,14 @@ def _main(argv: Optional[List[str]]) -> int:
         args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.circuit_config)
+        timestamp = _timestamp()
         render_csv = None
         if args.format == "csv":
             render_csv = _CSV_RENDERERS.get(args.command)
             if render_csv is None:
                 raise CliError(f"csv output is not defined for {args.command!r}")
         payload = args.func(args, config)
-        manifest = _manifest(args, config)
+        manifest = _manifest(args, config, timestamp)
         if render_csv is not None:
             text = render_csv(payload, manifest)
         else:

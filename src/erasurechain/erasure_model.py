@@ -21,12 +21,13 @@ failures.
 ``build_classes`` works per erased mask first: the 56 nonzero correctable
 masks give the live codes (56 ideal, 322 lossy; ``live_codes``), and every
 other nonzero code goes to the fail class in one pass, with no step.  Only
-a live pattern takes a step (``correction_circuits.select_step``) and is
-grouped by the correction signature read from it (weight for the ideal
-model, full/Z-erasure counts for the lossy model); the live codes of one
-(target status, positions) share one attempt, 44 lossy and 16 ideal.  The same attempts
-check, exactly as polynomials, that every member of every class has the
-identical class-level outcome distribution under one correction attempt.
+a live pattern takes a step, decided once per model and shared with the
+Monte Carlo walk (``correction_circuits.live_steps``), and is grouped by
+its correction signature (weight for the ideal model, full/Z-erasure
+counts for the lossy model); the codes of one step share one attempt, 44
+lossy and 16 ideal.  The same attempts check, exactly as polynomials,
+that every member of every class has the identical class-level outcome
+distribution under one correction attempt.
 An outcome moves a code by an offset fixed by the step (``code_offsets``),
 so a row is built once per target status and the classes the outcomes land
 in, and a per-class sum once per local table and grouping of its entries
@@ -142,10 +143,6 @@ def format_pattern(pattern: Pattern) -> str:
     return "".join(_STATUS_CHARS[s] for s in pattern)
 
 
-def pattern_support(pattern: Pattern) -> frozenset:
-    return frozenset(q + 1 for q in range(N_QUBITS) if pattern[q] != Erasure.NONE)
-
-
 def pattern_weight(pattern: Pattern) -> int:
     return N_QUBITS - pattern.count(Erasure.NONE)
 
@@ -246,10 +243,11 @@ class ModelParams(NamedTuple):
         return ModelParams(Model.LOSSY, e, e)
 
 
-def all_patterns(model: Model) -> List[Pattern]:
-    """Every pattern over the model's alphabet (128 ideal, 2187 lossy)."""
-    alphabet = MODEL_ALPHABET[model]
-    return list(product(alphabet, repeat=N_QUBITS))
+@lru_cache(maxsize=None)
+def all_patterns(model: Model) -> Tuple[Pattern, ...]:
+    """Every pattern over the model's alphabet in code order, shared (128
+    ideal, 2187 lossy)."""
+    return tuple(product(MODEL_ALPHABET[model], repeat=N_QUBITS))
 
 
 @lru_cache(maxsize=None)
@@ -371,8 +369,8 @@ def _label(signature: tuple, model: Model) -> str:
 def build_classes(model: Model, config=None) -> ClassTable:
     """Group the pattern space into verified equivalence classes.
 
-    Only the live patterns (``live_codes``) take a step, decided once each
-    (``correction_circuits.select_step``); every other nonzero code is a
+    Only the live patterns (``live_codes``) take a step, decided once per
+    model (``correction_circuits.live_steps``); every other nonzero code is a
     procedure failure.  Live patterns are grouped by the correction
     signature read from their steps (weight / erasure composition), and the
     same attempts check that one attempt's class-level outcome
@@ -424,29 +422,20 @@ def _class_table(model: Model, fault_model) -> Tuple[ClassTable, ClassRows]:
     return table, _verified_rows(table, cls, attempts)
 
 
-def _decided(model: Model, fault_model) -> Tuple[List[Pattern], Dict[int, object]]:
-    """``all_patterns``, and code -> ``correction_circuits.local_attempt`` at
+def _decided(model: Model, fault_model) -> Tuple[Tuple[Pattern, ...], Dict[int, object]]:
+    """``all_patterns``, and code -> ``correction_circuits.LocalAttempt`` at
     symbolic rates for the live codes only, in code order.
 
-    ``select_step`` decides each live pattern once; the codes of one
-    (target status, positions) share one LocalAttempt (44 lossy, 16 ideal).
+    The codes of one group of ``correction_circuits.live_steps`` (target
+    status, positions) share one LocalAttempt (44 lossy, 16 ideal).
     """
     from . import correction_circuits as circuits
 
-    patterns = all_patterns(model)
     tables = circuits.outcome_tables(ModelParams.symbolic(model), fault_model)
-    shared: Dict[tuple, object] = {}
-    attempts = {}
-    for code in live_codes(model):
-        pattern = patterns[code]
-        step = circuits.select_step(pattern)
-        key = pattern[step.target - 1]
-        local = shared.get((key, step.positions))
-        if local is None:
-            local = circuits.LocalAttempt(step.positions, key, tables[key])
-            shared[key, step.positions] = local
-        attempts[code] = local
-    return patterns, attempts
+    attempts = dict.fromkeys(live_codes(model))
+    for key, positions, codes in circuits.live_steps(model):
+        attempts.update(dict.fromkeys(codes, circuits.LocalAttempt(positions, key, tables[key])))
+    return all_patterns(model), attempts
 
 
 def _code(pattern: Pattern, model: Model) -> int:
@@ -544,7 +533,8 @@ _NOT_A_PARTITION = "the classes' members do not partition the model's pattern sp
 
 def _verified_rows(table: ClassTable, cls: Sequence[int], attempts) -> ClassRows:
     """``verify_class_soundness`` on the class id of every code and
-    ``_decided``'s attempts, keyed by the live codes.  Only code 0 and the
+    ``_decided``'s attempts, one per ``live_steps`` group, keyed by its
+    live codes.  Only code 0 and the
     live codes are projected one by one; the failing codes, the nonzero
     codes with no attempt, are checked through the classes that hold them."""
     project = _projector(table, cls, attempts)

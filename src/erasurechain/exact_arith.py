@@ -212,12 +212,6 @@ class Poly:
             return -1
         return max(i + j for i, j in self.terms)
 
-    def valuation(self) -> int:
-        """Minimum total degree of any stored term, or -1 for zero."""
-        if not self.terms:
-            return -1
-        return min(i + j for i, j in self.terms)
-
     def coefficient(self, eps_deg: int, delta_deg: int = 0) -> RationalLike:
         return self.terms.get((eps_deg, delta_deg), 0)
 

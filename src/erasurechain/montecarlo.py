@@ -2,19 +2,19 @@
 
 Each trial samples an injected erasure pattern, then one-attempt outcomes
 until the block is clean or a procedure failure.  Outcome rows come from
-the local outcome tables (``correction_circuits.local_attempt``) at the
-numeric rates, the tables ``attempt`` writes into a pattern, not from the
-class lumping, so a disagreement with the chain points at lumping or
-assembly.
+the local outcome tables at the numeric rates, the tables ``attempt``
+writes into a pattern, not from the class lumping, so a disagreement with
+the chain points at lumping or assembly.
 
 A state is a pattern's code (``erasure_model.code_layout``).  Before the
 walk, every state is flagged clean, failed or live, from this module's own
-``pattern_weight`` and ``classify`` calls, and every live state's outcome
-row is filled, so a walk step only reads the table.  A row is shared by
-every state that takes the same step (local table and qubit positions):
-the code offsets of its outcomes (``erasure_model.code_offsets``) and
-their cumulative probabilities, so a state's row is its code plus the
-offsets.
+``pattern_weight`` and ``classify`` calls, and the outcome rows are filled
+one step at a time, so a walk step only reads the table.  The steps are
+the class build's (``correction_circuits.live_steps``): the live codes
+grouped by target status and qubit positions, decided once per model.  A
+step's codes share its row, the code offsets of its outcomes
+(``erasure_model.code_offsets``) and their cumulative probabilities, so a
+state's row is its code plus the offsets.
 
 The walk reads the same stream ``Generator.random`` reads, as raw words.
 ``Generator.random()`` turns a Philox word w into u = k * 2**-53 with
@@ -52,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .correction_circuits import (
-    DEFAULT_FAULT_MODEL, FaultModel, LocalAttempt, local_attempt, outcome_tables,
+    DEFAULT_FAULT_MODEL, FaultModel, LocalAttempt, live_steps, outcome_tables,
 )
 from .erasure_model import (
     Classification, Erasure, ModelParams, all_patterns, classify, code_layout,
@@ -97,8 +97,8 @@ class PatternTable:
     holds the j-th outcome of ``sorted(attempt(pattern).items())`` and
     ``ceil_grid`` of the cumulative probability up to it.  ``depth`` is the
     longest row rounded up to a power of two, and slots past a row's end
-    hold 2**53, which no k reaches.  The states are flagged in
-    ``all_patterns`` order, which is code order.
+    hold 2**53, which no k reaches.  The states are flagged in code order,
+    and the rows of each group of ``live_steps`` are filled at once.
     """
 
     def __init__(self, params: ModelParams, config: FaultModel):
@@ -110,34 +110,22 @@ class PatternTable:
         self.depth = depth = 1 << (longest - 1).bit_length()
         patterns = all_patterns(params.model)
         flag = [LIVE] * len(patterns)
-        # Every state taking a step (local table and qubit positions) shares
-        # its row: the helpers are intact and the target's status is the
-        # key.  A row is its outcomes' code offsets and cumulative
-        # probabilities, padded to depth; the live codes and their rows.
-        rows, offsets, cum = {}, [], []
-        live, row_of = [], []
         for code, pattern in enumerate(patterns):
             if pattern_weight(pattern) == 0:
                 flag[code] = CLEAN
             elif classify(pattern) is Classification.PROCEDURE_FAIL:
                 flag[code] = FAIL
-            else:
-                local = local_attempt(pattern, tables)
-                row = rows.get((local.key, local.positions))
-                if row is None:
-                    row = rows[local.key, local.positions] = len(offsets)
-                    row_offsets, row_cum = self._row(params.model, local)
-                    pad = depth - len(row_offsets)
-                    offsets.append(row_offsets + [0] * pad)
-                    cum.append(row_cum + [1.0] * pad)
-                live.append(code)
-                row_of.append(row)
         self.flag = np.array(flag, dtype=np.int8)
-        live, row_of = np.array(live), np.array(row_of)
         next_codes = np.zeros((len(patterns), depth), dtype=np.intp)
-        next_codes[live] = live[:, None] + np.array(offsets)[row_of]
         bound = np.full((len(patterns), depth), 1 << 53, dtype=np.uint64)
-        bound[live] = ceil_grid(cum)[row_of]
+        # The codes of one step (target status and qubit positions) share
+        # its row: its outcomes' code offsets, padded with 0 to depth, and
+        # their cumulative probabilities.
+        for key, positions, codes in live_steps(params.model):
+            offsets, cum = self._row(params.model, LocalAttempt(positions, key, tables[key]))
+            codes = np.array(codes)
+            next_codes[codes] = codes[:, None] + (offsets + [0] * (depth - len(offsets)))
+            bound[codes, : len(cum)] = ceil_grid(cum)
         self.next, self.bound = next_codes.reshape(-1), bound.reshape(-1)
 
     @staticmethod

@@ -19,7 +19,6 @@ erased qubits is unrecoverable exactly when it covers a logical operator.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from typing import FrozenSet, Iterable, List, Tuple
 
 N_QUBITS = 7
@@ -79,8 +78,3 @@ def supports_logical(support: Iterable[int]) -> bool:
     if not sup <= frozenset(range(1, N_QUBITS + 1)):
         raise ValueError("support must be a subset of qubits 1..7")
     return any(ls <= sup for ls in logical_supports())
-
-
-def all_supports(size: int) -> List[FrozenSet[int]]:
-    """Every qubit subset of the given size, in sorted order."""
-    return [frozenset(c) for c in combinations(range(1, N_QUBITS + 1), size)]

@@ -2,7 +2,7 @@
 strategy for random fault models."""
 
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import strategies as st
@@ -50,6 +50,16 @@ def ideal_singleton_table():
         clean_id=patterns.index(CLEAN_PATTERN),
         fail_id=patterns.index(fail_sink(Model.IDEAL)),
     )
+
+
+def supports(size):
+    """Every qubit subset of the given size, in sorted order."""
+    return [frozenset(c) for c in combinations(range(1, 8), size)]
+
+
+def pattern_support(pattern):
+    """The qubits a pattern erases."""
+    return frozenset(q for q, status in enumerate(pattern, 1) if status)
 
 
 def members_index(table):

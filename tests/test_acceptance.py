@@ -23,13 +23,12 @@ from erasurechain.erasure_model import (
     ModelParams,
     all_patterns,
     classify,
-    pattern_support,
     pattern_weight,
     verify_class_soundness,
 )
 from erasurechain.markov_engine import build_chain, encoded_failure_at, run_to_absorption
 from erasurechain.montecarlo import compare, simulate
-from erasurechain.pauli_algebra import all_supports, supports_logical
+from erasurechain.pauli_algebra import supports_logical
 from erasurechain.threshold_solver import (
     BreakEvenCondition,
     NoSignChange,
@@ -40,6 +39,8 @@ from erasurechain.threshold_solver import (
     default_bracket,
     solve_break_even,
 )
+
+from conftest import pattern_support, supports
 
 MC_SEED = 20230817
 
@@ -66,7 +67,7 @@ def test_acceptance_1_combinatorial_ground_truth():
         assert len(all_patterns(Model.IDEAL)) == 128
         assert len(all_patterns(Model.LOSSY)) == 2187
 
-        triples = all_supports(3)
+        triples = supports(3)
         assert len(triples) == 35
         bad = [s for s in triples if supports_logical(s)]
         good = [s for s in triples if not supports_logical(s)]

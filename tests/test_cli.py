@@ -489,6 +489,46 @@ def test_csv_rejected_before_the_command_runs(args, monkeypatch, capsys):
     assert calls == []
 
 
+class TestSourceDateEpoch:
+    """SOURCE_DATE_EPOCH stamps the manifest, and is checked before the
+    command runs."""
+
+    def test_valid_value_stamps_the_manifest(self, monkeypatch, capsys):
+        monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+        assert main(["classes", "--model", "ideal"]) == 0
+        unset = json.loads(capsys.readouterr().out)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        assert main(["classes", "--model", "ideal"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        stamped = json.loads(out)
+        assert stamped["manifest"].pop("timestamp") == "2023-11-14T22:13:20+00:00"
+        assert unset["manifest"].pop("timestamp") is None
+        assert stamped == unset
+
+    @pytest.mark.parametrize(
+        "value",
+        ["99999999999999999999", "abc", "1.5", ""],
+        ids=["overflow", "not-a-number", "not-an-integer", "empty"],
+    )
+    def test_malformed_value_rejected_before_the_command_runs(self, value, monkeypatch, capsys):
+        calls = []
+        real = cli.build_classes
+
+        def spy(*a, **k):
+            calls.append(a)
+            return real(*a, **k)
+
+        monkeypatch.setattr(cli, "build_classes", spy)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+        assert main(["classes", "--model", "ideal"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        message = json.loads(err)["error"]
+        assert message.startswith("SOURCE_DATE_EPOCH ") and repr(value) in message
+        assert calls == []
+
+
 class TestClassifyLabel:
     @pytest.mark.parametrize("config", [None, PER_TELEPORTATION, ALT_CONFIG],
                              ids=["default", "per_teleportation", "alt_config"])

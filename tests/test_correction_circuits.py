@@ -310,7 +310,7 @@ class TestAttempt:
         ):
             for p in all_patterns(model):
                 for prob in attempt(p, params).values():
-                    assert 0 <= prob.valuation() <= 4
+                    assert 0 <= min(i + j for i, j in prob.terms) <= 4
 
     def test_outcome_probabilities_lie_in_unit_interval(self):
         grid = [F(k, 20) for k in range(6)]

@@ -19,7 +19,7 @@ from erasurechain.correction_circuits import (
     FaultModel,
     attempt,
     fail_sink,
-    local_attempt,
+    live_steps,
     outcome_tables,
     select_step,
 )
@@ -45,15 +45,14 @@ from erasurechain.erasure_model import (
     parse_pattern,
     pattern_counts,
     pattern_probability,
-    pattern_support,
     pattern_weight,
     verify_class_soundness,
     _decided,
     _projector,
 )
-from erasurechain.pauli_algebra import all_supports, supports_logical
+from erasurechain.pauli_algebra import supports_logical
 
-from conftest import fault_models, members_index
+from conftest import fault_models, members_index, pattern_support, supports
 
 
 class TestPatternText:
@@ -98,7 +97,7 @@ class TestClassify:
         assert len(counts[Classification.PROCEDURE_FAIL]) == 7
 
     def test_classification_matches_logical_cover_on_triples(self):
-        for s in all_supports(3):
+        for s in supports(3):
             p = tuple(
                 Erasure.Z_MEASURED if q + 1 in s else Erasure.NONE for q in range(7)
             )
@@ -705,8 +704,23 @@ class TestModelParams:
 
 
 class TestSharedAttempts:
-    """A build decides each live pattern's step once and shares one
-    LocalAttempt among the codes of one (target status, positions)."""
+    """A build reads each live pattern's step from ``live_steps`` and shares
+    one LocalAttempt among the codes of one (target status, positions)."""
+
+    @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+    def test_live_steps_group_the_live_codes_by_step(self, model):
+        patterns = all_patterns(model)
+        groups = live_steps(model)
+        assert live_steps(model) is groups
+        assert len(groups) == (16 if model is Model.IDEAL else 44)
+        assert sorted(code for _, _, codes in groups for code in codes) == list(live_codes(model))
+        assert len({(key, positions) for key, positions, _ in groups}) == len(groups)
+        assert [codes[0] for _, _, codes in groups] == sorted(codes[0] for _, _, codes in groups)
+        for key, positions, codes in groups:
+            assert list(codes) == sorted(codes)
+            for code in codes:
+                step = select_step(patterns[code])
+                assert (key, positions) == (patterns[code][step.target - 1], step.positions)
 
     @pytest.mark.parametrize(
         "model, config, distinct",
@@ -725,8 +739,10 @@ class TestSharedAttempts:
         tables = outcome_tables(ModelParams.symbolic(model), config)
         shared = {}
         for code, local in attempts.items():
-            # Each is the pattern's own attempt, and the tables' own entry.
-            assert local == local_attempt(patterns[code], tables)
+            # Each is the pattern's own step, and the tables' own entry.
+            step = select_step(patterns[code])
+            assert local.key == patterns[code][step.target - 1]
+            assert local.positions == step.positions
             assert local.outcomes is tables[local.key]
             assert shared.setdefault((local.key, local.positions), local) is local
 

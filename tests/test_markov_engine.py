@@ -679,9 +679,10 @@ class TestIntegerElimination:
 
 class TestSharedClassTable:
     def test_verified_once_per_model_and_fault_model(self, monkeypatch):
-        # A build decides the step of each live pattern once, in code
-        # order, and groups and verifies its table from those steps; the
-        # other patterns are decided per erased mask, with no call.
+        # The step of each live pattern is decided once per model, in code
+        # order, and a build groups and verifies its table from those
+        # steps; the other patterns are decided per erased mask, with no
+        # call.
         select = correction_circuits.select_step
         calls = []
 
@@ -691,6 +692,7 @@ class TestSharedClassTable:
 
         monkeypatch.setattr(correction_circuits, "select_step", spy)
         erasure_model._class_table.cache_clear()
+        correction_circuits.live_steps.cache_clear()
         try:
             tables = [
                 build_chain(params, config=config).table
@@ -704,8 +706,9 @@ class TestSharedClassTable:
             ]
         finally:
             erasure_model._class_table.cache_clear()
-        # One build per (model, FaultModel): None, the default and an equal
-        # FaultModel are one key.
+            correction_circuits.live_steps.cache_clear()
+        # One decision per live code, and one table per (model,
+        # FaultModel): None, the default and an equal FaultModel are one key.
         assert len(calls) == 56 + 322
         assert calls == [
             all_patterns(model)[code] for model in (Model.IDEAL, Model.LOSSY)

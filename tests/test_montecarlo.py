@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import erasurechain.montecarlo as mc
+from erasurechain import correction_circuits, erasure_model
 from erasurechain.correction_circuits import (
     DEFAULT_FAULT_MODEL,
     Construction,
@@ -20,9 +21,12 @@ from erasurechain.correction_circuits import (
 from erasurechain.erasure_model import (
     Classification,
     Erasure,
+    Model,
     ModelParams,
     all_patterns,
+    build_classes,
     classify,
+    live_codes,
     pattern_weight,
     qubit_marginals,
 )
@@ -172,11 +176,38 @@ def test_walk_reads_only_the_table(monkeypatch):
     def rederive(*args, **kwargs):
         raise AssertionError("the walk re-derived a state")
 
-    for name in ("local_attempt", "classify", "pattern_weight"):
+    for name in ("live_steps", "classify", "pattern_weight"):
         monkeypatch.setattr(mc, name, rederive)
     failures = mc._absorb(states, table, bitgen)
     monkeypatch.undo()
     assert failures == simulate(params, 5000, seed=41).failures
+
+
+def test_the_walk_shares_the_class_build_steps(monkeypatch):
+    # The class build and the walk read one decision per live code:
+    # ``live_steps`` calls select_step once per lossy live code, in code
+    # order, however many tables and FaultModels read it after.
+    select = correction_circuits.select_step
+    calls = []
+
+    def spy(pattern):
+        calls.append(pattern)
+        return select(pattern)
+
+    monkeypatch.setattr(correction_circuits, "select_step", spy)
+    erasure_model._class_table.cache_clear()
+    correction_circuits.live_steps.cache_clear()
+    try:
+        build_classes(Model.LOSSY)
+        for config in (DEFAULT_FAULT_MODEL, CONFIGS["per_teleportation"]):
+            PatternTable(ModelParams.lossy(F(1, 50), F(1, 30)), config)
+        build_classes(Model.LOSSY, CONFIGS["alt_config"])
+    finally:
+        erasure_model._class_table.cache_clear()
+        correction_circuits.live_steps.cache_clear()
+    patterns = all_patterns(Model.LOSSY)
+    assert len(calls) == 322
+    assert calls == [patterns[code] for code in live_codes(Model.LOSSY)]
 
 
 def _one_shot_states(params, trials, seed, config=DEFAULT_FAULT_MODEL):

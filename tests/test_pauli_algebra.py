@@ -3,11 +3,12 @@ from itertools import combinations
 import pytest
 
 from erasurechain.pauli_algebra import (
-    all_supports,
     logical_supports,
     stabilizer_supports_weight4,
     supports_logical,
 )
+
+from conftest import supports
 
 # Supports of the generators M1..M3 (X-type) and M4..M6 (Z-type) alike.
 GENERATOR_SUPPORTS = [
@@ -76,11 +77,11 @@ class TestLogicals:
 class TestSupportsLogical:
     def test_small_supports_never_cover(self):
         for size in (0, 1, 2):
-            for s in all_supports(size):
+            for s in supports(size):
                 assert not supports_logical(s)
 
     def test_exactly_seven_triples_cover(self):
-        covering = [s for s in all_supports(3) if supports_logical(s)]
+        covering = [s for s in supports(3) if supports_logical(s)]
         assert len(covering) == 7
 
     def test_full_support_covers(self):
@@ -88,7 +89,7 @@ class TestSupportsLogical:
 
     def test_monotone_under_growth(self):
         # Adding qubits never flips a covering support back to non-covering.
-        for s in all_supports(3):
+        for s in supports(3):
             if supports_logical(s):
                 for extra in range(1, 8):
                     assert supports_logical(s | {extra})
@@ -108,7 +109,7 @@ class TestCoveringStabilizer:
     def test_exactly_seven_supports_work(self):
         # Of the 35 four-qubit sets, exactly the 7 stabilizer supports cover
         # no logical operator.
-        free = [s for s in all_supports(4) if not supports_logical(s)]
+        free = [s for s in supports(4) if not supports_logical(s)]
         assert sorted(free, key=sorted) == list(stabilizer_supports_weight4())
 
 
@@ -134,7 +135,7 @@ class TestCorrectableTriplesHaveRecoveryRoute:
         # The single-target circuits need, for the lowest qubit of every
         # correctable triple, a covering support avoiding the other two.
         quads = stabilizer_supports_weight4()
-        for s in all_supports(3):
+        for s in supports(3):
             if supports_logical(s):
                 continue
             target = min(s)
