@@ -402,7 +402,7 @@ def _fault_model(config):
 def _class_table(model: Model, fault_model) -> Tuple[ClassTable, ClassRows]:
     from .correction_circuits import fail_sink
 
-    patterns, attempts = _decided(model, fault_model)
+    patterns, attempts = all_patterns(model), _decided(model, fault_model)
     groups: Dict[tuple, List[int]] = {}
     for code, local in attempts.items():
         groups.setdefault(_signature(patterns[code], local), []).append(code)
@@ -422,9 +422,9 @@ def _class_table(model: Model, fault_model) -> Tuple[ClassTable, ClassRows]:
     return table, _verified_rows(table, cls, attempts)
 
 
-def _decided(model: Model, fault_model) -> Tuple[Tuple[Pattern, ...], Dict[int, object]]:
-    """``all_patterns``, and code -> ``correction_circuits.LocalAttempt`` at
-    symbolic rates for the live codes only, in code order.
+def _decided(model: Model, fault_model) -> Dict[int, object]:
+    """Code -> ``correction_circuits.LocalAttempt`` at symbolic rates for
+    the live codes only, in code order.
 
     The codes of one group of ``correction_circuits.live_steps`` (target
     status, positions) share one LocalAttempt (44 lossy, 16 ideal).
@@ -435,7 +435,7 @@ def _decided(model: Model, fault_model) -> Tuple[Tuple[Pattern, ...], Dict[int, 
     attempts = dict.fromkeys(live_codes(model))
     for key, positions, codes in circuits.live_steps(model):
         attempts.update(dict.fromkeys(codes, circuits.LocalAttempt(positions, key, tables[key])))
-    return all_patterns(model), attempts
+    return attempts
 
 
 def _code(pattern: Pattern, model: Model) -> int:
@@ -524,8 +524,7 @@ def verify_class_soundness(table: ClassTable, config=None) -> ClassRows:
             cls[code] = c.id
     if None in cls:
         raise ValueError(_NOT_A_PARTITION)
-    _, attempts = _decided(model, _fault_model(config))
-    return _verified_rows(table, cls, attempts)
+    return _verified_rows(table, cls, _decided(model, _fault_model(config)))
 
 
 _NOT_A_PARTITION = "the classes' members do not partition the model's pattern space"

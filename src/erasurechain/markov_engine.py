@@ -128,10 +128,18 @@ def _solve(chain: TransitionMatrix):
     its entries (``_eps_row``); s is the border row's scale.
     ``_eliminate`` gives det(M) and det(A).  By the Schur complement
     det(M) / det(A) = s * (c0 + c^T A^-1 r), the absorption probability.
+
+    At numeric rates the transient classes are only those injected mass
+    reaches (``_reached``).  c is zero off them and their rows of Q stay
+    on them, so c^T A^-1 r is the same on that block, and a class no mass
+    reaches that never leaves itself (lossy eps = 0, delta = 1) does not
+    make A singular.  Symbolic chains keep every transient class.
     """
     initial = initial_distribution(chain.params, chain.table, chain.config)
     clean_id, fail_id = chain.absorbing
     transient = [i for i in range(chain.size) if i not in (clean_id, fail_id)]
+    if chain.params.is_numeric():
+        transient = _reached(chain.P, initial, transient)
 
     zero = Poly.zero()
     rows = []
@@ -143,6 +151,20 @@ def _solve(chain: TransitionMatrix):
     rows.append(values)
     det_m, det_a = _eliminate(rows)
     return det_m, [c * scale for c in det_a]
+
+
+def _reached(P: List[List[Poly]], initial, transient: List[int]) -> List[int]:
+    """The transient classes holding injected mass or entered from one that
+    does through a nonzero entry of P, in class order."""
+    reached = {i for i in transient if initial.get(i)}
+    stack = list(reached)
+    while stack:
+        row = P[stack.pop()]
+        for j in transient:
+            if row[j] and j not in reached:
+                reached.add(j)
+                stack.append(j)
+    return [i for i in transient if i in reached]
 
 
 def _eliminate(rows: List[List[List[int]]]) -> Tuple[List[int], List[int]]:

@@ -34,12 +34,18 @@ counted and retired, keeping the live ones in order.
 
 Shard s (at most 2**20 trials) draws from Philox seeded with
 ``SeedSequence(entropy=seed, spawn_key=(s,))``: the (n, 7) injection, then
-one word per live trial per step.  The injection is drawn and encoded in
-blocks of ``CHUNK`` trials; a Philox stream drawn in blocks gives the
-words of one draw.  Failures are folded in shard order, so an estimate
-depends only on (seed, trials, parameters), and it is the estimate the
-walk on ``Generator.random`` doubles gave.  The per-trial walk before that
-drew in another order, so its seeds gave other estimates.
+one word per live trial per step.  Philox is counter-based, so a stream
+drawn in blocks gives the words of one draw (Salmon et al., SC 2011).  The
+injection is drawn and encoded ``CHUNK`` trials at a time, and each step
+runs over blocks of at most ``BLOCK`` trials, in trial order, so the words
+come in the order of one draw per step.  A state is a 16-bit code (every
+code is below 3**7 = 2187), so a shard holds its injected codes and the
+walk's copy, 4 bytes a trial, and the rest of the working set is bounded
+by the two block sizes.  Failures are folded in shard order, so an
+estimate depends only on (seed, trials, parameters), and it is the
+estimate the walk on ``Generator.random`` doubles gave.  The per-trial
+walk before that drew in another order, so its seeds gave other
+estimates.
 """
 
 from __future__ import annotations
@@ -61,9 +67,12 @@ from .erasure_model import (
 from .pauli_algebra import N_QUBITS
 
 SHARD_SIZE = 1 << 20
-# Trials whose injection is drawn and encoded at once (458 kB of words and
+# Trials whose injection is drawn and encoded at once (229 kB of words and
 # a float comparison mask of the same size).
-CHUNK = 1 << 13
+CHUNK = 1 << 12
+# Live trials that one walk step advances at once (about 0.5 MB of words,
+# row offsets and bounds).
+BLOCK = 1 << 14
 # Attempts a trial may take; slow but correct absorption can exceed it.
 MAX_STEPS = 10_000
 # Largest |z| that compare() accepts.
@@ -93,9 +102,10 @@ class PatternTable:
     """Terminal flags and outcome rows of every pattern, filled at once.
 
     ``flag[code]`` is CLEAN, FAIL or LIVE.  A live state's row is the
-    ``depth`` slots from ``code * depth`` of ``next`` and ``bound``: slot j
-    holds the j-th outcome of ``sorted(attempt(pattern).items())`` and
-    ``ceil_grid`` of the cumulative probability up to it.  ``depth`` is the
+    ``depth`` slots from ``code * depth`` of ``next`` (int16 codes) and
+    ``bound``: slot j holds the j-th outcome of
+    ``sorted(attempt(pattern).items())`` and ``ceil_grid`` of the
+    cumulative probability up to it.  ``depth`` is the
     longest row rounded up to a power of two, and slots past a row's end
     hold 2**53, which no k reaches.  The states are flagged in code order,
     and the rows of each group of ``live_steps`` are filled at once.
@@ -116,7 +126,7 @@ class PatternTable:
             elif classify(pattern) is Classification.PROCEDURE_FAIL:
                 flag[code] = FAIL
         self.flag = np.array(flag, dtype=np.int8)
-        next_codes = np.zeros((len(patterns), depth), dtype=np.intp)
+        next_codes = np.zeros((len(patterns), depth), dtype=np.int16)
         bound = np.full((len(patterns), depth), 1 << 53, dtype=np.uint64)
         # The codes of one step (target status and qubit positions) share
         # its row: its outcomes' code offsets, padded with 0 to depth, and
@@ -181,8 +191,6 @@ def simulate(
         sequence = np.random.SeedSequence(entropy=seed, spawn_key=(shard,))
         bitgen = np.random.Philox(sequence)
         n = min(SHARD_SIZE, trials - start)
-        # Passed on without a name, the injected codes are freed by the
-        # walk's first step.
         failures += _absorb(_inject(bitgen, n, base, steps), table, bitgen)
 
     mean = failures / trials
@@ -191,8 +199,9 @@ def simulate(
 
 
 def _inject(bitgen, n: int, base: float, steps) -> np.ndarray:
-    """The codes of n injected patterns, drawn and encoded CHUNK at a time."""
-    states = np.empty(n, dtype=np.intp)
+    """The int16 codes of n injected patterns, drawn and encoded CHUNK at a
+    time."""
+    states = np.empty(n, dtype=np.int16)
     above = np.empty((min(CHUNK, n), N_QUBITS))
     for first in range(0, n, CHUNK):
         k = bitgen.random_raw((min(CHUNK, n - first), N_QUBITS))
@@ -207,27 +216,44 @@ def _inject(bitgen, n: int, base: float, steps) -> np.ndarray:
 
 
 def _absorb(states: np.ndarray, table: PatternTable, bitgen) -> int:
-    """Step every live trial until all absorb; the number that fail."""
+    """Step every live trial until all absorb; the number that fail.
+
+    The walk keeps its own int16 copy of ``states`` and steps it over
+    blocks of at most BLOCK trials.  A block's flags are read, its failures
+    counted and its live trials kept; it draws one word per live trial,
+    and their next codes are written back compacted, after the live trials
+    of the blocks before it.  The blocks run in trial order, so the words
+    are those of one draw per step.
+    """
     failures = 0
-    depth, bound, flags = table.depth, table.bound, table.flag
+    depth, bound, flags, next_codes = table.depth, table.bound, table.flag, table.next
     halves = [depth >> i for i in range(1, depth.bit_length())]
+    live = np.array(states, dtype=np.int16)
     for _ in range(MAX_STEPS):
-        flag = flags.take(states)
-        failures += int(np.count_nonzero(flag == FAIL))
-        states = np.compress(flag == LIVE, states)
-        if not states.size:
+        kept = 0
+        for first in range(0, live.size, BLOCK):
+            block = live[first : first + BLOCK]
+            flag = flags.take(block)
+            failures += int(np.count_nonzero(flag == FAIL))
+            block = np.compress(flag == LIVE, block)
+            if not block.size:
+                continue
+            k = bitgen.random_raw(block.size)
+            k >>= 11
+            # The outcome is the number of the row's bounds at or below k.
+            # A row's bounds at or below k come first and its last slot is
+            # 2**53, so halving finds the first bound above k in
+            # log2(depth) reads.  A row's first slot is code * depth, which
+            # overflows int16, so the codes are widened first.
+            at = np.multiply(block, depth, dtype=np.intp)
+            for half in halves:
+                at += (bound[half - 1 :].take(at) <= k) * half
+            # kept <= first, so the write leaves the blocks still to come.
+            next_codes.take(at, out=live[kept : kept + block.size])
+            kept += block.size
+        if not kept:
             return failures
-        k = bitgen.random_raw(states.size)
-        k >>= 11
-        # The outcome is the number of the row's bounds at or below k.  A
-        # row's bounds at or below k come first and its last slot is 2**53,
-        # so halving finds the first bound above k in log2(depth) reads.
-        # Each live code becomes its row's first slot in place.
-        at = states
-        at *= depth
-        for half in halves:
-            at += (bound[half - 1 :].take(at) <= k) * half
-        states = table.next.take(at)
+        live = live[:kept]
     eps, delta = table.params.eps.coefficient(0), table.params.delta.coefficient(0)
     raise ValueError(
         f"a trial did not absorb within MAX_STEPS = {MAX_STEPS} attempts at "

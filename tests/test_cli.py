@@ -217,6 +217,20 @@ class TestMc:
         assert data["z_vs_exact"] == pytest.approx(-sqrt(2000 * p / (1 - p)), rel=1e-12)
         assert data["passed"] is True
 
+    def test_lossless_gates_with_lost_detections_never_fail(self):
+        # eps = 0, delta = 1: every trial starts clean.  The class that
+        # never leaves itself holds no injected mass, so the exact rate is
+        # 0 rather than a singular system.
+        data = json.loads(
+            run_cli(
+                "mc", "--model", "lossy", "--eps", "0", "--delta", "1",
+                "--trials", "1000", "--seed", "1",
+            ).stdout
+        )
+        assert data["exact"] == data["mean"] == 0.0
+        assert data["stderr"] == 0.0
+        assert data["passed"] is True
+
     def test_slow_absorption_is_a_json_error(self, capsys):
         # With every detection lost a correct procedure absorbs slowly; a
         # trial left live at the step cap is reported, not a traceback.

@@ -405,7 +405,7 @@ def _assert_rows_are_attempt_sums(model, config):
     # (``TestChainFromVerifiedRows``).  The table is grouped before any row
     # is checked, so a wrong row fails here and not in the build's own check.
     params = ModelParams.symbolic(model)
-    patterns, attempts = _decided(model, config)
+    patterns, attempts = all_patterns(model), _decided(model, config)
     table = _signature_table(model)
     index = members_index(table)
     project = _projector(table, [index[p] for p in patterns], attempts)
@@ -733,7 +733,7 @@ class TestSharedAttempts:
         ids=["ideal", "lossy", "lossy-alt", "lossy-per_teleportation"],
     )
     def test_one_attempt_per_status_and_positions(self, model, config, distinct):
-        patterns, attempts = _decided(model, config)
+        patterns, attempts = all_patterns(model), _decided(model, config)
         assert list(attempts) == list(live_codes(model))
         assert len({id(local) for local in attempts.values()}) == distinct
         tables = outcome_tables(ModelParams.symbolic(model), config)

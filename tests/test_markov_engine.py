@@ -442,14 +442,18 @@ class TestFractionFreeSolve:
                 )
 
     @pytest.mark.parametrize("construction", sorted(CONFIGS))
-    def test_lossless_gates_with_lost_detections_is_singular(self, construction):
-        # eps = 0, delta = 1: a class holding a full erasure never leaves itself.
+    def test_lossless_gates_with_lost_detections_trap_a_class_no_mass_reaches(
+        self, construction
+    ):
+        # eps = 0, delta = 1: a class holding a full erasure never leaves
+        # itself, so the whole transient system is singular.  Lossless
+        # gates inject only the clean pattern, so no mass reaches that
+        # class and the chain built at the point fails with rate 0.
         config = CONFIGS[construction]
         lossy = build_chain(ModelParams.lossy(), config=config)
         with pytest.raises(ValueError, match="singular transient system"):
             fraction_oracle(lossy, F(0), F(1))
-        with pytest.raises(ValueError, match="singular transient system"):
-            at_point(Model.LOSSY, F(0), F(1), config)
+        assert at_point(Model.LOSSY, F(0), F(1), config) == 0
 
     def test_concat_to_level_three_matches_oracle(self):
         chain = build_chain(ModelParams.ideal())
@@ -461,6 +465,57 @@ class TestFractionFreeSolve:
         assert concat_projection(chain_recursion("ideal"), F(1, 19), 3) == [
             float(x) for x in expected
         ]
+
+
+def _mass_support(chain):
+    """The transient classes some power of Q carries injected mass to:
+    the supports of c, cQ, cQ^2, ... evaluated as Fractions."""
+    clean_id, fail_id = chain.absorbing
+    transient = [i for i in range(chain.size) if i not in (clean_id, fail_id)]
+    initial = initial_distribution(chain.params, chain.table, chain.config)
+    mass = {i: initial[i].evaluate(0, 0) for i in transient if i in initial}
+    support = set()
+    for _ in transient:
+        support |= {i for i, v in mass.items() if v}
+        mass = {
+            j: sum(v * chain.P[i][j].evaluate(0, 0) for i, v in mass.items())
+            for j in transient
+        }
+    return sorted(support)
+
+
+class TestReachedClasses:
+    @pytest.mark.parametrize("construction", sorted(CONFIGS))
+    def test_numeric_solve_keeps_the_classes_injected_mass_reaches(
+        self, construction, monkeypatch
+    ):
+        # The chain at a point is solved on the transient classes that
+        # injected mass reaches, one row each plus the border row; the
+        # rate is the full system's.  A symbolic chain keeps them all.
+        config = CONFIGS[construction]
+        sizes = []
+        real = markov_engine._eliminate
+
+        def spy(rows):
+            sizes.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(markov_engine, "_eliminate", spy)
+        lossy = build_chain(ModelParams.lossy(), config=config)
+        for eps, delta in [(F(0), F(1)), (F(0), F(1, 10)), (F(1, 10), F(0)), (F(1, 10), F(1, 10))]:
+            chain = build_chain(ModelParams.lossy(eps, delta), config=config)
+            reached = _mass_support(chain)
+            rate = encoded_failure_at(chain)
+            assert sizes.pop() == len(reached) + 1
+            if reached:
+                assert rate == fraction_oracle(lossy, eps, delta)
+            else:
+                assert rate == 0
+        diagonal = build_chain(ModelParams.lossy_diagonal(), config=config)
+        failure_rate(diagonal)
+        assert sizes.pop() == diagonal.size - 1
+        # At (1/10, 1/10) mass reaches every transient class.
+        assert _mass_support(chain) == [i for i in range(1, chain.size - 1)]
 
 
 ALT_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "alt_config.json"

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction as F
 from math import sqrt
 from pathlib import Path
@@ -465,6 +466,65 @@ class TestFloatWalkOracle:
         with pytest.raises(ValueError, match=f"MAX_STEPS = {max_steps} attempts"):
             mc._absorb(states, table, bitgen)
         np.testing.assert_equal(bitgen.state, rng.bit_generator.state)
+
+
+class TestBlockedWalk:
+    @pytest.mark.parametrize(
+        "params, config, seed, trials", ORACLE_CASES.values(), ids=ORACLE_CASES
+    )
+    def test_small_blocks_are_the_float_walk(self, params, config, seed, trials, monkeypatch):
+        # The injection drawn 7 trials at a time and each step run over
+        # blocks of 64 live trials read the words of one draw each.  Lossy
+        # row offsets code * depth pass 2**15 (2186 * 16 by default, and
+        # alt_config rows are 64 wide), so offsets taken in int16 would wrap.
+        monkeypatch.setattr(mc, "CHUNK", 7)
+        monkeypatch.setattr(mc, "BLOCK", 64)
+        config = CONFIGS[config]
+        states, _, _ = _one_shot_states(params, trials, seed, config)
+        rng = _shard_generator(seed)
+        rng.random((trials, N_QUBITS))
+        expected, _ = float_absorb(states, float_rows(params, config), rng)
+        seen = {}
+        real = mc._absorb
+
+        def spy(injected, table, bitgen):
+            seen["injected"] = injected.copy()
+            failures = real(injected, table, bitgen)
+            seen["state"] = bitgen.state
+            return failures
+
+        monkeypatch.setattr(mc, "_absorb", spy)
+        assert simulate(params, trials, seed, config).failures == expected
+        assert seen["injected"].dtype == np.int16
+        assert np.array_equal(seen["injected"], states)
+        np.testing.assert_equal(seen["state"], rng.bit_generator.state)
+
+    def test_table_codes_are_16_bit_and_row_offsets_are_not(self):
+        params = ModelParams.lossy(F(1, 10), F(1, 10))
+        table = PatternTable(params, CONFIGS["alt_config"])
+        assert table.next.dtype == np.int16
+        assert table.depth == 64
+        assert (len(all_patterns(Model.LOSSY)) - 1) * table.depth > np.iinfo(np.int16).max
+
+    @pytest.mark.parametrize(
+        "params", [ModelParams.ideal(F(1, 10)), ModelParams.lossy(F(1, 10), F(1, 10))],
+        ids=["ideal", "lossy"],
+    )
+    def test_memory_per_trial_is_bounded(self, params):
+        # A shard holds its int16 injected codes and the walk's copy; every
+        # other array is bounded by CHUNK or BLOCK.  The peak traced memory
+        # may grow by at most 6 bytes for each extra trial.
+        simulate(params, 1000, seed=1)  # the caches every run shares
+        small, large = 1 << 16, 1 << 18
+        peaks = []
+        for trials in (small, large):
+            tracemalloc.start()
+            try:
+                simulate(params, trials, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (large - small) <= 6
 
 
 # A correct sampler lands beyond 4 standard errors about once in 16,000
